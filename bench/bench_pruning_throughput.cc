@@ -28,20 +28,7 @@
 //   --sweep_scale=S          per-document xmlgen scale (default 0.002)
 //   --sweep_reps=R           repetitions per thread count, best-of (default 3)
 //   --sweep_max_threads=T    top of the 1..T sweep (default max(4, cores))
-//   --intra_scale=S          xmlgen scale of the single large document for
-//                            the intra-doc sweep (default 0.16, ~11MB; CI
-//                            and the recorded JSON use 1.0, ~71MB, for the
-//                            >=64MB contract)
-//   --intra_max_threads=T    top of the intra-doc 1..T sweep
-//                            (default max(4, cores))
-//   --intra_chunk_bytes=N    target chunk size (default 4MB)
-//   --intra_reps=R           repetitions per point, best-of (default 3)
 //   --no_sweep               skip the sweep/JSON (pure google-benchmark run)
-//
-// The intra-doc sweep shards ONE document across cores (chunked pruning,
-// projection/chunked.h) instead of fanning documents out, and verifies
-// every point's output byte-identical to the 1-thread sequential pass
-// before recording it.
 //
 // The timed sweep runs are uninstrumented (metrics stay out of the
 // measurement); the instrumented run happens once afterwards.
@@ -71,7 +58,6 @@
 #include "service/client.h"
 #include "service/service.h"
 #include "projection/checkpoint.h"
-#include "projection/chunked.h"
 #include "projection/pipeline.h"
 #include "projection/pruner.h"
 #include "projection/projection.h"
@@ -264,11 +250,6 @@ struct SweepConfig {
   double scale = 0.002;
   int reps = 3;
   int max_threads = 0;  // 0: max(4, hardware)
-  // Intra-document (single large doc, chunked) sweep.
-  double intra_scale = 0.16;      // ~11MB; CI uses 1.0 (>=64MB)
-  int intra_max_threads = 0;      // 0: max(4, hardware)
-  size_t intra_chunk_bytes = 4u << 20;
-  int intra_reps = 3;
   bool enabled = true;
 };
 
@@ -278,83 +259,6 @@ struct SweepPoint {
   double bytes_per_second = 0;
   double speedup = 1.0;
 };
-
-// Intra-document sweep: ONE large XMark document, chunked across 1..T
-// threads (projection/chunked.h via PipelineOptions::intra_doc). Every
-// point's output is diffed against the 1-thread sequential baseline —
-// a byte mismatch fails the bench, so the recorded curve is also a
-// correctness witness. Returns false on failure.
-bool RunIntraDocSweep(const SweepConfig& config,
-                      std::vector<SweepPoint>* points, size_t* doc_bytes,
-                      size_t* chunks_planned) {
-  XMarkOptions doc_options;
-  doc_options.scale = config.intra_scale;
-  std::string doc = GenerateXMarkText(doc_options);
-  *doc_bytes = doc.size();
-  const NameSet& projector = WorkloadMergedProjector();
-
-  IntraDocOptions plan_options;
-  plan_options.threads = 2;  // planner needs chunking enabled
-  plan_options.chunk_bytes = config.intra_chunk_bytes;
-  auto plan = PlanChunks(doc, XmarkDtd(), projector, /*validate=*/false,
-                         plan_options);
-  *chunks_planned = plan.has_value() ? plan->chunks.size() : 0;
-
-  int hardware = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  int max_threads = config.intra_max_threads > 0 ? config.intra_max_threads
-                                                 : std::max(4, hardware);
-  std::vector<int> thread_counts;
-  for (int t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
-  if (thread_counts.back() != max_threads) {
-    thread_counts.push_back(max_threads);
-  }
-
-  std::printf("\nintra-doc sweep: one %.1f MB document, chunk target %.1f MB,"
-              " %zu chunks planned, best of %d\n",
-              doc.size() / (1024.0 * 1024.0),
-              config.intra_chunk_bytes / (1024.0 * 1024.0), *chunks_planned,
-              std::max(config.intra_reps, 1));
-  std::vector<std::string> corpus = {std::move(doc)};
-  std::string baseline;
-  for (int threads : thread_counts) {
-    PipelineOptions options;
-    options.num_threads = 1;  // one document: parallelism is intra-doc
-    options.intra_doc.threads = threads;
-    options.intra_doc.chunk_bytes = config.intra_chunk_bytes;
-    double best = 0;
-    for (int rep = 0; rep < std::max(config.intra_reps, 1); ++rep) {
-      auto run = PruneCorpus(corpus, XmarkDtd(), projector, options);
-      if (!run.ok()) {
-        std::fprintf(stderr, "intra-doc sweep failed at %d threads: %s\n",
-                     threads, run.status().ToString().c_str());
-        return false;
-      }
-      if (threads == 1 && rep == 0) {
-        baseline = run->results[0].output;
-      } else if (run->results[0].output != baseline) {
-        std::fprintf(stderr,
-                     "intra-doc sweep: %d-thread output diverges from the "
-                     "sequential baseline\n",
-                     threads);
-        return false;
-      }
-      double seconds = run->summary.wall_seconds;
-      if (rep == 0 || seconds < best) best = seconds;
-    }
-    SweepPoint point;
-    point.threads = threads;
-    point.seconds = best;
-    point.bytes_per_second = static_cast<double>(*doc_bytes) / best;
-    point.speedup = points->empty() ? 1.0 : (*points)[0].seconds / best;
-    points->push_back(point);
-    std::printf("  intra-doc threads=%-2d  %8.1f ms  %7.1f MB/s  "
-                "speedup %.2fx\n",
-                threads, best * 1e3,
-                point.bytes_per_second / (1024.0 * 1024.0), point.speedup);
-  }
-  return true;
-}
 
 // --- Obs overhead A/B ---------------------------------------------------
 //
@@ -848,14 +752,6 @@ int RunSweep(SweepConfig config) {
                 point.bytes_per_second / (1024.0 * 1024.0), point.speedup);
   }
 
-  std::vector<SweepPoint> intra_points;
-  size_t intra_doc_bytes = 0;
-  size_t intra_chunks = 0;
-  if (!RunIntraDocSweep(config, &intra_points, &intra_doc_bytes,
-                        &intra_chunks)) {
-    return 1;
-  }
-
   ObsOverheadResult obs;
   if (!RunObsOverhead(corpus, max_threads, config.reps, &obs)) return 1;
   if (!RunTracedServiceArm(config.reps, &obs)) return 1;
@@ -920,28 +816,6 @@ int RunSweep(SweepConfig config) {
   }
   std::fprintf(out,
                "  ],\n"
-               "  \"intra_doc\": {\n"
-               "    \"workload\": \"xmark_single_document_chunked\",\n"
-               "    \"scale\": %g,\n"
-               "    \"document_bytes\": %zu,\n"
-               "    \"chunk_bytes_target\": %zu,\n"
-               "    \"chunks_planned\": %zu,\n"
-               "    \"repetitions\": %d,\n"
-               "    \"results\": [\n",
-               config.intra_scale, intra_doc_bytes, config.intra_chunk_bytes,
-               intra_chunks, std::max(config.intra_reps, 1));
-  for (size_t i = 0; i < intra_points.size(); ++i) {
-    std::fprintf(out,
-                 "      {\"threads\": %d, \"seconds\": %.6f, "
-                 "\"bytes_per_second\": %.1f, "
-                 "\"speedup_vs_1_thread\": %.3f}%s\n",
-                 intra_points[i].threads, intra_points[i].seconds,
-                 intra_points[i].bytes_per_second, intra_points[i].speedup,
-                 i + 1 < intra_points.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "    ]\n"
-               "  },\n"
                "  \"obs_overhead\": {\n"
                "    \"workload\": \"xmark_multi_query\",\n"
                "    \"threads\": %d,\n"
@@ -1008,14 +882,6 @@ bool ParseSweepFlag(const char* arg, SweepConfig* config) {
     config->reps = std::atoi(v);
   } else if (const char* v = value("--sweep_max_threads=")) {
     config->max_threads = std::atoi(v);
-  } else if (const char* v = value("--intra_scale=")) {
-    config->intra_scale = std::atof(v);
-  } else if (const char* v = value("--intra_max_threads=")) {
-    config->intra_max_threads = std::atoi(v);
-  } else if (const char* v = value("--intra_chunk_bytes=")) {
-    config->intra_chunk_bytes = static_cast<size_t>(std::atoll(v));
-  } else if (const char* v = value("--intra_reps=")) {
-    config->intra_reps = std::atoi(v);
   } else if (std::strcmp(arg, "--no_sweep") == 0) {
     config->enabled = false;
   } else {

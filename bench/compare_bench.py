@@ -4,10 +4,9 @@
 Compares a freshly generated candidate sweep against the committed
 baseline and fails (exit 1) when single-thread pruning throughput —
 the zero-copy hot path, free of scheduling noise — regresses by more
-than the threshold on either sweep:
+than the threshold:
 
-  * results[threads==1].bytes_per_second          (multi-document corpus)
-  * intra_doc.results[threads==1].bytes_per_second (single >=64MB doc)
+  * results[threads==1].bytes_per_second  (multi-document corpus)
 
 Multi-thread points are reported for context but never gate: their
 variance on shared CI runners swamps a 10% threshold.
@@ -69,10 +68,6 @@ def sweeps(doc, label):
         print(f"compare_bench: {label}: missing 'results'", file=sys.stderr)
         sys.exit(2)
     out["corpus_1t"] = single_thread_bps(label, "results", doc["results"])
-    intra = doc.get("intra_doc")
-    if intra and intra.get("results"):
-        out["intra_doc_1t"] = single_thread_bps(
-            label, "intra_doc.results", intra["results"])
     return out
 
 

@@ -4,7 +4,6 @@
 // Usage:
 //   parallel_prune_tool [--docs=N] [--scale=S] [--threads=T] [--validate]
 //                       [--per-query] [--sweep] [--input=PATH ...]
-//                       [--intra-doc-threads=K] [--chunk-bytes=N]
 //                       [--policy=failfast|isolate|retry] [--retries=N]
 //                       [--max-bytes=N] [--deadline-ms=N] [--degrade]
 //                       [--failpoints=SPEC] [--failures-out=PATH]
@@ -27,12 +26,8 @@
 // speedup curve. --validate fuses DTD validation of the input into the
 // pruning pass.
 //
-// Intra-document parallelism: --intra-doc-threads=K (K >= 2) splits each
-// large document at top-level element boundaries and prunes up to K
-// chunks of it concurrently (byte-identical output); --chunk-bytes sets
-// the target chunk size. Numeric flags are strict: --threads 0 or
-// negative, and a malformed or non-positive --chunk-bytes, are usage
-// errors (exit 1), never silently clamped.
+// Numeric flags are strict: --threads 0 or negative, and any malformed
+// number, are usage errors (exit 1), never silently clamped.
 //
 // Fault tolerance (README "Fault tolerance"): --policy selects the error
 // policy (failfast is the default; isolate quarantines failing documents
@@ -155,7 +150,6 @@ void PrintUsage() {
       "usage: parallel_prune_tool [--docs=N] [--scale=S] [--threads=T]\n"
       "                           [--validate] [--per-query] [--sweep]\n"
       "                           [--input=PATH ...]\n"
-      "                           [--intra-doc-threads=K] [--chunk-bytes=N]\n"
       "                           [--policy=failfast|isolate|retry]\n"
       "                           [--retries=N] [--max-bytes=N]\n"
       "                           [--deadline-ms=N] [--degrade]\n"
@@ -358,8 +352,6 @@ int main(int argc, char** argv) {
   long docs = 8;
   double scale = 0.002;
   long threads = 0;  // hardware (explicit --threads must be >= 1)
-  long intra_doc_threads = 1;
-  long chunk_bytes = 0;  // 0 = library default
   bool validate = false;
   bool per_query = false;
   bool sweep = false;
@@ -403,15 +395,6 @@ int main(int argc, char** argv) {
       // Strict: 0 or negative is a usage error, not "use all cores".
       if (!ParseLong(arg + 10, &threads) || threads < 1) {
         return BadFlag("--threads", arg + 10, "expected an integer >= 1");
-      }
-    } else if (std::strncmp(arg, "--intra-doc-threads=", 20) == 0) {
-      if (!ParseLong(arg + 20, &intra_doc_threads) || intra_doc_threads < 1) {
-        return BadFlag("--intra-doc-threads", arg + 20,
-                       "expected an integer >= 1");
-      }
-    } else if (std::strncmp(arg, "--chunk-bytes=", 14) == 0) {
-      if (!ParseLong(arg + 14, &chunk_bytes) || chunk_bytes < 1) {
-        return BadFlag("--chunk-bytes", arg + 14, "expected an integer >= 1");
       }
     } else if (std::strcmp(arg, "--validate") == 0) {
       validate = true;
@@ -645,10 +628,6 @@ int main(int argc, char** argv) {
   options.budget.deadline_ms = static_cast<uint64_t>(deadline_ms);
   options.degrade_on_invalid = degrade;
   options.fault = fault;
-  options.intra_doc.threads = static_cast<int>(intra_doc_threads);
-  if (chunk_bytes > 0) {
-    options.intra_doc.chunk_bytes = static_cast<size_t>(chunk_bytes);
-  }
   if (instrument) {
     options.metrics = &registry;
     if (!trace_out.empty() || serve) options.trace = &trace;

@@ -47,17 +47,6 @@ std::future<Status> ThreadPool::Submit(std::function<Status()> task) {
   return done;
 }
 
-std::optional<std::future<Status>> ThreadPool::TrySubmit(
-    std::function<Status()> task) {
-  Task entry;
-  entry.fn = std::move(task);
-  if (instrumented_) entry.submit_ns = MonotonicNowNs();
-  std::future<Status> done = entry.done.get_future();
-  if (!queue_.TryPush(std::move(entry))) return std::nullopt;
-  if (instrumented_) SampleQueueDepth();
-  return done;
-}
-
 void ThreadPool::Join() {
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();

@@ -55,20 +55,6 @@ class BoundedQueue {
     return true;
   }
 
-  // Non-blocking Push: returns false — leaving `item` untouched — when the
-  // queue is full or closed. Lets a *worker* offer extra work to the pool
-  // without risking the deadlock a blocking Push from inside the pool
-  // invites (every worker stuck pushing, nobody popping).
-  bool TryPush(T&& item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   // Blocks until an item is available. Returns nullopt once the queue is
   // closed *and* drained (pending items are still delivered after Close).
   std::optional<T> Pop() {
@@ -158,12 +144,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::future<Status> Submit(std::function<Status()> task);
-
-  // Non-blocking Submit: nullopt when the queue is full or the pool is
-  // shut down (the task is dropped, never queued). Safe to call from a
-  // worker thread — the chunked pipeline uses it to offer sibling chunks
-  // to idle workers without a blocking Push that could deadlock the pool.
-  std::optional<std::future<Status>> TrySubmit(std::function<Status()> task);
 
   // Stops accepting new tasks, runs everything already queued, joins.
   // Idempotent; implied by the destructor. Tasks submitted concurrently

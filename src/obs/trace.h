@@ -36,7 +36,7 @@ struct TraceArg {
 };
 
 struct TraceOptions {
-  // Emit spans for every Nth task/chunk only (index % N == 0): at high
+  // Emit spans for every Nth task only (index % N == 0): at high
   // task counts full tracing costs more than the stages it measures.
   // 1 — the default — traces everything; 0 is treated as 1.
   uint64_t sample_every_n = 1;
@@ -63,7 +63,7 @@ class TraceCollector {
   TraceCollector(const TraceCollector&) = delete;
   TraceCollector& operator=(const TraceCollector&) = delete;
 
-  // True when the task/chunk with this zero-based index should emit
+  // True when the task with this zero-based index should emit
   // spans under TraceOptions::sample_every_n. Instrumentation sites gate
   // span emission on this; counter events stay unsampled.
   bool ShouldSample(uint64_t index) const {

@@ -293,7 +293,7 @@ bool CheckpointBinding::Matches(const CheckpointBinding& other,
   }
   if (options_fingerprint != other.options_fingerprint) {
     return fail("options fingerprint changed: an output-shaping pipeline "
-                "option (validate/policy/degrade/budget/chunking) differs");
+                "option (validate/policy/degrade/budget) differs");
   }
   return true;
 }
@@ -325,10 +325,8 @@ CheckpointBinding ComputeCorpusBinding(std::span<const std::string> corpus,
   h = HashU64(options.degrade_on_invalid ? 1 : 0, h);
   h = HashU64(options.budget.max_bytes, h);
   h = HashU64(options.budget.deadline_ms, h);
-  h = HashU64(options.intra_doc.enabled() ? 1 : 0, h);
-  if (options.intra_doc.enabled()) {
-    h = HashU64(options.intra_doc.chunk_bytes, h);
-  }
+  // Hashes the removed chunking option as off, so older checkpoints resume.
+  h = HashU64(0, h);
   binding.options_fingerprint = h;
   return binding;
 }

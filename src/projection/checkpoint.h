@@ -31,9 +31,9 @@
 // re-verifies each committed output by size + content hash before
 // trusting it.
 //
-// Granularity is the *task* (one document × projector), not the chunk:
-// see DESIGN.md "Checkpoint granularity". The hot path is untouched —
-// one append per task, nothing per SAX event.
+// Granularity is the *task* (one document × projector): see DESIGN.md
+// "Checkpoint granularity". The hot path is untouched — one append per
+// task, nothing per SAX event.
 
 #ifndef XMLPROJ_PROJECTION_CHECKPOINT_H_
 #define XMLPROJ_PROJECTION_CHECKPOINT_H_
@@ -82,7 +82,7 @@ struct CheckpointBinding {
 // Binding for a corpus × projectors run (the PruneCorpus /
 // PruneCorpusPerQuery task layouts: task index = doc * projectors + q).
 // The options fingerprint covers only fields that change output bytes or
-// terminal outcomes (validate, policy, degrade, budget, chunking) —
+// terminal outcomes (validate, policy, degrade, budget) —
 // resuming with a different thread count or telemetry setup is fine.
 CheckpointBinding ComputeCorpusBinding(std::span<const std::string> corpus,
                                        std::span<const NameSet> projectors,

@@ -42,13 +42,6 @@ struct PipelineMetrics {
   Counter* degraded_total = nullptr;
   Counter* deadline_exceeded_total = nullptr;
   Counter* resource_exhausted_total = nullptr;
-  // Intra-document chunking counters (README "Observability").
-  Counter* chunks_total = nullptr;
-  Counter* chunked_docs_total = nullptr;
-  Counter* chunk_fallbacks_total = nullptr;
-  Histogram* chunk_split_ns = nullptr;
-  Histogram* chunk_stitch_ns = nullptr;
-  Histogram* chunk_run_ns = nullptr;
   Histogram* parse_ns = nullptr;
   Histogram* prune_ns = nullptr;
   Histogram* serialize_ns = nullptr;
@@ -100,14 +93,6 @@ struct PipelineMetrics {
         registry->GetCounter("xmlproj_pipeline_deadline_exceeded_total");
     m.resource_exhausted_total =
         registry->GetCounter("xmlproj_pipeline_resource_exhausted_total");
-    m.chunks_total = registry->GetCounter("xmlproj_chunks_total");
-    m.chunked_docs_total =
-        registry->GetCounter("xmlproj_pipeline_chunked_docs_total");
-    m.chunk_fallbacks_total =
-        registry->GetCounter("xmlproj_pipeline_chunk_fallbacks_total");
-    m.chunk_split_ns = registry->GetHistogram("xmlproj_chunk_split_ns");
-    m.chunk_stitch_ns = registry->GetHistogram("xmlproj_chunk_stitch_ns");
-    m.chunk_run_ns = registry->GetHistogram("xmlproj_chunk_run_ns");
     m.parse_ns = registry->GetHistogram("xmlproj_stage_parse_ns");
     m.prune_ns = registry->GetHistogram("xmlproj_stage_prune_ns");
     m.serialize_ns = registry->GetHistogram("xmlproj_stage_serialize_ns");
@@ -544,10 +529,6 @@ struct TaskEnv {
   PipelineMetrics metrics;
   TraceCollector* trace = nullptr;
   bool instrumented = false;
-  // Intra-document chunking: options plus the pool chunk helpers are
-  // recruited from (null when the run has no pool).
-  IntraDocOptions intra;
-  ThreadPool* pool = nullptr;
   // Durability and hang protection (null = off): the open checkpoint
   // outcomes commit to, and the watchdog in-flight registry.
   RunCheckpoint* checkpoint = nullptr;
@@ -619,59 +600,6 @@ Status RunAttempt(const TaskEnv& env, const PipelineTask& task, size_t index,
   out->output.clear();
   out->stats = PruneStats{};
   out->degraded = false;
-
-  // Intra-document chunked path: plan a split, and when the planner
-  // accepts, prune the chunks concurrently — byte-identical to the
-  // sequential pass below. Planner refusals fall through to the
-  // sequential pass (and reproduce its exact diagnostics on bad input).
-  // The degraded identity pass is never chunked: it exists to salvage
-  // off-grammar documents the planner would misjudge.
-  if (!identity && env.intra.enabled()) {
-    uint64_t split_start = env.instrumented ? MonotonicNowNs() : 0;
-    std::optional<ChunkPlan> plan = PlanChunks(
-        *task.xml_text, *env.dtd, *task.projector, env.validate, env.intra);
-    if (env.instrumented) {
-      uint64_t split_ns = MonotonicNowNs() - split_start;
-      if (env.metrics.chunk_split_ns != nullptr) {
-        env.metrics.chunk_split_ns->Record(split_ns);
-      }
-      if (span_trace != nullptr && plan.has_value()) {
-        span_trace->AddCompleteEvent("split", "chunk", split_start, split_ns,
-                                     {{"task", static_cast<int64_t>(index)}});
-      }
-    }
-    if (plan.has_value()) {
-      if (env.metrics.chunked_docs_total != nullptr) {
-        env.metrics.chunked_docs_total->Increment();
-      }
-      ChunkRunContext context;
-      context.pool = env.pool;
-      context.max_helpers = env.intra.threads - 1;
-      context.fault = env.fault;
-      context.max_bytes = env.budget.max_bytes;
-      if (env.budget.deadline_ms > 0) {
-        context.deadline_ns =
-            MonotonicNowNs() + env.budget.deadline_ms * uint64_t{1000000};
-      }
-      context.telemetry.chunks_total = env.metrics.chunks_total;
-      context.telemetry.chunk_run_ns = env.metrics.chunk_run_ns;
-      context.telemetry.stitch_ns = env.metrics.chunk_stitch_ns;
-      context.telemetry.trace = env.trace;
-      context.telemetry.sample_spans = span_trace != nullptr;
-      context.telemetry.task_index = index;
-      Status status = RunChunkedPrune(*task.xml_text, *env.dtd,
-                                      *task.projector, env.validate, *plan,
-                                      context, &out->output, &out->stats,
-                                      peak_bytes);
-      if (env.instrumented && env.metrics.task_ns != nullptr) {
-        env.metrics.task_ns->Record(MonotonicNowNs() - start_ns);
-      }
-      return status;
-    }
-    if (env.metrics.chunk_fallbacks_total != nullptr) {
-      env.metrics.chunk_fallbacks_total->Increment();
-    }
-  }
 
   XmlParseOptions parse_options;
   parse_options.fault = env.fault;
@@ -1027,7 +955,6 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
   env.metrics = PipelineMetrics::Resolve(options.metrics);
   env.trace = options.trace;
   env.instrumented = instrumented;
-  env.intra = options.intra_doc;
   env.checkpoint =
       options.checkpoint != nullptr && options.checkpoint->open()
           ? options.checkpoint
@@ -1123,18 +1050,7 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
 
   if (threads == 1) {
     // Reference sequential path: same pass, same order, documents run one
-    // at a time on the calling thread. With intra-document chunking a
-    // helper pool serves *chunks* only — document ordering and error
-    // semantics stay exactly sequential.
-    std::optional<ThreadPool> helper_pool;
-    if (env.intra.enabled()) {
-      helper_pool.emplace(env.intra.threads - 1, options.queue_capacity,
-                          instrumented ? ResolvePoolMetrics(options.metrics,
-                                                            options.trace)
-                                       : ThreadPoolMetrics{},
-                          options.fault);
-      env.pool = &*helper_pool;
-    }
+    // at a time on the calling thread, no pool.
     for (size_t i = 0; i < tasks.size(); ++i) {
       if (skipped[i]) continue;
       if (stop_requested()) {
@@ -1156,20 +1072,11 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
     // invalid (default) future.
     std::vector<std::future<Status>> done(tasks.size());
     {
-      // One pool serves documents and (opportunistically) their chunks:
-      // sized for whichever dimension wants more workers. Chunk helpers
-      // are fire-and-forget TrySubmit tasks that no-op once their
-      // document's chunks are claimed, so a busy pool starves chunk
-      // parallelism gracefully instead of deadlocking.
-      int pool_threads =
-          env.intra.enabled() ? std::max(threads, env.intra.threads)
-                              : threads;
-      ThreadPool pool(pool_threads, options.queue_capacity,
+      ThreadPool pool(threads, options.queue_capacity,
                       instrumented ? ResolvePoolMetrics(options.metrics,
                                                         options.trace)
                                    : ThreadPoolMetrics{},
                       options.fault);
-      env.pool = &pool;
       for (size_t i = 0; i < tasks.size(); ++i) {
         if (skipped[i]) continue;
         if (stop_requested()) {

@@ -65,7 +65,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "projection/chunked.h"
 #include "projection/pruner.h"
 
 namespace xmlproj {
@@ -148,16 +147,6 @@ struct PipelineOptions {
   // the document does not fit the DTD (kInvalid / kNotFound), so the
   // query still answers on the unprojected document.
   bool degrade_on_invalid = false;
-  // Intra-document parallelism: when intra_doc.threads > 1, documents
-  // large enough to be worth it are split at top-level element boundaries
-  // and pruned as concurrent chunks (projection/chunked.h), byte-identical
-  // to the sequential pass. Documents the planner declines (small,
-  // non-splittable root, plan-time validation failure) fall back to the
-  // sequential pass; a chunk failure quarantines the whole document under
-  // the usual error policy. With num_threads > 1 the chunks share the
-  // document pool (sized to max(num_threads, intra_doc.threads)) — chunk
-  // helpers never block on the pool, so the composition cannot deadlock.
-  IntraDocOptions intra_doc;
   // Optional fault injector threaded through parser ("xml.parse"), pruner
   // ("prune.element"), thread pool ("pool.task") and the pipeline itself
   // ("pipeline.task"). Null — the default — leaves one pointer compare
@@ -315,9 +304,9 @@ Result<PipelineRun> PruneCorpus(std::span<const std::string> corpus,
 // through the exact same fused pass as the batch pipeline — byte
 // parity between the service and batch planes is structural, not
 // re-implemented. Pool-shaped options (num_threads, queue_capacity) are
-// ignored; budgets, validation, metrics, intra-doc chunking and fault
-// injection all apply. Returns the failing task's Status on error
-// (kFailFast semantics): no corpus to quarantine into.
+// ignored; budgets, validation, metrics and fault injection all apply.
+// Returns the failing task's Status on error (kFailFast semantics): no
+// corpus to quarantine into.
 Result<PipelineRun> PruneDocument(const std::string& xml_text, const Dtd& dtd,
                                   const NameSet& projector,
                                   const PipelineOptions& options = {});

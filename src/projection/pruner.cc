@@ -72,23 +72,6 @@ StreamingPruner::StreamingPruner(const Dtd& dtd, const NameSet& projector,
                                  SaxHandler* downstream)
     : dtd_(dtd), projector_(projector), downstream_(downstream) {}
 
-Status StreamingPruner::SeedAncestors(
-    std::span<const std::string_view> ancestors) {
-  for (std::string_view tag : ancestors) {
-    NameId name = dtd_.NameOfTag(tag);
-    if (name == kNoName) {
-      return InvalidError("undeclared seeded ancestor '" + std::string(tag) +
-                          "'");
-    }
-    if (!projector_.Contains(name)) {
-      return InvalidError("seeded ancestor '" + std::string(tag) +
-                          "' is not in the projector");
-    }
-    open_names_.push_back(name);
-  }
-  return Status::Ok();
-}
-
 Status StreamingPruner::StartDocument() {
   return downstream_->StartDocument();
 }
@@ -145,25 +128,6 @@ Status StreamingPruner::Characters(std::string_view text) {
 ValidatingPruner::ValidatingPruner(const Dtd& dtd, const NameSet& projector,
                                    SaxHandler* downstream)
     : dtd_(dtd), projector_(projector), downstream_(downstream) {}
-
-Status ValidatingPruner::SeedAncestors(
-    std::span<const SeededAncestor> ancestors) {
-  for (const SeededAncestor& ancestor : ancestors) {
-    NameId name = dtd_.NameOfTag(ancestor.tag);
-    if (name == kNoName) {
-      return InvalidError("undeclared seeded ancestor '" +
-                          std::string(ancestor.tag) + "'");
-    }
-    OpenElement open;
-    open.name = name;
-    open.state = ancestor.state;
-    open.kept = projector_.Contains(name) &&
-                (open_.empty() || open_.back().kept);
-    open_.push_back(std::move(open));
-  }
-  if (!ancestors.empty()) saw_root_ = true;
-  return Status::Ok();
-}
 
 Status ValidatingPruner::StartDocument() {
   return downstream_->StartDocument();

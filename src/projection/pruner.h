@@ -17,7 +17,6 @@
 #ifndef XMLPROJ_PROJECTION_PRUNER_H_
 #define XMLPROJ_PROJECTION_PRUNER_H_
 
-#include <span>
 #include <vector>
 
 #include "common/fault.h"
@@ -72,16 +71,6 @@ class StreamingPruner : public SaxHandler {
 
   const PruneStats& stats() const { return stats_; }
 
-  // Seeds the pruner with already-open ancestor elements (outermost
-  // first), as if their start tags had been seen and kept. This lets a
-  // chunk of a larger document start mid-tree: the chunked pipeline seeds
-  // each chunk's pruner with the root element before replaying the
-  // chunk's events. Every ancestor must be declared in the DTD and in the
-  // projector (a chunk under a pruned ancestor would not exist). Emits no
-  // downstream events and does not touch stats — the enclosing pass
-  // accounts for the ancestors exactly once. Call before any event.
-  Status SeedAncestors(std::span<const std::string_view> ancestors);
-
   // Arms the "prune.element" failpoint, checked per StartElement
   // (common/fault.h). Null — the default — is one compare per element.
   void set_fault_injector(FaultInjector* fault) { fault_ = fault; }
@@ -105,16 +94,6 @@ class StreamingPruner : public SaxHandler {
 // while forwarding the projected events downstream. O(depth) state.
 class ValidatingPruner : public SaxHandler {
  public:
-  // An already-open ancestor for SeedAncestors: its tag plus the
-  // content-model (Glushkov) state the validator would hold after the
-  // children preceding the chunk. The chunk planner precomputes the state
-  // by advancing the root's matcher over the names of the top-level
-  // children before the chunk.
-  struct SeededAncestor {
-    std::string_view tag;
-    ContentMatcher::MatchState state;
-  };
-
   ValidatingPruner(const Dtd& dtd, const NameSet& projector,
                    SaxHandler* downstream);
 
@@ -130,14 +109,6 @@ class ValidatingPruner : public SaxHandler {
   Status Characters(std::string_view text) override;
 
   const PruneStats& stats() const { return stats_; }
-
-  // Streaming-pruner counterpart of StreamingPruner::SeedAncestors, with
-  // per-ancestor validator state. Marks the root as seen when `ancestors`
-  // is non-empty. Required attributes of the ancestors are not re-checked
-  // (the enclosing pass validated their start tags); content-model
-  // acceptance of an ancestor is also the enclosing pass's job, since its
-  // children extend beyond this chunk. Call before any event.
-  Status SeedAncestors(std::span<const SeededAncestor> ancestors);
 
   // Arms the "prune.element" failpoint, checked per StartElement.
   void set_fault_injector(FaultInjector* fault) { fault_ = fault; }

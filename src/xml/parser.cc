@@ -45,11 +45,8 @@ void AppendUtf8(uint32_t cp, std::string* out) {
 class Parser {
  public:
   Parser(std::string_view input, SaxHandler* handler,
-         const XmlParseOptions& options, bool fragment = false)
-      : input_(input),
-        handler_(handler),
-        options_(options),
-        fragment_(fragment) {}
+         const XmlParseOptions& options)
+      : input_(input), handler_(handler), options_(options) {}
 
   Status Run();
 
@@ -62,11 +59,10 @@ class Parser {
     size_t event_end() const override { return end; }
   };
 
-  // Publishes the current event's [begin,end) span (input_-relative;
-  // rebased onto the caller's buffer by base_offset).
+  // Publishes the current event's [begin,end) span (input_-relative).
   void SetSpan(size_t begin, size_t end) {
-    locator_.begin = options_.base_offset + begin;
-    locator_.end = options_.base_offset + end;
+    locator_.begin = begin;
+    locator_.end = end;
   }
   Status Error(const std::string& message) const {
     size_t line = 1;
@@ -86,7 +82,6 @@ class Parser {
   }
 
   Status ParseProlog();
-  Status RunFragment();
   Status ParseDoctype();
   // Parses the element starting at pos_ and all of its content,
   // iteratively (no recursion: document depth must not bound the stack).
@@ -116,7 +111,6 @@ class Parser {
   std::string_view input_;
   SaxHandler* handler_;
   XmlParseOptions options_;
-  const bool fragment_;
   Locator locator_;
   size_t pos_ = 0;
   // Pending character data: at most one of these is non-empty. The common
@@ -486,7 +480,6 @@ Status Parser::ParseProlog() {
 
 Status Parser::Run() {
   handler_->SetLocator(&locator_);
-  if (fragment_) return RunFragment();
   SetSpan(0, 0);
   XMLPROJ_RETURN_IF_ERROR(handler_->StartDocument());
   XMLPROJ_RETURN_IF_ERROR(ParseProlog());
@@ -507,39 +500,11 @@ Status Parser::Run() {
   return handler_->EndDocument();
 }
 
-Status Parser::RunFragment() {
-  // A forest of complete elements with misc (whitespace, comments, PIs)
-  // between them. No StartDocument/EndDocument, no prolog: the fragment is
-  // parsed as if an enclosing pass had already consumed everything before
-  // it.
-  while (true) {
-    SkipSpace();
-    if (AtEnd()) return Status::Ok();
-    if (LookingAt("<!--")) {
-      XMLPROJ_RETURN_IF_ERROR(SkipComment());
-    } else if (LookingAt("<?")) {
-      XMLPROJ_RETURN_IF_ERROR(SkipProcessingInstruction());
-    } else if (LookingAt("</")) {
-      return Error("unmatched end tag in fragment");
-    } else if (Peek() == '<') {
-      XMLPROJ_RETURN_IF_ERROR(ParseTree());
-    } else {
-      return Error("text outside any element in fragment");
-    }
-  }
-}
-
 }  // namespace
 
 Status ParseXmlStream(std::string_view input, SaxHandler* handler,
                       const XmlParseOptions& options) {
   Parser parser(input, handler, options);
-  return parser.Run();
-}
-
-Status ParseXmlFragment(std::string_view input, SaxHandler* handler,
-                        const XmlParseOptions& options) {
-  Parser parser(input, handler, options, /*fragment=*/true);
   return parser.Run();
 }
 

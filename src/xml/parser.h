@@ -27,25 +27,11 @@ struct XmlParseOptions {
   // per element start tag (common/fault.h). Null — the default — costs
   // one pointer compare per element.
   FaultInjector* fault = nullptr;
-  // Added to every byte offset the parser reports through the SaxLocator
-  // (xml/sax.h). Set it to the slice's position when parsing [begin,end)
-  // of a larger buffer so locator offsets line up with that buffer.
-  size_t base_offset = 0;
 };
 
 // Streams SAX events for `input` into `handler`. Stops at the first error.
 Status ParseXmlStream(std::string_view input, SaxHandler* handler,
                       const XmlParseOptions& options = {});
-
-// Parses `input` — a forest of zero or more complete elements separated
-// only by whitespace, comments, and processing instructions — as a
-// standalone SAX event stream: no StartDocument/EndDocument bracketing,
-// no prolog or DOCTYPE handling, and no single-root requirement. This is
-// the chunked pruning pipeline's entry point for parsing a [begin,end)
-// slice of a document as if the enclosing pass had just reached it (set
-// options.base_offset = begin so reported offsets stay document-relative).
-Status ParseXmlFragment(std::string_view input, SaxHandler* handler,
-                        const XmlParseOptions& options = {});
 
 // Parses `input` into a Document.
 Result<Document> ParseXml(std::string_view input,

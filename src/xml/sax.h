@@ -35,8 +35,7 @@ class SaxLocator {
 
   // Offset of the first byte of the markup behind the current event: the
   // '<' of a start/end tag, the first byte of a text run. Offsets are
-  // relative to the buffer the caller handed in, rebased by
-  // XmlParseOptions::base_offset when parsing a slice of a larger buffer.
+  // relative to the buffer the caller handed in.
   virtual size_t event_begin() const = 0;
   // One past the last byte of that markup.
   virtual size_t event_end() const = 0;

@@ -59,12 +59,6 @@ void XmlWriter::Text(std::string_view text) {
   AppendEscaped(text, /*for_attribute=*/false, out_);
 }
 
-void XmlWriter::Raw(std::string_view markup) {
-  if (markup.empty()) return;
-  CloseStartTagIfOpen();
-  out_->append(markup);
-}
-
 void XmlWriter::EndElement() {
   assert(!open_tags_.empty());
   if (start_tag_open_) {

@@ -28,10 +28,6 @@ class XmlWriter {
   void Attribute(std::string_view name, std::string_view value);
   void Text(std::string_view text);
   void EndElement();
-  // Appends pre-serialized markup verbatim, closing a pending start tag
-  // first so `<a` + Raw("<b/>") yields `<a><b/>` and not `<a<b/>`. Used by
-  // the chunked pipeline to stitch per-chunk buffers without re-escaping.
-  void Raw(std::string_view markup);
 
   size_t open_depth() const { return open_tags_.size(); }
 

@@ -35,9 +35,8 @@ namespace xmlproj {
 class SplicingSerializingHandler : public SaxHandler {
  public:
   // `input` is the buffer the SAX events were parsed from; locator spans
-  // index into it (for chunked parses, pass the *whole* document and
-  // parse fragments with base_offset so spans are document-relative).
-  // Output is appended to *out. Both must outlive the handler.
+  // index into it. Output is appended to *out. Both must outlive the
+  // handler.
   SplicingSerializingHandler(std::string_view input, std::string* out)
       : input_(input), out_(out) {}
 
@@ -53,8 +52,7 @@ class SplicingSerializingHandler : public SaxHandler {
   }
 
   // Flushes the deferred span into the output. Idempotent; EndDocument
-  // calls it, but fragment parses (no EndDocument) must call it
-  // explicitly after the parse returns.
+  // calls it, and callers may call it again once the parse returns.
   void Finish() { Flush(); }
 
   // Bytes this sink has committed to producing: flushed output plus the

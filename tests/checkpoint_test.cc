@@ -236,6 +236,9 @@ TEST(CheckpointBindingTest, DetectsEveryKindOfDrift) {
       ComputeCorpusBinding(corpus, projectors, options, "w");
   std::string mismatch;
   EXPECT_TRUE(base.Matches(base, &mismatch)) << mismatch;
+  // Pinned: checkpoints written by earlier builds with default options
+  // must keep resuming, so the default fingerprint never drifts.
+  EXPECT_EQ(base.options_fingerprint, 0xa09d945a1cd8d6e5ull);
 
   std::vector<std::string> other_corpus = corpus;
   other_corpus[1][other_corpus[1].size() / 2] ^= 1;
@@ -317,17 +320,11 @@ TEST(CheckpointRunTest, CheckpointedRunMatchesPlainRunAndCommitsOutputs) {
 
 // The kill-point matrix: crash after k fsync'd records, resume, and the
 // resumed corpus + summary must be indistinguishable from a clean run.
-void RunKillPointMatrix(ErrorPolicy policy, bool chunked) {
+void RunKillPointMatrix(ErrorPolicy policy) {
   std::vector<std::string> corpus = SmallCorpus(5);
   PipelineOptions options;
   options.policy = policy;
   options.num_threads = 2;
-  if (chunked) {
-    options.intra_doc.threads = 2;
-    options.intra_doc.chunk_bytes = 4096;
-    options.intra_doc.min_doc_bytes = 1;
-    options.intra_doc.min_chunks_per_thread = 1;
-  }
   PipelineRun reference = ReferenceRun(corpus, options);
   std::span<const NameSet> projectors(&XmarkProjector(), 1);
   CheckpointBinding binding = ComputeCorpusBinding(
@@ -380,15 +377,11 @@ void RunKillPointMatrix(ErrorPolicy policy, bool chunked) {
 }
 
 TEST(CheckpointResumeTest, KillPointMatrixIsolate) {
-  RunKillPointMatrix(ErrorPolicy::kIsolate, /*chunked=*/false);
+  RunKillPointMatrix(ErrorPolicy::kIsolate);
 }
 
 TEST(CheckpointResumeTest, KillPointMatrixRetry) {
-  RunKillPointMatrix(ErrorPolicy::kRetry, /*chunked=*/false);
-}
-
-TEST(CheckpointResumeTest, KillPointMatrixChunked) {
-  RunKillPointMatrix(ErrorPolicy::kIsolate, /*chunked=*/true);
+  RunKillPointMatrix(ErrorPolicy::kRetry);
 }
 
 TEST(CheckpointResumeTest, TornFinalLineIsToleratedAndRerun) {

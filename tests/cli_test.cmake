@@ -1,10 +1,9 @@
 # CLI contract tests for parallel_prune_tool, driven via
 #   ctest → cmake -DTOOL=<path> -P cli_test.cmake
 #
-# Verifies the strict-flag satellite: --threads 0 / negative and a
-# malformed or non-positive --chunk-bytes / --intra-doc-threads must exit
-# with the usage code (1), never silently clamp; a well-formed invocation
-# with the new intra-document flags must exit 0.
+# Verifies strict flag handling: --threads 0 / negative and malformed
+# numbers must exit with the usage code (1), never silently clamp; so must
+# a well-formed value for a removed flag, which is never silently ignored.
 
 if(NOT DEFINED TOOL)
   message(FATAL_ERROR "pass -DTOOL=<path to parallel_prune_tool>")
@@ -54,12 +53,10 @@ endfunction()
 expect_exit(1 --threads=0)
 expect_exit(1 --threads=-2)
 expect_exit(1 --threads=abc)
-expect_exit(1 --chunk-bytes=0)
-expect_exit(1 --chunk-bytes=-64)
-expect_exit(1 --chunk-bytes=64k)
-expect_exit(1 --intra-doc-threads=0)
-expect_exit(1 --intra-doc-threads=-1)
 expect_exit(1 --no-such-flag)
+# Removed flags: a well-formed value is still a usage error.
+expect_exit(1 --intra-doc-threads=2)
+expect_exit(1 --chunk-bytes=4096)
 
 # Observability flags are strict too.
 expect_exit(1 --statsd=missing-port)
@@ -70,11 +67,8 @@ expect_exit(1 --push-interval-ms=-5)
 expect_exit(1 --journal=)
 expect_exit(1 --docs=1 --scale=0.001 --auto-budget)  # needs --journal
 
-# Well-formed runs: exit 0. Tiny corpus keeps this fast; the second run
-# exercises the intra-document flags end to end (small docs fall back to
-# the sequential pass, which is exactly the contract).
+# Well-formed run: exit 0. Tiny corpus keeps this fast.
 expect_exit(0 --docs=1 --scale=0.001 --threads=1)
-expect_exit(0 --docs=1 --scale=0.001 --intra-doc-threads=2 --chunk-bytes=4096)
 
 # Journal → auto-budget round trip: the first run appends a record with a
 # metered peak; the second loads it, derives a p99-based cap, and says so.

@@ -3,7 +3,7 @@
 // XmlWriter path produces, for every pruner, projector, and input shape
 // — including the non-canonical markup (entities, CDATA, quote styles,
 // end-tag whitespace) that forces its per-event fallback, and the
-// chunked / budgeted / fault-injected pipeline configurations.
+// budgeted / fault-injected pipeline configurations.
 
 #include <string>
 #include <vector>
@@ -133,6 +133,7 @@ TEST(SpliceIdentityTest, NonCanonicalMarkupFallsBackByteIdentically) {
     <!ELEMENT a (#PCDATA | b)*>
     <!ELEMENT b EMPTY>
     <!ATTLIST a x CDATA #IMPLIED y CDATA #IMPLIED>
+    <!ATTLIST r id CDATA #IMPLIED note CDATA #IMPLIED>
   )";
   Dtd dtd = std::move(ParseDtd(kDtdText, "r")).value();
   NameSet projector = dtd.AllNames();
@@ -163,6 +164,8 @@ TEST(SpliceIdentityTest, NonCanonicalMarkupFallsBackByteIdentically) {
       "<r><a>&#x48;&#105;</a><a> &#9; </a></r>",
       // Deeply spliced: pruned siblings cut the kept span repeatedly.
       "<r><a>k</a><b/><a>k</a><b/><a>k</a></r>",
+      // Root attributes with references and mixed quote styles.
+      "<r id=\"x&amp;y\" note='a &lt; b'><a/><b/><a/></r>",
   };
   for (const char* xml : cases) {
     for (bool validate : {false, true}) {
@@ -189,6 +192,16 @@ TEST(SpliceIdentityTest, NonCanonicalMarkupFallsBackByteIdentically) {
               WriterPrune(xml, dtd, no_b, false))
         << xml;
   }
+  // A root-only projector drops every child: the root closes as `<r/>`.
+  NameSet root_only(dtd.name_count());
+  root_only.Add(dtd.root());
+  const char* children = "<r><a>one</a><a>two</a></r>";
+  for (bool validate : {false, true}) {
+    EXPECT_EQ(SplicePrune(children, dtd, root_only, validate), "<r/>")
+        << "validate=" << validate;
+    EXPECT_EQ(WriterPrune(children, dtd, root_only, validate), "<r/>")
+        << "validate=" << validate;
+  }
 }
 
 // Without a locator (DOM replay) every event falls back; output must
@@ -207,10 +220,10 @@ TEST(SpliceIdentityTest, NoLocatorReplayMatchesSerializeDocument) {
   EXPECT_EQ(out, SerializeDocument(*doc));
 }
 
-// The pipeline matrix: chunked x validate x error policy, with budgets
-// and fault injection in the mix, must stay byte-identical to the
-// sequential writer reference for every surviving document.
-TEST(SpliceIdentityTest, ChunkedAndBudgetedPipelineMatrix) {
+// The pipeline matrix: validate x error policy, with budgets in the mix,
+// must stay byte-identical to the sequential writer reference for every
+// document.
+TEST(SpliceIdentityTest, BudgetedPipelineMatrix) {
   XMarkCorpusOptions corpus_options;
   corpus_options.documents = 3;
   corpus_options.scale = 0.001;
@@ -226,25 +239,18 @@ TEST(SpliceIdentityTest, ChunkedAndBudgetedPipelineMatrix) {
     }
     for (ErrorPolicy policy :
          {ErrorPolicy::kFailFast, ErrorPolicy::kIsolate, ErrorPolicy::kRetry}) {
-      for (bool chunked : {false, true}) {
-        PipelineOptions options;
-        options.num_threads = 2;
-        options.validate = validate;
-        options.policy = policy;
-        options.budget.max_bytes = 64u << 20;  // generous: guard active
-        if (chunked) {
-          options.intra_doc.threads = 4;
-          options.intra_doc.chunk_bytes = 1 << 10;
-          options.intra_doc.min_doc_bytes = 1;
-        }
-        auto run = PruneCorpus(corpus, XmarkDtd(), *projector, options);
-        ASSERT_TRUE(run.ok()) << run.status().ToString();
-        EXPECT_TRUE(run->failures.empty());
-        for (size_t i = 0; i < corpus.size(); ++i) {
-          EXPECT_EQ(run->results[i].output, expected[i])
-              << "doc " << i << " validate " << validate << " chunked "
-              << chunked << " policy " << static_cast<int>(policy);
-        }
+      PipelineOptions options;
+      options.num_threads = 2;
+      options.validate = validate;
+      options.policy = policy;
+      options.budget.max_bytes = 64u << 20;  // generous: guard active
+      auto run = PruneCorpus(corpus, XmarkDtd(), *projector, options);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_TRUE(run->failures.empty());
+      for (size_t i = 0; i < corpus.size(); ++i) {
+        EXPECT_EQ(run->results[i].output, expected[i])
+            << "doc " << i << " validate " << validate << " policy "
+            << static_cast<int>(policy);
       }
     }
   }

@@ -51,6 +51,11 @@ struct InvalidCase {
   const char* message_fragment;
 };
 
+// gtest_discover_tests puts the printed parameter into the ctest name. The
+// default printer dumps the struct's pointer bytes, which change from run
+// to run under ASLR; print the case name so the test IDs stay stable.
+void PrintTo(const InvalidCase& c, std::ostream* os) { *os << c.name; }
+
 class ValidatingPrunerRejects
     : public ::testing::TestWithParam<InvalidCase> {};
 

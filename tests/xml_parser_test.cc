@@ -123,6 +123,11 @@ struct ErrorCase {
   const char* input;
 };
 
+// gtest_discover_tests puts the printed parameter into the ctest name. The
+// default printer dumps the struct's pointer bytes, which change from run
+// to run under ASLR; print the case name so the test IDs stay stable.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
+
 class XmlParserErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(XmlParserErrorTest, Rejects) {
