@@ -11,7 +11,7 @@
 // runs a pipeline thread sweep and writes machine-readable results to
 // BENCH_pruning.json (the repo's perf trajectory) — including the corpus
 // pruning summary (Table 1 quantities) — plus a full MetricsRegistry dump
-// (stage latency histograms, pool queue stats; see README
+// (task latency histograms, pool queue stats; see README
 // "Observability") of one instrumented max-thread run, and an
 // obs-overhead A/B point (bare run vs. labeled registry + live /metrics
 // server with a validating self-scrape, plus a durable-checkpoint arm
@@ -266,10 +266,8 @@ struct SweepPoint {
 //   bare        — no registry, no server: the zero-instrumentation
 //                 configuration where the pipeline reads no clocks and
 //                 opens no sockets.
-//   A (baseline)— unlabeled MetricsRegistry attached. This carries the
-//                 documented cost of the per-event stage-split timers
-//                 (two clock reads per SAX event, projection/pipeline.cc)
-//                 that have shipped since the observability layer landed.
+//   A (baseline)— unlabeled MetricsRegistry attached: a few clock reads
+//                 and counter updates per *task*, none per SAX event.
 //   B (observed)— the same registry with query_id/corpus labels on and a
 //                 live ObsServer attached; the self-scrape of /metrics
 //                 happens after the timed reps and validates the
@@ -278,7 +276,8 @@ struct SweepPoint {
 // and is expected to sit within run-to-run noise: labels cost one
 // registry lookup per counter per *task*, never per SAX event, and the
 // idle listener thread only polls its socket. The bare→A delta is
-// reported separately as the (pre-existing) instrumentation cost.
+// reported separately as the instrumentation cost, which per-task timing
+// keeps within run-to-run noise.
 struct ObsOverheadResult {
   double bare_seconds = 0;      // best-of, no instrumentation
   double baseline_seconds = 0;  // best-of A: unlabeled registry
@@ -304,7 +303,7 @@ struct ObsOverheadResult {
 // The same corpus is pruned serially over loopback HTTP two ways:
 //   S — ProjectionService with the (mandatory) MetricsRegistry only.
 //   T — the same service with the full PR-10 request plane on: a
-//       TraceCollector (request span + stage spans per prune), a
+//       TraceCollector (request span + one prune span per prune), a
 //       StructuredLogger writing access lines to a real file, an
 //       SloTracker, and a client-injected W3C traceparent per request.
 // compare_bench.py gates (T - S) / S at <=5%: per-request tracing and

@@ -309,9 +309,6 @@ void PrintStageTable(MetricsRegistry& registry) {
   };
   const Row rows[] = {
       {"queue-wait", "xmlproj_stage_queue_wait_ns"},
-      {"parse", "xmlproj_stage_parse_ns"},
-      {"prune", "xmlproj_stage_prune_ns"},
-      {"serialize", "xmlproj_stage_serialize_ns"},
       {"task total", "xmlproj_stage_task_ns"},
   };
   std::printf("\nper-task stage latency (ms):\n");

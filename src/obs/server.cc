@@ -187,10 +187,6 @@ void AppendStatusz(const MetricsRegistry& registry, uint64_t uptime_ns,
   AppendI64(snap.GaugeOr0("xmlproj_pool_active_workers"), out);
   out->append("},\"stages\":{");
   bool first = true;
-  AppendStageStats(snap, "parse", "xmlproj_stage_parse_ns", &first, out);
-  AppendStageStats(snap, "prune", "xmlproj_stage_prune_ns", &first, out);
-  AppendStageStats(snap, "serialize", "xmlproj_stage_serialize_ns", &first,
-                   out);
   AppendStageStats(snap, "task", "xmlproj_stage_task_ns", &first, out);
   AppendStageStats(snap, "queue_wait", "xmlproj_stage_queue_wait_ns", &first,
                    out);

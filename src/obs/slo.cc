@@ -86,10 +86,11 @@ void SloTracker::Record(const std::string& workload, uint64_t duration_ns,
     // Gauges carry integers; burn rates ride in milli-units (1000 =
     // burning the budget exactly as fast as allowed).
     auto gauge = [&](const char* slo, const char* window, double burn) {
-      options_.metrics
-          ->GetGauge("xmlproj_slo_burn_milli",
-                     {{"slo", slo}, {"window", window}, {"workload", key}})
-          ->Set(static_cast<int64_t>(burn * 1000));
+      // Null on a kind conflict with a caller-registered name.
+      Gauge* g = options_.metrics->GetGauge(
+          "xmlproj_slo_burn_milli",
+          {{"slo", slo}, {"window", window}, {"workload", key}});
+      if (g != nullptr) g->Set(static_cast<int64_t>(burn * 1000));
     };
     gauge("availability", "5m", fast.availability_burn);
     gauge("availability", "1h", slowwin.availability_burn);

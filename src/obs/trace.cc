@@ -57,10 +57,8 @@ uint64_t UnixNowNs() {
 
 }  // namespace
 
-TraceCollector::TraceCollector(const TraceOptions& options)
-    : options_(options),
-      epoch_ns_(MonotonicNowNs()),
-      unix_epoch_ns_(UnixNowNs()) {}
+TraceCollector::TraceCollector()
+    : epoch_ns_(MonotonicNowNs()), unix_epoch_ns_(UnixNowNs()) {}
 
 int TraceCollector::TidLocked() {
   auto [it, inserted] = tids_.emplace(std::this_thread::get_id(),

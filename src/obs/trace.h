@@ -1,15 +1,16 @@
-// Span-style stage tracing for the pruning pipeline.
+// Span-style task tracing for the pruning pipeline.
 //
 // A TraceCollector accumulates complete ("X") and counter ("C") events —
-// pipeline stages (`parse`, `validate+prune`, `serialize`, `queue-wait`)
-// and thread-pool queue depth — and serializes them in the Chrome Trace
-// Event JSON format, loadable in chrome://tracing and Perfetto. One event
-// object per line, so the file doubles as JSON-lines for ad-hoc grep/jq.
+// one `prune` / `validate+prune` span per pipeline task, its `queue-wait`
+// span, and thread-pool queue depth — and serializes them in the Chrome
+// Trace Event JSON format, loadable in chrome://tracing and Perfetto. One
+// event object per line, so the file doubles as JSON-lines for ad-hoc
+// grep/jq.
 //
 // All timestamps are absolute MonotonicNowNs() values (obs/metrics.h);
 // the collector rebases them onto its construction time so traces start
 // near t=0. Appending an event takes a mutex — events are per *task*
-// (a handful per document), not per SAX event, so this is off the hot
+// (at most two per task), not per SAX event, so this is off the hot
 // path; a null TraceCollector* at the instrumentation site disables
 // tracing with zero cost.
 
@@ -35,13 +36,6 @@ struct TraceArg {
   int64_t value = 0;
 };
 
-struct TraceOptions {
-  // Emit spans for every Nth task only (index % N == 0): at high
-  // task counts full tracing costs more than the stages it measures.
-  // 1 — the default — traces everything; 0 is treated as 1.
-  uint64_t sample_every_n = 1;
-};
-
 // The request-scoped identity a span belongs to (W3C Trace Context ids,
 // common/http/http.h mints and parses them). While a thread has a
 // SpanContext installed (ScopedSpanContext below), every event it
@@ -58,20 +52,9 @@ struct SpanContext {
 
 class TraceCollector {
  public:
-  TraceCollector() : TraceCollector(TraceOptions{}) {}
-  explicit TraceCollector(const TraceOptions& options);
+  TraceCollector();
   TraceCollector(const TraceCollector&) = delete;
   TraceCollector& operator=(const TraceCollector&) = delete;
-
-  // True when the task with this zero-based index should emit
-  // spans under TraceOptions::sample_every_n. Instrumentation sites gate
-  // span emission on this; counter events stay unsampled.
-  bool ShouldSample(uint64_t index) const {
-    uint64_t n = options_.sample_every_n;
-    return n <= 1 || index % n == 0;
-  }
-
-  const TraceOptions& options() const { return options_; }
 
   // Complete event ("ph":"X") on the calling thread's track.
   // `start_ns` is an absolute MonotonicNowNs() timestamp.
@@ -153,7 +136,6 @@ class TraceCollector {
   // minting a child span id. Caller holds mu_.
   void StampFromThreadContextLocked(Event* event);
 
-  const TraceOptions options_;
   const uint64_t epoch_ns_;
   const uint64_t unix_epoch_ns_;  // wall clock at construction (OTLP)
   uint64_t next_child_span_ = 0;  // child span id sequence (under mu_)

@@ -16,13 +16,26 @@
 #include "common/memory_meter.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
-#include "obs/sampling.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xml/splice.h"
 
 namespace xmlproj {
 namespace {
+
+// Null-safe metric updates. A handle is null when metrics are off, and
+// in release builds also when the caller's registry already holds the
+// name under another kind (MetricsRegistry::kind_conflicts()), so every
+// use checks its own handle.
+void CounterAdd(Counter* counter, uint64_t n = 1) {
+  if (counter != nullptr) counter->Increment(n);
+}
+void GaugeAdd(Gauge* gauge, int64_t n) {
+  if (gauge != nullptr) gauge->Add(n);
+}
+void GaugeSet(Gauge* gauge, int64_t value) {
+  if (gauge != nullptr) gauge->Set(value);
+}
 
 // Resolved metric handles for one pipeline run; null handles (the
 // default) short-circuit every instrumentation site. Metric names are
@@ -42,11 +55,9 @@ struct PipelineMetrics {
   Counter* degraded_total = nullptr;
   Counter* deadline_exceeded_total = nullptr;
   Counter* resource_exhausted_total = nullptr;
-  Histogram* parse_ns = nullptr;
-  Histogram* prune_ns = nullptr;
-  Histogram* serialize_ns = nullptr;
   Histogram* task_ns = nullptr;
   Histogram* queue_wait_ns = nullptr;
+  Gauge* threads = nullptr;
   // Live progress gauges, updated at task granularity so a /statusz
   // scrape mid-run sees how far the corpus has gotten. At the end of a
   // non-cancelled run completed + failed == tasks and inflight == 0.
@@ -93,11 +104,9 @@ struct PipelineMetrics {
         registry->GetCounter("xmlproj_pipeline_deadline_exceeded_total");
     m.resource_exhausted_total =
         registry->GetCounter("xmlproj_pipeline_resource_exhausted_total");
-    m.parse_ns = registry->GetHistogram("xmlproj_stage_parse_ns");
-    m.prune_ns = registry->GetHistogram("xmlproj_stage_prune_ns");
-    m.serialize_ns = registry->GetHistogram("xmlproj_stage_serialize_ns");
     m.task_ns = registry->GetHistogram("xmlproj_stage_task_ns");
     m.queue_wait_ns = registry->GetHistogram("xmlproj_stage_queue_wait_ns");
+    m.threads = registry->GetGauge("xmlproj_pipeline_threads");
     m.progress_tasks = registry->GetGauge("xmlproj_progress_tasks");
     m.progress_completed = registry->GetGauge("xmlproj_progress_completed");
     m.progress_failed = registry->GetGauge("xmlproj_progress_failed");
@@ -164,60 +173,6 @@ ThreadPoolMetrics ResolvePoolMetrics(MetricsRegistry* registry,
   m.trace = trace;
   return m;
 }
-
-// SAX passthrough that estimates the time spent in its downstream
-// handler. Chaining two of these around the pruner and the serializer
-// attributes the fused pass to parse / prune / serialize: time inside the
-// serializer is "serialize", time inside the pruner minus that is
-// "prune", and the rest of the pass is "parse". Only inserted when
-// metrics or tracing are enabled, and clocked via SampledTimer — two
-// clock reads per 64 events instead of per event, which is what pushed
-// the recorded instrumentation overhead above 100% of the bare pass.
-class TimingSaxFilter : public SaxHandler {
- public:
-  explicit TimingSaxFilter(SaxHandler* downstream)
-      : downstream_(downstream) {}
-
-  uint64_t elapsed_ns() const { return timer_.elapsed_ns(); }
-
-  void SetLocator(const SaxLocator* locator) override {
-    downstream_->SetLocator(locator);
-  }
-
-  Status StartDocument() override {
-    return Timed([&] { return downstream_->StartDocument(); });
-  }
-  Status EndDocument() override {
-    return Timed([&] { return downstream_->EndDocument(); });
-  }
-  Status StartElement(std::string_view tag,
-                      const std::vector<SaxAttribute>& attributes) override {
-    return Timed([&] { return downstream_->StartElement(tag, attributes); });
-  }
-  Status EndElement(std::string_view tag) override {
-    return Timed([&] { return downstream_->EndElement(tag); });
-  }
-  Status Characters(std::string_view text) override {
-    return Timed([&] { return downstream_->Characters(text); });
-  }
-  Status Doctype(std::string_view name,
-                 std::string_view internal_subset) override {
-    return Timed([&] { return downstream_->Doctype(name, internal_subset); });
-  }
-
- private:
-  template <typename Fn>
-  Status Timed(Fn&& fn) {
-    if (!timer_.Sample()) return fn();
-    uint64_t t0 = MonotonicNowNs();
-    Status status = fn();
-    timer_.Add(MonotonicNowNs() - t0);
-    return status;
-  }
-
-  SaxHandler* downstream_;
-  SampledTimer timer_;
-};
 
 // Per-open-element bookkeeping charge for the budget meter: the pruner /
 // validator / parser stacks each keep O(1) state per open element.
@@ -445,7 +400,7 @@ class TaskWatchdog {
       // Watch/Unwatch on the worker threads.
       lock.unlock();
       for (size_t task : fired_now) {
-        if (fired_total_ != nullptr) fired_total_->Increment();
+        CounterAdd(fired_total_);
         if (logger_ != nullptr) {
           logger_->Log(LogLevel::kWarn, "pipeline.watchdog",
                        {{"task", static_cast<uint64_t>(task)},
@@ -476,38 +431,6 @@ class TaskWatchdog {
   bool stop_ = false;
   std::thread thread_;
 };
-
-// Attributes one fused pass to parse / prune / serialize from the two
-// TimingSaxFilter readings (`downstream_ns` = time inside the pruner and
-// everything below it, `serialize_ns` = time inside the serializer), and
-// publishes histogram samples plus, when tracing, three spans tiling
-// [start, start+total]. The stages interleave per SAX event in reality;
-// the spans show the accumulated attribution laid out sequentially.
-void RecordStageSplit(const PipelineMetrics& metrics, TraceCollector* trace,
-                      size_t index, uint64_t start_ns, uint64_t total_ns,
-                      uint64_t downstream_ns, uint64_t serialize_ns,
-                      bool validate) {
-  // Clamp: the filters' own clock overhead can nudge readings past total.
-  if (downstream_ns > total_ns) downstream_ns = total_ns;
-  if (serialize_ns > downstream_ns) serialize_ns = downstream_ns;
-  uint64_t parse_ns = total_ns - downstream_ns;
-  uint64_t prune_ns = downstream_ns - serialize_ns;
-  if (metrics.parse_ns != nullptr) {
-    metrics.parse_ns->Record(parse_ns);
-    metrics.prune_ns->Record(prune_ns);
-    metrics.serialize_ns->Record(serialize_ns);
-    metrics.task_ns->Record(total_ns);
-  }
-  if (trace != nullptr) {
-    std::vector<TraceArg> args = {{"task", static_cast<int64_t>(index)}};
-    trace->AddCompleteEvent("parse", "stage", start_ns, parse_ns, args);
-    trace->AddCompleteEvent(validate ? "validate+prune" : "prune", "stage",
-                            start_ns + parse_ns, prune_ns, args);
-    trace->AddCompleteEvent("serialize", "stage",
-                            start_ns + parse_ns + prune_ns, serialize_ns,
-                            args);
-  }
-}
 
 // Everything one task execution needs, resolved once per run.
 struct TaskEnv {
@@ -569,33 +492,12 @@ const char* FailureStage(const TaskOutcome& outcome, StatusCode code,
 // flow through the (optional) budget guard and the pruner straight into
 // the serializer — no DOM, O(depth) state, exactly the paper's one-pass
 // deployment. `identity` replaces the pruner with a counting passthrough
-// (the degraded no-prune fallback). Timing filters are spliced in only
-// when instrumented; `submit_ns` of 0 suppresses the queue-wait sample.
-Status RunAttempt(const TaskEnv& env, const PipelineTask& task, size_t index,
-                  uint64_t submit_ns, bool identity,
+// (the degraded no-prune fallback). The chain is the same whether or not
+// telemetry is attached: ExecuteTask times the task from outside.
+Status RunAttempt(const TaskEnv& env, const PipelineTask& task, bool identity,
                   const std::atomic<bool>* cancel, PipelineResult* out,
                   size_t* peak_bytes) {
   XMLPROJ_RETURN_IF_ERROR(XMLPROJ_FAULT_HIT(env.fault, "pipeline.task"));
-
-  // Span emission honors TraceOptions::sample_every_n per task; metric
-  // histograms stay unsampled (they aggregate, spans accumulate).
-  TraceCollector* span_trace =
-      env.trace != nullptr && env.trace->ShouldSample(index) ? env.trace
-                                                             : nullptr;
-  uint64_t start_ns = 0;
-  if (env.instrumented) {
-    start_ns = MonotonicNowNs();
-    if (submit_ns != 0 && start_ns > submit_ns) {
-      uint64_t wait_ns = start_ns - submit_ns;
-      if (env.metrics.queue_wait_ns != nullptr) {
-        env.metrics.queue_wait_ns->Record(wait_ns);
-      }
-      if (span_trace != nullptr) {
-        span_trace->AddCompleteEvent("queue-wait", "pool", submit_ns, wait_ns,
-                                     {{"task", static_cast<int64_t>(index)}});
-      }
-    }
-  }
 
   out->output.clear();
   out->stats = PruneStats{};
@@ -607,54 +509,38 @@ Status RunAttempt(const TaskEnv& env, const PipelineTask& task, size_t index,
   // Zero-copy sink: kept events splice their raw byte spans out of the
   // input; EndDocument (through the chain) flushes the final span.
   SplicingSerializingHandler sink(*task.xml_text, &out->output);
-  TimingSaxFilter serialize_timer(&sink);
-  SaxHandler* serialize_target =
-      env.instrumented ? static_cast<SaxHandler*>(&serialize_timer) : &sink;
 
-  uint64_t downstream_ns = 0;
-  uint64_t serialize_ns = 0;
   auto run_pass = [&](SaxHandler* pass_root) -> Status {
-    TimingSaxFilter prune_timer(pass_root);
-    SaxHandler* top =
-        env.instrumented ? static_cast<SaxHandler*>(&prune_timer) : pass_root;
+    SaxHandler* top = pass_root;
     std::optional<BudgetGuard> guard;
     // The guard is also the memory meter: meter_memory runs it with zero
     // caps (BudgetGuard skips the cap and deadline checks then) purely
     // for the peak_bytes reading that budget auto-tuning feeds on.
     if (env.budget.active() || env.meter) {
-      guard.emplace(top, &sink, env.budget, cancel);
+      guard.emplace(pass_root, &sink, env.budget, cancel);
       top = &*guard;
     }
     Status status = ParseXmlStream(*task.xml_text, top, parse_options);
     sink.Finish();
     if (guard.has_value()) *peak_bytes = guard->peak_bytes();
-    downstream_ns = prune_timer.elapsed_ns();
-    serialize_ns = serialize_timer.elapsed_ns();
     return status;
   };
 
   Status status;
   if (identity) {
-    CountingPassthrough pass(serialize_target);
+    CountingPassthrough pass(&sink);
     status = run_pass(&pass);
     out->stats = pass.stats();
   } else if (env.validate) {
-    ValidatingPruner pruner(*env.dtd, *task.projector, serialize_target);
+    ValidatingPruner pruner(*env.dtd, *task.projector, &sink);
     pruner.set_fault_injector(env.fault);
     status = run_pass(&pruner);
     out->stats = pruner.stats();
   } else {
-    StreamingPruner pruner(*env.dtd, *task.projector, serialize_target);
+    StreamingPruner pruner(*env.dtd, *task.projector, &sink);
     pruner.set_fault_injector(env.fault);
     status = run_pass(&pruner);
     out->stats = pruner.stats();
-  }
-
-  if (env.instrumented) {
-    uint64_t total_ns = MonotonicNowNs() - start_ns;
-    RecordStageSplit(env.metrics, span_trace, index, start_ns, total_ns,
-                     downstream_ns, serialize_ns,
-                     /*validate=*/env.validate && !identity);
   }
   return status;
 }
@@ -677,31 +563,25 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     out->output.clear();
     out->stats = PruneStats{};
     out->degraded = false;
-    if (env.metrics.progress_failed != nullptr) {
-      env.metrics.progress_failed->Add(1);
-    }
+    GaugeAdd(env.metrics.progress_failed, 1);
     return outcome;
   }
-  if (env.metrics.progress_inflight != nullptr) {
-    env.metrics.progress_inflight->Add(1);
-  }
+  GaugeAdd(env.metrics.progress_inflight, 1);
   // Watchdog coverage spans the whole outcome (all attempts plus the
   // degrade fallback): the grace limit bounds the *task*, not one pass.
   std::atomic<bool> watchdog_cancel{false};
   if (env.watchdog != nullptr) env.watchdog->Watch(index, &watchdog_cancel);
   const std::atomic<bool>* cancel =
       env.watchdog != nullptr ? &watchdog_cancel : nullptr;
-  const bool labeled = env.registry != nullptr && task.labels != nullptr &&
-                       !task.labels->empty();
-  const uint64_t labeled_start_ns = labeled ? MonotonicNowNs() : 0;
+  // One clock pair per task, around every attempt and the degraded
+  // fallback; the durable commit below is not part of the fused pass.
+  const uint64_t start_ns = env.instrumented ? MonotonicNowNs() : 0;
   const int max_attempts = env.policy == ErrorPolicy::kRetry
                                ? std::max(1, env.retry.max_attempts)
                                : 1;
   double backoff_ms = static_cast<double>(env.retry.backoff_ms);
   for (int attempt = 1;; ++attempt) {
-    outcome.status = RunAttempt(env, task, index,
-                                attempt == 1 ? submit_ns : 0,
-                                /*identity=*/false, cancel, out,
+    outcome.status = RunAttempt(env, task, /*identity=*/false, cancel, out,
                                 &outcome.peak_bytes);
     outcome.attempts = attempt;
     // Only kUnavailable is transient: a parse error or budget blowout
@@ -710,9 +590,7 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
         outcome.status.code() != StatusCode::kUnavailable) {
       break;
     }
-    if (env.metrics.retries_total != nullptr) {
-      env.metrics.retries_total->Increment();
-    }
+    CounterAdd(env.metrics.retries_total);
     if (backoff_ms >= 1.0) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(static_cast<int64_t>(backoff_ms)));
@@ -728,18 +606,32 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     // the query still answers, just without the memory savings.
     PipelineResult fallback;
     size_t fallback_peak = 0;
-    Status fallback_status = RunAttempt(env, task, index, 0,
-                                        /*identity=*/true, cancel, &fallback,
-                                        &fallback_peak);
+    Status fallback_status = RunAttempt(env, task, /*identity=*/true, cancel,
+                                        &fallback, &fallback_peak);
     if (fallback_status.ok()) {
       *out = std::move(fallback);
       out->degraded = true;
       outcome.degraded = true;
       outcome.status = Status::Ok();
-      if (env.metrics.degraded_total != nullptr) {
-        env.metrics.degraded_total->Increment();
-      }
+      CounterAdd(env.metrics.degraded_total);
     }
+  }
+
+  const uint64_t task_ns = env.instrumented ? MonotonicNowNs() - start_ns : 0;
+  const uint64_t wait_ns =
+      submit_ns != 0 && start_ns > submit_ns ? start_ns - submit_ns : 0;
+  if (env.metrics.task_ns != nullptr) env.metrics.task_ns->Record(task_ns);
+  if (wait_ns != 0 && env.metrics.queue_wait_ns != nullptr) {
+    env.metrics.queue_wait_ns->Record(wait_ns);
+  }
+  if (env.trace != nullptr) {
+    const std::vector<TraceArg> args = {{"task", static_cast<int64_t>(index)}};
+    if (wait_ns != 0) {
+      env.trace->AddCompleteEvent("queue-wait", "pool", submit_ns, wait_ns,
+                                  args);
+    }
+    env.trace->AddCompleteEvent(env.validate ? "validate+prune" : "prune",
+                                "stage", start_ns, task_ns, args);
   }
 
   if (env.watchdog != nullptr) {
@@ -782,8 +674,8 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
       if (!durable.ok()) {
         outcome.stage_override = "checkpoint";
         outcome.status = std::move(durable);
-      } else if (env.metrics.checkpoint_appends != nullptr) {
-        env.metrics.checkpoint_appends->Increment();
+      } else {
+        CounterAdd(env.metrics.checkpoint_appends);
       }
     }
   }
@@ -794,34 +686,32 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     out->degraded = false;
   }
 
-  if (env.metrics.tasks_total != nullptr) {
-    env.metrics.tasks_total->Increment();
-    env.metrics.input_bytes_total->Increment(task.xml_text->size());
-    env.metrics.output_bytes_total->Increment(out->output.size());
-    env.metrics.input_nodes_total->Increment(out->stats.input_nodes);
-    env.metrics.kept_nodes_total->Increment(out->stats.kept_nodes);
-    env.metrics.input_text_bytes_total->Increment(out->stats.input_text_bytes);
-    env.metrics.kept_text_bytes_total->Increment(out->stats.kept_text_bytes);
-    if (!outcome.status.ok()) {
-      env.metrics.errors_total->Increment();
-      if (outcome.status.code() == StatusCode::kDeadlineExceeded) {
-        env.metrics.deadline_exceeded_total->Increment();
-      }
-      if (outcome.status.code() == StatusCode::kResourceExhausted) {
-        env.metrics.resource_exhausted_total->Increment();
-      }
+  CounterAdd(env.metrics.tasks_total);
+  CounterAdd(env.metrics.input_bytes_total, task.xml_text->size());
+  CounterAdd(env.metrics.output_bytes_total, out->output.size());
+  CounterAdd(env.metrics.input_nodes_total, out->stats.input_nodes);
+  CounterAdd(env.metrics.kept_nodes_total, out->stats.kept_nodes);
+  CounterAdd(env.metrics.input_text_bytes_total, out->stats.input_text_bytes);
+  CounterAdd(env.metrics.kept_text_bytes_total, out->stats.kept_text_bytes);
+  if (!outcome.status.ok()) {
+    CounterAdd(env.metrics.errors_total);
+    if (outcome.status.code() == StatusCode::kDeadlineExceeded) {
+      CounterAdd(env.metrics.deadline_exceeded_total);
+    }
+    if (outcome.status.code() == StatusCode::kResourceExhausted) {
+      CounterAdd(env.metrics.resource_exhausted_total);
     }
   }
 
-  if (labeled) {
+  if (env.registry != nullptr && task.labels != nullptr &&
+      !task.labels->empty()) {
     // Per-label slices of the Table-1 counters (plus a labeled task
     // latency histogram): the unlabeled totals above are the sum over
     // slices. One registry lookup per metric per task; GetCounter can
     // return null only on a kind conflict, which disables the slice.
     const MetricLabels& labels = *task.labels;
     auto add = [&](const char* name, uint64_t n) {
-      Counter* c = env.registry->GetCounter(name, labels);
-      if (c != nullptr) c->Increment(n);
+      CounterAdd(env.registry->GetCounter(name, labels), n);
     };
     add("xmlproj_pipeline_tasks_total", 1);
     add("xmlproj_pipeline_input_bytes_total", task.xml_text->size());
@@ -831,7 +721,7 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     if (!outcome.status.ok()) add("xmlproj_pipeline_errors_total", 1);
     if (out->degraded) add("xmlproj_pipeline_degraded_total", 1);
     Histogram* h = env.registry->GetHistogram("xmlproj_stage_task_ns", labels);
-    if (h != nullptr) h->Record(MonotonicNowNs() - labeled_start_ns);
+    if (h != nullptr) h->Record(task_ns);
   }
 
   if (outcome.peak_bytes > 0 && env.metrics.memory_peak_bytes != nullptr) {
@@ -862,20 +752,15 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     record.stage = FailureStage(outcome, outcome.status.code(), env.validate);
     record.code = StatusCodeName(outcome.status.code());
     record.attempts = outcome.attempts;
-    if (env.checkpoint->AppendTask(record).ok() &&
-        env.metrics.checkpoint_appends != nullptr) {
-      env.metrics.checkpoint_appends->Increment();
+    if (env.checkpoint->AppendTask(record).ok()) {
+      CounterAdd(env.metrics.checkpoint_appends);
     }
   }
 
-  if (env.metrics.progress_inflight != nullptr) {
-    env.metrics.progress_inflight->Sub(1);
-    if (outcome.status.ok()) {
-      env.metrics.progress_completed->Add(1);
-    } else {
-      env.metrics.progress_failed->Add(1);
-    }
-  }
+  GaugeAdd(env.metrics.progress_inflight, -1);
+  GaugeAdd(outcome.status.ok() ? env.metrics.progress_completed
+                               : env.metrics.progress_failed,
+           1);
   return outcome;
 }
 
@@ -998,18 +883,14 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
     threads = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
   }
-  if (options.metrics != nullptr) {
-    options.metrics->GetGauge("xmlproj_pipeline_threads")->Set(threads);
-  }
-  if (env.metrics.progress_tasks != nullptr) {
-    // Progress gauges describe the current run: reset so a scrape during
-    // run N is not contaminated by run N-1 (the *_total counters keep
-    // cross-run accounting).
-    env.metrics.progress_tasks->Set(static_cast<int64_t>(tasks.size()));
-    env.metrics.progress_completed->Set(0);
-    env.metrics.progress_failed->Set(0);
-    env.metrics.progress_inflight->Set(0);
-  }
+  GaugeSet(env.metrics.threads, threads);
+  // Progress gauges describe the current run: reset so a scrape during
+  // run N is not contaminated by run N-1 (the *_total counters keep
+  // cross-run accounting).
+  GaugeSet(env.metrics.progress_tasks, static_cast<int64_t>(tasks.size()));
+  GaugeSet(env.metrics.progress_completed, 0);
+  GaugeSet(env.metrics.progress_failed, 0);
+  GaugeSet(env.metrics.progress_inflight, 0);
 
   // Per-task final status and outcome detail, index-aligned with `tasks`
   // (workers write disjoint slots).
@@ -1022,9 +903,7 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
   std::vector<char> drained(tasks.size(), 0);
 
   if (resume != nullptr) {
-    if (env.metrics.checkpoint_resume_total != nullptr) {
-      env.metrics.checkpoint_resume_total->Increment();
-    }
+    CounterAdd(env.metrics.checkpoint_resume_total);
     std::vector<char> prior_failed(tasks.size(), 0);
     for (const TaskFailure& f : resume->prior_failures) {
       if (f.task < prior_failed.size()) prior_failed[f.task] = 1;
@@ -1032,19 +911,13 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
     for (size_t i = 0; i < tasks.size(); ++i) {
       if (!resume->done[i]) continue;
       skipped[i] = 1;
-      if (env.metrics.checkpoint_tasks_skipped != nullptr) {
-        env.metrics.checkpoint_tasks_skipped->Increment();
-      }
+      CounterAdd(env.metrics.checkpoint_tasks_skipped);
       // Settled tasks count into progress immediately: a /statusz scrape
       // of a resumed run shows the corpus position, not just this
       // process's share.
-      if (env.metrics.progress_completed != nullptr) {
-        if (prior_failed[i]) {
-          env.metrics.progress_failed->Add(1);
-        } else {
-          env.metrics.progress_completed->Add(1);
-        }
-      }
+      GaugeAdd(prior_failed[i] ? env.metrics.progress_failed
+                               : env.metrics.progress_completed,
+               1);
     }
   }
 
@@ -1174,9 +1047,7 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
       failure.peak_bytes = outcomes[i].peak_bytes;
       run.failures.push_back(std::move(failure));
       run.results[i] = PipelineResult{};
-      if (env.metrics.isolated_total != nullptr) {
-        env.metrics.isolated_total->Increment();
-      }
+      CounterAdd(env.metrics.isolated_total);
     }
   }
 
@@ -1196,9 +1067,7 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
     if (!drained[i]) continue;
     ++run.summary.drained;
     run.results[i] = PipelineResult{};
-    if (env.metrics.drained_total != nullptr) {
-      env.metrics.drained_total->Increment();
-    }
+    CounterAdd(env.metrics.drained_total);
   }
   if (run.summary.drained > 0 && options.logger != nullptr) {
     options.logger->Log(LogLevel::kInfo, "pipeline.drain",

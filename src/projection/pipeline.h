@@ -44,10 +44,12 @@
 //
 // Observability: every run folds per-task PruneStats into a
 // PipelineSummary (the paper's Table 1 quantities at corpus scale), and
-// PipelineOptions can attach a MetricsRegistry (stage latency histograms,
-// pruning counters, thread-pool queue stats) and a TraceCollector
-// (per-task queue-wait/parse/prune/serialize spans for Perfetto). Both
-// are opt-in; with neither attached the hot path reads no clocks.
+// PipelineOptions can attach a MetricsRegistry (per-task latency and
+// queue-wait histograms, pruning counters, thread-pool queue stats) and a
+// TraceCollector (per-task queue-wait and prune spans for Perfetto). A
+// task is timed once, from outside the fused pass: parse, prune and
+// splice interleave per SAX event, so no per-stage split is published.
+// Both are opt-in; with neither attached the pipeline reads no clocks.
 
 #ifndef XMLPROJ_PROJECTION_PIPELINE_H_
 #define XMLPROJ_PROJECTION_PIPELINE_H_
@@ -128,11 +130,12 @@ struct PipelineOptions {
   // Bound on queued-but-unclaimed tasks; submission blocks beyond it.
   size_t queue_capacity = 256;
   // Optional telemetry. When `metrics` is set the pipeline publishes the
-  // xmlproj_pipeline_* / xmlproj_stage_* / xmlproj_pool_* metrics (see
-  // README "Observability") into it; when `trace` is set every task emits
-  // queue-wait / parse / [validate+]prune / serialize spans. Both null
-  // (the default) keeps the hot path free of clock reads — the
-  // instrumentation is compiled in but costs nothing disabled.
+  // xmlproj_pipeline_* / xmlproj_stage_{task,queue_wait}_ns /
+  // xmlproj_pool_* metrics (see README "Observability") into it; when
+  // `trace` is set every task emits a queue-wait span (pool runs) and one
+  // [validate+]prune span covering the whole task. Either costs a few
+  // clock reads per task and none per SAX event; both null (the default)
+  // reads no clocks at all.
   MetricsRegistry* metrics = nullptr;
   TraceCollector* trace = nullptr;
   // Optional structured log (obs/log.h): drain summaries and watchdog

@@ -641,11 +641,11 @@ void ProjectionService::ObserveRequest(const HttpRequest& request,
   char code[8];
   std::snprintf(code, sizeof(code), "%d", response.status);
   if (options_.metrics != nullptr) {
-    options_.metrics
-        ->GetHistogram(
-            "xmlproj_request_duration_seconds",
-            {{"workload", workload}, {"route", route}, {"code", code}})
-        ->Record(duration_ns);
+    // Null on a kind conflict with a caller-registered name.
+    Histogram* duration = options_.metrics->GetHistogram(
+        "xmlproj_request_duration_seconds",
+        {{"workload", workload}, {"route", route}, {"code", code}});
+    if (duration != nullptr) duration->Record(duration_ns);
   }
   if (options_.slo != nullptr && request.path == "/prune") {
     options_.slo->Record(workload, duration_ns, response.status >= 500);

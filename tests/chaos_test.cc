@@ -138,6 +138,17 @@ TEST(FaultInjectorTest, ArmFromSpecRejectsMalformedEntries) {
 
 // --- Pipeline chaos ------------------------------------------------------
 
+// Each task is timed once, around all of its attempts and any fallback:
+// the task latency histogram holds one sample per task, both unlabeled
+// and in the run's {corpus="chaos"} slice.
+void ExpectOneTaskSamplePerTask(MetricsRegistry& registry, size_t tasks) {
+  EXPECT_EQ(registry.GetHistogram("xmlproj_stage_task_ns")->Count(), tasks);
+  EXPECT_EQ(
+      registry.GetHistogram("xmlproj_stage_task_ns", {{"corpus", "chaos"}})
+          ->Count(),
+      tasks);
+}
+
 constexpr const char* kDtdText = R"(
 <!ELEMENT root (item*)>
 <!ELEMENT item (keep?, drop?)>
@@ -281,6 +292,7 @@ TEST_F(PipelineChaosTest, RetryRecoversFromTransientFaults) {
   options.retry.backoff_ms = 1;
   options.fault = &fault;
   options.metrics = &registry;
+  options.corpus_label = "chaos";
   auto run = PruneCorpus(corpus_, *dtd_, projector_, options);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_TRUE(run->failures.empty());
@@ -293,6 +305,8 @@ TEST_F(PipelineChaosTest, RetryRecoversFromTransientFaults) {
             2u);
   EXPECT_EQ(registry.GetCounter("xmlproj_pipeline_errors_total")->Value(),
             0u);
+  // One latency sample per task, however many attempts it took.
+  ExpectOneTaskSamplePerTask(registry, corpus_.size());
 }
 
 TEST_F(PipelineChaosTest, RetryExhaustionQuarantinesWithAttemptCount) {
@@ -352,6 +366,7 @@ TEST_F(PipelineChaosTest, DegradesToIdentityPassWhenDocumentOffGrammar) {
   options.policy = ErrorPolicy::kIsolate;
   options.degrade_on_invalid = true;
   options.metrics = &registry;
+  options.corpus_label = "chaos";
   auto run = PruneCorpus(corpus, *dtd_, projector_, options);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_TRUE(run->failures.empty());
@@ -376,6 +391,9 @@ TEST_F(PipelineChaosTest, DegradesToIdentityPassWhenDocumentOffGrammar) {
             1u);
   EXPECT_EQ(registry.GetCounter("xmlproj_pipeline_errors_total")->Value(),
             0u);
+  // The failed pruning pass and its identity fallback are one task: one
+  // latency sample, not two.
+  ExpectOneTaskSamplePerTask(registry, corpus.size());
 }
 
 TEST_F(PipelineChaosTest, DegradationDoesNotMaskParseErrors) {

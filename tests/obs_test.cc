@@ -13,9 +13,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "projection/pipeline.h"
-#include "xmark/corpus.h"
-#include "xmark/xmark_dtd.h"
 
 namespace xmlproj {
 namespace {
@@ -487,73 +484,6 @@ TEST(Trace, EscapesJsonSignificantCharactersInNames) {
   std::string json;
   trace.AppendChromeTraceJson(&json);
   EXPECT_NE(json.find("we\\\"ird\\\\name"), std::string::npos);
-}
-
-TEST(Trace, DefaultSamplingKeepsEveryIndex) {
-  TraceCollector trace;
-  EXPECT_EQ(trace.options().sample_every_n, 1u);
-  for (uint64_t i = 0; i < 16; ++i) {
-    EXPECT_TRUE(trace.ShouldSample(i)) << "index " << i;
-  }
-}
-
-TEST(Trace, SampleEveryNKeepsMultiplesOfN) {
-  TraceOptions options;
-  options.sample_every_n = 3;
-  TraceCollector trace(options);
-  for (uint64_t i = 0; i < 12; ++i) {
-    EXPECT_EQ(trace.ShouldSample(i), i % 3 == 0) << "index " << i;
-  }
-}
-
-TEST(Trace, SampleEveryZeroBehavesLikeOne) {
-  TraceOptions options;
-  options.sample_every_n = 0;  // degenerate config: keep everything
-  TraceCollector trace(options);
-  EXPECT_TRUE(trace.ShouldSample(0));
-  EXPECT_TRUE(trace.ShouldSample(7));
-}
-
-// End-to-end: a sampled collector attached to the pipeline records stage
-// spans for every Nth task only, while metrics (unsampled) still cover
-// all of them.
-TEST(Trace, PipelineRecordsSpansForSampledTasksOnly) {
-  XMarkCorpusOptions corpus_options;
-  corpus_options.documents = 4;
-  corpus_options.scale = 0.0005;
-  std::vector<std::string> corpus = GenerateXMarkCorpus(corpus_options);
-  auto dtd = LoadXMarkDtd();
-  ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
-  auto projector = WorkloadProjector(*dtd, XMarkDashboardWorkload());
-  ASSERT_TRUE(projector.ok()) << projector.status().ToString();
-
-  TraceOptions trace_options;
-  trace_options.sample_every_n = 2;
-  TraceCollector sampled(trace_options);
-  MetricsRegistry metrics;
-  PipelineOptions options;
-  options.num_threads = 1;
-  options.trace = &sampled;
-  options.metrics = &metrics;
-  auto run = PruneCorpus(corpus, *dtd, *projector, options);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-
-  std::string json;
-  sampled.AppendChromeTraceJson(&json);
-  // Tasks 0 and 2 are sampled; 1 and 3 are not. Each sampled task emits
-  // one "prune" stage span.
-  size_t prune_spans = 0;
-  for (size_t at = json.find("\"name\":\"prune\""); at != std::string::npos;
-       at = json.find("\"name\":\"prune\"", at + 1)) {
-    ++prune_spans;
-  }
-  EXPECT_EQ(prune_spans, 2u);
-  EXPECT_NE(json.find("\"task\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"task\":2"), std::string::npos);
-  EXPECT_EQ(json.find("\"task\":1"), std::string::npos);
-  EXPECT_EQ(json.find("\"task\":3"), std::string::npos);
-  // The stage histograms are not sampled: all four tasks land in them.
-  EXPECT_EQ(metrics.GetHistogram("xmlproj_stage_prune_ns")->Count(), 4u);
 }
 
 TEST(Trace, AppendRecentSpansJsonKeepsTailAndCountsDropped) {

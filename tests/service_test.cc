@@ -412,7 +412,7 @@ TEST_F(ServiceTest, ConcurrentPruneDistinctWorkloads) {
 
 // The acceptance path for request-scoped observability: a client
 // traceparent on POST /prune yields a request span parenting the
-// pipeline stage spans, retrievable via /tracez?trace_id=, present in
+// pipeline's prune span, retrievable via /tracez?trace_id=, present in
 // the OTLP export, and joinable by trace id to an access-log line —
 // with the RED series, the /statusz SLO block, and unknown-workload
 // label folding along for the ride.
@@ -457,14 +457,14 @@ TEST_F(ServiceTest, TraceparentJoinsSpansExportLogsAndSlo) {
   auto missing = client.Prune("w-nope", doc, prune_options);
   EXPECT_FALSE(missing.ok());
 
-  // /tracez filtered by the trace id: the request span plus the stage
-  // spans it parents, all stamped with the workload.
+  // /tracez filtered by the trace id: the request span plus the one
+  // prune span it parents, all stamped with the workload.
   auto tracez = client.Get(std::string("/tracez?trace_id=") + kTraceId);
   ASSERT_TRUE(tracez.ok()) << tracez.status().ToString();
   EXPECT_NE(tracez->find("\"name\":\"POST /prune\""), std::string::npos)
       << *tracez;
-  EXPECT_NE(tracez->find("\"name\":\"parse\""), std::string::npos);
-  EXPECT_NE(tracez->find("\"name\":\"serialize\""), std::string::npos);
+  EXPECT_NE(tracez->find("\"name\":\"prune\""), std::string::npos);
+  EXPECT_EQ(tracez->find("\"name\":\"parse\""), std::string::npos);
   EXPECT_NE(tracez->find("\"workload\":\"" + registration->id + "\""),
             std::string::npos);
   // Stage spans parent under *some* span of this trace; the request
