@@ -109,6 +109,7 @@
 #include "common/fault.h"
 #include "obs/export.h"
 #include "obs/journal.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/push.h"
 #include "obs/server.h"
@@ -206,26 +207,6 @@ bool ReadInputFile(const std::string& path, std::string* out) {
   return true;
 }
 
-void AppendJsonEscaped(const std::string& text, std::string* out) {
-  for (char c : text) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 // TaskFailure report as JSON, the artifact the CI chaos job uploads.
 std::string FailureReportJson(const PipelineRun& run) {
   std::string json = "{\n";
@@ -236,13 +217,14 @@ std::string FailureReportJson(const PipelineRun& run) {
   for (size_t i = 0; i < run.failures.size(); ++i) {
     const TaskFailure& f = run.failures[i];
     json += i == 0 ? "\n" : ",\n";
-    json += "    {\"task\": " + std::to_string(f.task) + ", \"stage\": \"" +
-            f.stage + "\", \"code\": \"" + StatusCodeName(f.status.code()) +
+    json += "    {\"task\": " + std::to_string(f.task) + ", \"stage\": ";
+    AppendJsonString(f.stage, &json);
+    json += ", \"code\": \"" + std::string(StatusCodeName(f.status.code())) +
             "\", \"attempts\": " + std::to_string(f.attempts) +
             ", \"peak_bytes\": " + std::to_string(f.peak_bytes) +
-            ", \"message\": \"";
-    AppendJsonEscaped(f.status.message(), &json);
-    json += "\"}";
+            ", \"message\": ";
+    AppendJsonString(f.status.message(), &json);
+    json += "}";
   }
   json += run.failures.empty() ? "]\n" : "\n  ]\n";
   json += "}\n";
@@ -750,10 +732,7 @@ int main(int argc, char** argv) {
     } else {
       CheckpointHeader header;
       header.run_id = GenerateRunId();
-      header.started_unix_ms = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::system_clock::now().time_since_epoch())
-              .count());
+      header.started_unix_ms = UnixNowMs();
       header.binding = binding;
       Status created = checkpoint.Create(checkpoint_dir, header);
       if (!created.ok()) {
@@ -837,10 +816,7 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  const uint64_t run_start_unix_ms = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
+  const uint64_t run_start_unix_ms = UnixNowMs();
   PipelineRun run;
   if (sweep) {
     double base = 0;
@@ -895,10 +871,7 @@ int main(int argc, char** argv) {
     record.run_id = GenerateRunId();
     record.corpus = corpus_label;
     record.start_unix_ms = run_start_unix_ms;
-    record.end_unix_ms = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
+    record.end_unix_ms = UnixNowMs();
     record.wall_seconds = run.summary.wall_seconds;
     record.tasks = run.summary.tasks;
     record.failed = run.summary.failed;

@@ -37,6 +37,8 @@
 #include <sstream>
 #include <string>
 
+#include "obs/json.h"
+#include "obs/push.h"
 #include "service/client.h"
 #include "xmark/corpus.h"
 #include "xmark/queries.h"
@@ -74,62 +76,59 @@ int Usage() {
   return 1;
 }
 
-// The RED-series latency dashboard: scans /metrics.json for the
-// xmlproj_request_duration_seconds histograms (values are raw
-// nanoseconds there — only the Prometheus exposition scales to seconds)
-// and prints one row per {workload,route,code} series.
+// The RED-series latency dashboard: reads the
+// xmlproj_request_duration_seconds histograms out of /metrics.json
+// (values are raw nanoseconds there — only the Prometheus exposition
+// scales to seconds) and prints one row per {workload,route,code} series.
 int PrintDashboard(xmlproj::ProjectionClient& client) {
+  using xmlproj::JsonReader;
   auto body = client.Get("/metrics.json");
   if (!body.ok()) {
     std::fprintf(stderr, "dashboard failed: %s\n",
                  body.status().ToString().c_str());
     return 2;
   }
-  const std::string& json = *body;
-  const std::string prefix = "\"xmlproj_request_duration_seconds{";
+  constexpr std::string_view kPrefix = "xmlproj_request_duration_seconds{";
   std::printf("%-22s %-14s %-5s %10s %12s %12s\n", "workload", "route",
               "code", "count", "p50_ms", "p99_ms");
-  size_t at = 0;
+  JsonReader r(*body);
+  auto skip_object = [&r] {
+    return r.ReadObject([&r](const std::string&) { return r.SkipScalar(); });
+  };
   bool any = false;
-  while ((at = json.find(prefix, at)) != std::string::npos) {
-    size_t key_start = at + prefix.size();
-    size_t key_end = json.find("}\"", key_start);
-    if (key_end == std::string::npos) break;
-    // The series key is JSON-quoted, so embedded label quotes arrive
-    // backslash-escaped; undo that before slicing out label values.
-    std::string labels;
-    for (size_t i = key_start; i < key_end; ++i) {
-      if (json[i] == '\\' && i + 1 < key_end) {
-        labels.push_back(json[++i]);
-        continue;
+  bool ok = r.ReadObject([&](const std::string& section) {
+    if (section != "histograms") return skip_object();
+    return r.ReadObject([&](const std::string& series) {
+      uint64_t count = 0, p50 = 0, p99 = 0;
+      bool read = r.ReadObject([&](const std::string& field) {
+        if (field == "count") return r.ReadU64(&count);
+        if (field == "p50") return r.ReadU64(&p50);
+        if (field == "p99") return r.ReadU64(&p99);
+        if (field == "buckets") return r.ReadArray(skip_object);
+        return r.SkipScalar();
+      });
+      if (!read) return false;
+      if (!series.starts_with(kPrefix) || !series.ends_with('}')) return true;
+      std::string workload, route, code;
+      for (const xmlproj::MetricLabel& label : xmlproj::DecodeMetricLabels(
+               std::string_view(series).substr(
+                   kPrefix.size(), series.size() - kPrefix.size() - 1))) {
+        if (label.key == "workload") workload = label.value;
+        if (label.key == "route") route = label.value;
+        if (label.key == "code") code = label.value;
       }
-      labels.push_back(json[i]);
-    }
-    auto label_value = [&labels](const char* key) {
-      std::string needle = std::string(key) + "=\"";
-      size_t pos = labels.find(needle);
-      if (pos == std::string::npos) return std::string();
-      pos += needle.size();
-      size_t end = labels.find('"', pos);
-      return labels.substr(pos,
-                           end == std::string::npos ? end : end - pos);
-    };
-    // The value object starts right after the key, leading with count
-    // then the percentiles, so first-occurrence extraction is exact.
-    std::string_view tail(json.data() + key_end,
-                          std::min<size_t>(json.size() - key_end, 2048));
-    uint64_t count = 0, p50 = 0, p99 = 0;
-    xmlproj::ExtractJsonU64Field(tail, "count", &count);
-    xmlproj::ExtractJsonU64Field(tail, "p50", &p50);
-    xmlproj::ExtractJsonU64Field(tail, "p99", &p99);
-    std::printf("%-22s %-14s %-5s %10llu %12.3f %12.3f\n",
-                label_value("workload").c_str(), label_value("route").c_str(),
-                label_value("code").c_str(),
-                static_cast<unsigned long long>(count),
-                static_cast<double>(p50) / 1e6,
-                static_cast<double>(p99) / 1e6);
-    any = true;
-    at = key_end;
+      std::printf("%-22s %-14s %-5s %10llu %12.3f %12.3f\n",
+                  workload.c_str(), route.c_str(), code.c_str(),
+                  static_cast<unsigned long long>(count),
+                  static_cast<double>(p50) / 1e6,
+                  static_cast<double>(p99) / 1e6);
+      any = true;
+      return true;
+    });
+  });
+  if (!ok || !r.AtEnd()) {
+    std::fprintf(stderr, "dashboard failed: malformed /metrics.json\n");
+    return 2;
   }
   if (!any) {
     std::printf("(no xmlproj_request_duration_seconds series yet — "

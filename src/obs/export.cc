@@ -4,71 +4,25 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <string_view>
 
+#include "obs/json.h"
+
 namespace xmlproj {
 namespace {
 
-void AppendU64(uint64_t v, std::string* out) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-}
-
-void AppendI64(int64_t v, std::string* out) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out->append(buf);
-}
-
-// JSON string escaping. Metric names are library-chosen identifiers, but
-// labeled series keys embed the encoded label string, which contains `"`
-// and may contain any byte a caller put in a label value.
-void AppendQuoted(const std::string& name, std::string* out) {
-  out->push_back('"');
-  for (char c : name) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 // JSON object key for one series: `name` unlabeled, `name{labels}` when
 // labeled (the encoded labels are already Prometheus-escaped, which the
-// JSON quoting above re-escapes safely).
+// JSON quoting re-escapes safely).
 void AppendSeriesKey(const std::string& name, const std::string& labels,
                      std::string* out) {
   if (labels.empty()) {
-    AppendQuoted(name, out);
+    AppendJsonString(name, out);
   } else {
-    AppendQuoted(name + "{" + labels + "}", out);
+    AppendJsonString(name + "{" + labels + "}", out);
   }
 }
 

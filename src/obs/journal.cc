@@ -5,176 +5,42 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cinttypes>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
+
+#include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace xmlproj {
 
 namespace {
 
-void AppendJsonEscaped(std::string_view s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
-void AppendKeyU64(const char* key, uint64_t value, std::string* out) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  out->push_back('"');
-  out->append(key);
-  out->append("\":");
-  out->append(buf);
-}
-
-// Micro JSON reader, sized to the records this file writes: objects,
-// strings, non-negative numbers (integer or decimal), one level of
-// nesting for the quarantine digest. Strict — anything it does not
-// recognize fails the line, which is exactly the corrupt-line-tolerance
-// contract Load() builds on.
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view in) : in_(in) {}
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= in_.size();
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ >= in_.size() || in_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < in_.size() && in_[pos_] == c;
-  }
-
-  bool ReadString(std::string* out) {
-    SkipSpace();
-    if (pos_ >= in_.size() || in_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < in_.size()) {
-      char c = in_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= in_.size()) return false;
-        char esc = in_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            if (pos_ + 4 > in_.size()) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = in_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return false;
-            }
-            // The writer only emits \u for control bytes; decode those and
-            // reject anything needing real UTF-16 handling.
-            if (code > 0x7f) return false;
-            out->push_back(static_cast<char>(code));
-            break;
-          }
-          default:
-            return false;
-        }
-        continue;
-      }
-      out->push_back(c);
-    }
-    return false;  // unterminated
-  }
-
-  bool ReadDouble(double* out) {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < in_.size() &&
-           (std::isdigit(static_cast<unsigned char>(in_[pos_])) ||
-            in_[pos_] == '.' || in_[pos_] == '-' || in_[pos_] == '+' ||
-            in_[pos_] == 'e' || in_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    std::string num(in_.substr(start, pos_ - start));
-    char* end = nullptr;
-    errno = 0;
-    double v = std::strtod(num.c_str(), &end);
-    if (errno != 0 || end == nullptr || *end != '\0') return false;
-    *out = v;
-    return true;
-  }
-
-  bool ReadU64(uint64_t* out) {
-    double v = 0;
-    if (!ReadDouble(&v)) return false;
-    if (v < 0) return false;
-    *out = static_cast<uint64_t>(v);
-    return true;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < in_.size() &&
-           (in_[pos_] == ' ' || in_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  std::string_view in_;
-  size_t pos_ = 0;
+// The integer fields in on-disk order: the first kFieldsBeforeWall
+// precede wall_seconds, the rest follow it.
+constexpr std::pair<const char*, uint64_t RunRecord::*> kU64Fields[] = {
+    {"start_unix_ms", &RunRecord::start_unix_ms},
+    {"end_unix_ms", &RunRecord::end_unix_ms},
+    {"tasks", &RunRecord::tasks},
+    {"failed", &RunRecord::failed},
+    {"degraded", &RunRecord::degraded},
+    {"retries", &RunRecord::retries},
+    {"input_bytes", &RunRecord::input_bytes},
+    {"output_bytes", &RunRecord::output_bytes},
+    {"peak_memory_bytes", &RunRecord::peak_memory_bytes},
+    {"budget_trips", &RunRecord::budget_trips},
+    {"resume_skipped", &RunRecord::resume_skipped},
+    {"resume_rerun", &RunRecord::resume_rerun},
 };
+constexpr size_t kFieldsBeforeWall = 2;
 
 }  // namespace
 
 std::string GenerateRunId() {
-  uint64_t ms = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "run-%011" PRIx64 "-%04x", ms,
+  std::snprintf(buf, sizeof(buf), "run-%011" PRIx64 "-%04x", UnixNowMs(),
                 static_cast<unsigned>(::getpid()) & 0xffff);
   return buf;
 }
@@ -215,50 +81,27 @@ bool RunJournal::Open(const std::string& dir, std::string* error) {
 }
 
 std::string RunJournal::FormatRecord(const RunRecord& record) {
-  std::string out;
+  std::string out = "{\"run_id\":";
   out.reserve(384);
-  out.append("{\"run_id\":\"");
-  AppendJsonEscaped(record.run_id, &out);
-  out.append("\",\"corpus\":\"");
-  AppendJsonEscaped(record.corpus, &out);
-  out.append("\",");
-  AppendKeyU64("start_unix_ms", record.start_unix_ms, &out);
-  out.push_back(',');
-  AppendKeyU64("end_unix_ms", record.end_unix_ms, &out);
-  out.append(",\"wall_seconds\":");
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6f", record.wall_seconds);
-  out.append(buf);
-  out.push_back(',');
-  AppendKeyU64("tasks", record.tasks, &out);
-  out.push_back(',');
-  AppendKeyU64("failed", record.failed, &out);
-  out.push_back(',');
-  AppendKeyU64("degraded", record.degraded, &out);
-  out.push_back(',');
-  AppendKeyU64("retries", record.retries, &out);
-  out.push_back(',');
-  AppendKeyU64("input_bytes", record.input_bytes, &out);
-  out.push_back(',');
-  AppendKeyU64("output_bytes", record.output_bytes, &out);
-  out.push_back(',');
-  AppendKeyU64("peak_memory_bytes", record.peak_memory_bytes, &out);
-  out.push_back(',');
-  AppendKeyU64("budget_trips", record.budget_trips, &out);
-  out.push_back(',');
-  AppendKeyU64("resume_skipped", record.resume_skipped, &out);
-  out.push_back(',');
-  AppendKeyU64("resume_rerun", record.resume_rerun, &out);
+  AppendJsonString(record.run_id, &out);
+  out.append(",\"corpus\":");
+  AppendJsonString(record.corpus, &out);
+  for (size_t i = 0; i < std::size(kU64Fields); ++i) {
+    if (i == kFieldsBeforeWall) {
+      char buf[48];
+      std::snprintf(buf, sizeof(buf), ",\"wall_seconds\":%.6f",
+                    record.wall_seconds);
+      out.append(buf);
+    }
+    out.append(",\"").append(kU64Fields[i].first).append("\":");
+    AppendU64(record.*kU64Fields[i].second, &out);
+  }
   out.append(",\"quarantine\":{");
-  bool first = true;
-  for (const auto& [stage, count] : record.quarantine) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    AppendJsonEscaped(stage, &out);
-    out.append("\":");
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, count);
-    out.append(buf);
+  for (size_t i = 0; i < record.quarantine.size(); ++i) {
+    if (i != 0) out.push_back(',');
+    AppendJsonString(record.quarantine[i].first, &out);
+    out.push_back(':');
+    AppendU64(record.quarantine[i].second, &out);
   }
   out.append("}}");
   return out;
@@ -266,67 +109,25 @@ std::string RunJournal::FormatRecord(const RunRecord& record) {
 
 bool RunJournal::ParseRecord(std::string_view line, RunRecord* out) {
   JsonReader r(line);
-  if (!r.Consume('{')) return false;
   RunRecord record;
-  bool first = true;
-  while (!r.Peek('}')) {
-    if (!first && !r.Consume(',')) return false;
-    first = false;
-    std::string key;
-    if (!r.ReadString(&key) || !r.Consume(':')) return false;
-    if (key == "run_id") {
-      if (!r.ReadString(&record.run_id)) return false;
-    } else if (key == "corpus") {
-      if (!r.ReadString(&record.corpus)) return false;
-    } else if (key == "start_unix_ms") {
-      if (!r.ReadU64(&record.start_unix_ms)) return false;
-    } else if (key == "end_unix_ms") {
-      if (!r.ReadU64(&record.end_unix_ms)) return false;
-    } else if (key == "wall_seconds") {
-      if (!r.ReadDouble(&record.wall_seconds)) return false;
-    } else if (key == "tasks") {
-      if (!r.ReadU64(&record.tasks)) return false;
-    } else if (key == "failed") {
-      if (!r.ReadU64(&record.failed)) return false;
-    } else if (key == "degraded") {
-      if (!r.ReadU64(&record.degraded)) return false;
-    } else if (key == "retries") {
-      if (!r.ReadU64(&record.retries)) return false;
-    } else if (key == "input_bytes") {
-      if (!r.ReadU64(&record.input_bytes)) return false;
-    } else if (key == "output_bytes") {
-      if (!r.ReadU64(&record.output_bytes)) return false;
-    } else if (key == "peak_memory_bytes") {
-      if (!r.ReadU64(&record.peak_memory_bytes)) return false;
-    } else if (key == "budget_trips") {
-      if (!r.ReadU64(&record.budget_trips)) return false;
-    } else if (key == "resume_skipped") {
-      if (!r.ReadU64(&record.resume_skipped)) return false;
-    } else if (key == "resume_rerun") {
-      if (!r.ReadU64(&record.resume_rerun)) return false;
-    } else if (key == "quarantine") {
-      if (!r.Consume('{')) return false;
-      bool first_stage = true;
-      while (!r.Peek('}')) {
-        if (!first_stage && !r.Consume(',')) return false;
-        first_stage = false;
-        std::string stage;
+  bool ok = r.ReadObject([&](const std::string& key) {
+    if (key == "run_id") return r.ReadString(&record.run_id);
+    if (key == "corpus") return r.ReadString(&record.corpus);
+    if (key == "wall_seconds") return r.ReadDouble(&record.wall_seconds);
+    if (key == "quarantine") {
+      return r.ReadObject([&](const std::string& stage) {
         uint64_t count = 0;
-        if (!r.ReadString(&stage) || !r.Consume(':') || !r.ReadU64(&count)) {
-          return false;
-        }
-        record.quarantine.emplace_back(std::move(stage), count);
-      }
-      if (!r.Consume('}')) return false;
-    } else {
-      // Unknown scalar from a newer writer: accept a string or a number
-      // so the format can grow without breaking old readers.
-      std::string sink_s;
-      double sink_d = 0;
-      if (!r.ReadString(&sink_s) && !r.ReadDouble(&sink_d)) return false;
+        if (!r.ReadU64(&count)) return false;
+        record.quarantine.emplace_back(stage, count);
+        return true;
+      });
     }
-  }
-  if (!r.Consume('}') || !r.AtEnd()) return false;
+    for (const auto& [name, field] : kU64Fields) {
+      if (key == name) return r.ReadU64(&(record.*field));
+    }
+    return r.SkipScalar();
+  });
+  if (!ok || !r.AtEnd()) return false;
   if (record.run_id.empty()) return false;  // not one of ours
   *out = std::move(record);
   return true;
@@ -337,12 +138,7 @@ bool RunJournal::Append(const RunRecord& record, std::string* error) {
     if (error != nullptr) *error = "journal is not open";
     return false;
   }
-  std::string line = FormatRecord(record);
-  line.push_back('\n');
-  bool ok = std::fwrite(line.data(), 1, line.size(), file_) == line.size() &&
-            std::fflush(file_) == 0;
-  if (ok && fsync_) ok = ::fsync(::fileno(file_)) == 0;
-  if (!ok) {
+  if (!AppendJsonlLine(file_, FormatRecord(record), fsync_)) {
     if (error != nullptr) {
       *error = "cannot append to journal \"" + path_ +
                "\": " + std::strerror(errno);
@@ -355,39 +151,23 @@ bool RunJournal::Append(const RunRecord& record, std::string* error) {
 bool RunJournal::Load(const std::string& dir, std::vector<RunRecord>* records,
                       size_t* skipped_lines, std::string* error) {
   records->clear();
-  if (skipped_lines != nullptr) *skipped_lines = 0;
   std::string path = PathFor(dir);
-  std::FILE* f = std::fopen(path.c_str(), "re");
-  if (f == nullptr) {
+  bool opened = ReadJsonlLines(
+      path,
+      [records](std::string_view line) {
+        RunRecord record;
+        if (!ParseRecord(line, &record)) return false;
+        records->push_back(std::move(record));
+        return true;
+      },
+      skipped_lines);
+  if (!opened) {
     if (errno == ENOENT) return true;  // first run: empty history
     if (error != nullptr) {
       *error = "cannot read journal \"" + path + "\": " + std::strerror(errno);
     }
     return false;
   }
-  std::string line;
-  char buf[4096];
-  auto flush_line = [&]() {
-    if (line.empty()) return;
-    RunRecord record;
-    if (RunJournal::ParseRecord(line, &record)) {
-      records->push_back(std::move(record));
-    } else if (skipped_lines != nullptr) {
-      ++*skipped_lines;
-    }
-    line.clear();
-  };
-  while (std::fgets(buf, sizeof(buf), f) != nullptr) {
-    line.append(buf);
-    if (!line.empty() && line.back() == '\n') {
-      line.pop_back();
-      flush_line();
-    }
-  }
-  // A final line without '\n' is a truncated append — try it anyway (it
-  // may parse if only the newline is missing), else it counts as skipped.
-  flush_line();
-  std::fclose(f);
   return true;
 }
 
@@ -414,7 +194,13 @@ BudgetSuggestion SuggestBudgets(const std::vector<RunRecord>& records,
   suggestion.p99_peak_bytes = peaks[rank - 1];
   if (headroom < 1.0) headroom = 1.0;
   double scaled = static_cast<double>(suggestion.p99_peak_bytes) * headroom;
-  suggestion.suggested_max_bytes = static_cast<uint64_t>(scaled);
+  // Saturate: casting a double >= 2^64 is undefined, and a 0 would mean
+  // "no cap". The max() keeps double rounding from dipping below p99.
+  suggestion.suggested_max_bytes =
+      scaled >= static_cast<double>(std::numeric_limits<uint64_t>::max())
+          ? std::numeric_limits<uint64_t>::max()
+          : std::max(suggestion.p99_peak_bytes,
+                     static_cast<uint64_t>(scaled));
   return suggestion;
 }
 

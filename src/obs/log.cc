@@ -1,82 +1,34 @@
 #include "obs/log.h"
 
 #include <cerrno>
-#include <chrono>
-#include <cinttypes>
 #include <cstring>
+
+#include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace xmlproj {
 namespace {
 
-uint64_t UnixNowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-// Same escaping as the journal/push writers: the JSON-significant
-// characters plus control bytes. Values come from request headers and
-// error messages, so hostile bytes are expected, not exceptional.
-void AppendJsonEscaped(std::string_view text, std::string* out) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
-void AppendQuoted(std::string_view text, std::string* out) {
-  out->push_back('"');
-  AppendJsonEscaped(text, out);
-  out->push_back('"');
-}
-
 void FormatLine(uint64_t ts_unix_ms, LogLevel level, std::string_view event,
                 std::initializer_list<LogField> fields, std::string* out) {
-  char buf[32];
   out->append("{\"ts_unix_ms\":");
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, ts_unix_ms);
-  out->append(buf);
+  AppendU64(ts_unix_ms, out);
   out->append(",\"level\":\"");
   out->append(LogLevelName(level));
   out->append("\",\"event\":");
-  AppendQuoted(event, out);
+  AppendJsonString(event, out);
   for (const LogField& field : fields) {
     if (field.key.empty()) continue;
     out->push_back(',');
-    AppendQuoted(field.key, out);
+    AppendJsonString(field.key, out);
     out->push_back(':');
     if (field.is_text) {
-      AppendQuoted(field.text, out);
+      AppendJsonString(field.text, out);
     } else {
-      std::snprintf(buf, sizeof(buf), "%" PRId64, field.number);
-      out->append(buf);
+      AppendI64(field.number, out);
     }
   }
-  out->append("}\n");
+  out->push_back('}');
 }
 
 }  // namespace
@@ -157,7 +109,7 @@ void StructuredLogger::Log(LogLevel level, std::string_view event,
       FormatLine(now_ms, LogLevel::kWarn, "log.dropped",
                  {{"lines", window_dropped_}, {"window_s", uint64_t{1}}},
                  &summary);
-      std::fwrite(summary.data(), 1, summary.size(), file_);
+      AppendJsonlLine(file_, std::move(summary), /*durable=*/false);
       ++written_;
     }
     window_second_ = second;
@@ -172,8 +124,7 @@ void StructuredLogger::Log(LogLevel level, std::string_view event,
     return;
   }
   FormatLine(now_ms, level, event, fields, &line);
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fflush(file_);
+  AppendJsonlLine(file_, std::move(line), /*durable=*/false);
   ++window_lines_;
   ++written_;
 }

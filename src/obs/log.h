@@ -3,8 +3,8 @@
 // The daemon's log plane: every line is a single JSON object
 // (`{"ts_unix_ms":...,"level":"info","event":"http.access",...}`) so
 // logs grep/jq-join against the run journal, the OTLP exports, and
-// /tracez by trace_id and workload. Standard library only, same
-// escaping discipline as the journal writer (obs/journal.cc).
+// /tracez by trace_id and workload. Standard library only, written
+// through the shared JSON codec (obs/json.h).
 //
 // Call sites hold a nullable StructuredLogger* and follow the
 // null-pointer idiom of every other instrumentation hook: a null

@@ -47,6 +47,15 @@ inline uint64_t MonotonicNowNs() {
           .count());
 }
 
+// Wall-clock milliseconds since the Unix epoch (system_clock), for
+// record timestamps and run ids — never for measuring durations.
+inline uint64_t UnixNowMs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+}
+
 // Monotonically increasing counter, sharded to keep concurrent Increment
 // calls off each other's cache lines.
 class Counter {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "obs/json.h"
 #include "obs/trace.h"
 
 namespace xmlproj {
@@ -24,13 +25,6 @@ std::string SeriesKey(const std::string& name, const std::string& labels) {
   return key;
 }
 
-uint64_t UnixNowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
 // Formats a double the way both statsd and JSON want it: integral values
 // without a fractional part, everything else with enough digits.
 void AppendNumber(double v, std::string* out) {
@@ -42,37 +36,6 @@ void AppendNumber(double v, std::string* out) {
     std::snprintf(buf, sizeof(buf), "%.17g", v);
   }
   out->append(buf);
-}
-
-void AppendJsonEscaped(std::string_view s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
 }
 
 // statsd tag values cannot carry the protocol's structural bytes; replace
@@ -268,22 +231,22 @@ bool JsonlFileSink::Open(const std::string& path, std::string* error) {
 std::string JsonlFileSink::FormatBatch(const PushBatch& batch) {
   std::string out;
   out.reserve(256 + batch.samples.size() * 96);
-  out.append("{\"resource\":{\"service.name\":\"xmlproj\",\"service.version\":\"");
-  AppendJsonEscaped(XmlprojVersion(), &out);
-  out.append("\",\"compiler\":\"");
-  AppendJsonEscaped(XmlprojCompiler(), &out);
-  out.append("\"},\"time_unix_ms\":");
-  AppendNumber(static_cast<double>(batch.unix_ms), &out);
+  out.append("{\"resource\":{\"service.name\":\"xmlproj\",\"service.version\":");
+  AppendJsonString(XmlprojVersion(), &out);
+  out.append(",\"compiler\":");
+  AppendJsonString(XmlprojCompiler(), &out);
+  out.append("},\"time_unix_ms\":");
+  AppendU64(batch.unix_ms, &out);
   out.append(",\"sequence\":");
-  AppendNumber(static_cast<double>(batch.sequence), &out);
+  AppendU64(batch.sequence, &out);
   out.append(",\"metrics\":[");
   bool first = true;
   for (const PushSample& sample : batch.samples) {
     if (!first) out.push_back(',');
     first = false;
-    out.append("{\"name\":\"");
-    AppendJsonEscaped(sample.name, &out);
-    out.append("\",\"type\":\"");
+    out.append("{\"name\":");
+    AppendJsonString(sample.name, &out);
+    out.append(",\"type\":\"");
     // OTLP vocabulary: a counter delta is a sum with delta temporality.
     out.append(sample.is_counter ? "sum\",\"temporality\":\"delta\""
                                  : "gauge\"");
@@ -293,11 +256,9 @@ std::string JsonlFileSink::FormatBatch(const PushBatch& batch) {
       for (const MetricLabel& label : sample.labels) {
         if (!first_label) out.push_back(',');
         first_label = false;
-        out.push_back('"');
-        AppendJsonEscaped(label.key, &out);
-        out.append("\":\"");
-        AppendJsonEscaped(label.value, &out);
-        out.push_back('"');
+        AppendJsonString(label.key, &out);
+        out.push_back(':');
+        AppendJsonString(label.value, &out);
       }
       out.push_back('}');
     }
@@ -310,22 +271,12 @@ std::string JsonlFileSink::FormatBatch(const PushBatch& batch) {
 }
 
 bool JsonlFileSink::Push(const PushBatch& batch) {
-  if (file_ == nullptr) return false;
-  std::string line = FormatBatch(batch);
-  line.push_back('\n');
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    return false;
-  }
-  return std::fflush(file_) == 0;
+  return file_ != nullptr &&
+         AppendJsonlLine(file_, FormatBatch(batch), /*durable=*/false);
 }
 
 bool JsonlFileSink::WriteLine(const std::string& line) {
-  if (file_ == nullptr) return false;
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    return false;
-  }
-  if (std::fwrite("\n", 1, 1, file_) != 1) return false;
-  return std::fflush(file_) == 0;
+  return file_ != nullptr && AppendJsonlLine(file_, line, /*durable=*/false);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,25 +1,12 @@
 #include "obs/server.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <map>
 
 #include "obs/export.h"
+#include "obs/json.h"
 
 namespace xmlproj {
 namespace {
-
-void AppendU64(uint64_t v, std::string* out) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-}
-
-void AppendI64(int64_t v, std::string* out) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out->append(buf);
-}
 
 // Point-in-time view of the unlabeled series, keyed by name — the
 // /healthz and /statusz builders read specific metrics out of it. Taken
@@ -64,15 +51,6 @@ struct RegistrySnapshot {
     return it == gauges.end() ? 0 : it->second;
   }
 };
-
-// Minimal JSON string escaping for the build block (version/compiler
-// strings; metric-derived values elsewhere never need escaping).
-void AppendJsonString(std::string_view s, std::string* out) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-}
 
 // `circuit` is the CircuitState integer from the circuit_state callback,
 // or -1 when no breaker is attached (the pre-breaker heuristic then).
@@ -145,11 +123,11 @@ void AppendStatusz(const MetricsRegistry& registry, uint64_t uptime_ns,
   RegistrySnapshot snap(registry);
   out->append("{\"uptime_ms\":");
   AppendU64(uptime_ns / 1000000, out);
-  out->append(",\"build\":{\"version\":\"");
+  out->append(",\"build\":{\"version\":");
   AppendJsonString(XmlprojVersion(), out);
-  out->append("\",\"compiler\":\"");
+  out->append(",\"compiler\":");
   AppendJsonString(XmlprojCompiler(), out);
-  out->append("\"},\"threads\":");
+  out->append("},\"threads\":");
   AppendI64(snap.GaugeOr0("xmlproj_pipeline_threads"), out);
   // Progress gauges are updated at task granularity by the pipeline:
   // completed + failed == tasks at the end of a run, inflight == 0.

@@ -1,18 +1,11 @@
 #include "obs/slo.h"
 
-#include <chrono>
-#include <cinttypes>
 #include <cstdio>
+
+#include "obs/json.h"
 
 namespace xmlproj {
 namespace {
-
-uint64_t WallNowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
 
 double BurnOf(uint64_t bad, uint64_t total, double objective) {
   if (total == 0) return 0;
@@ -27,29 +20,12 @@ void AppendDouble(double v, std::string* out) {
   out->append(buf);
 }
 
-void AppendU64(uint64_t v, std::string* out) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-}
-
-// Workload ids are service-minted ("w-<hex>") or the literal "other",
-// but escape quotes/backslashes anyway — the tracker is a library.
-void AppendQuoted(const std::string& text, std::string* out) {
-  out->push_back('"');
-  for (char c : text) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out->push_back(c);
-  }
-  out->push_back('"');
-}
-
 }  // namespace
 
 SloTracker::SloTracker(const SloOptions& options) : options_(options) {}
 
 uint64_t SloTracker::NowMs() const {
-  return options_.now_ms != nullptr ? options_.now_ms() : WallNowMs();
+  return options_.now_ms != nullptr ? options_.now_ms() : UnixNowMs();
 }
 
 void SloTracker::Record(const std::string& workload, uint64_t duration_ns,
@@ -144,7 +120,7 @@ void SloTracker::AppendSloJson(std::string* out) const {
     if (!first) out->push_back(',');
     first = false;
     out->append("\n    {\"workload\":");
-    AppendQuoted(id, out);
+    AppendJsonString(id, out);
     for (const auto& [label, minutes] :
          {std::pair<const char*, uint64_t>{"5m", 5}, {"1h", 60}}) {
       WindowBurn burn = BurnLocked(workload, minute, minutes);

@@ -4,40 +4,10 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/json.h"
+
 namespace xmlproj {
 namespace {
-
-// Trace event names/categories are library-chosen identifiers, but escape
-// the JSON-significant characters anyway so a hostile name cannot corrupt
-// the file.
-void AppendJsonString(std::string_view text, std::string* out) {
-  out->push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 // Chrome trace timestamps are microseconds; keep ns precision as a
 // decimal fraction.
@@ -172,8 +142,8 @@ void TraceCollector::AppendEventJsonLocked(const Event& event,
     for (size_t a = 0; a < event.args.size(); ++a) {
       if (a != 0) out->push_back(',');
       AppendJsonString(event.args[a].key, out);
-      std::snprintf(buf, sizeof(buf), ":%" PRId64, event.args[a].value);
-      out->append(buf);
+      out->push_back(':');
+      AppendI64(event.args[a].value, out);
     }
     out->push_back('}');
   }
@@ -226,9 +196,7 @@ void TraceCollector::AppendRecentSpansJson(size_t max_events,
   }
   size_t start = matches.size() > max_events ? matches.size() - max_events : 0;
   out->append("{\"dropped\":");
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%zu", start);
-  out->append(buf);
+  AppendU64(start, out);
   out->append(",\"spans\":[\n");
   for (size_t m = start; m < matches.size(); ++m) {
     AppendEventJsonLocked(events_[matches[m]], out);

@@ -2,13 +2,10 @@
 
 #include <sys/stat.h>
 #include <sys/types.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cinttypes>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -16,58 +13,22 @@
 #include <utility>
 
 #include "obs/export.h"
+#include "obs/json.h"
 
 namespace xmlproj {
 namespace {
 
 constexpr uint64_t kFnv1aPrime = 0x100000001b3ull;
 
-// JSON writer fragments, the same journal-style escaping as
-// obs/journal.cc (a checkpoint line must survive any byte a stage name
-// or workload label can carry).
-void AppendJsonEscaped(std::string_view s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
 void AppendKeyU64(const char* key, uint64_t value, std::string* out) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
   out->push_back('"');
   out->append(key);
   out->append("\":");
-  out->append(buf);
+  AppendU64(value, out);
 }
 
-// 64-bit hashes are written as fixed-width hex *strings*: the journal's
-// number path round-trips through double (53-bit mantissa), which would
-// silently corrupt high hash bits.
+// 64-bit hashes stay fixed-width hex strings: the format predates exact
+// integer reads, and checkpoints written since must keep resuming.
 void AppendKeyHex64(const char* key, uint64_t value, std::string* out) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
@@ -82,9 +43,8 @@ void AppendKeyString(const char* key, std::string_view value,
                      std::string* out) {
   out->push_back('"');
   out->append(key);
-  out->append("\":\"");
-  AppendJsonEscaped(value, out);
-  out->append("\"");
+  out->append("\":");
+  AppendJsonString(value, out);
 }
 
 bool ParseHex64(std::string_view s, uint64_t* out) {
@@ -101,102 +61,10 @@ bool ParseHex64(std::string_view s, uint64_t* out) {
   return true;
 }
 
-// Micro JSON reader, same dialect as obs/journal.cc: objects, strings,
-// non-negative numbers, strict about everything else — which is the
-// corrupt-line tolerance LoadCheckpoint() builds on. (Deliberately
-// duplicated rather than exported from the journal: obs/ sits below this
-// library and keeps its parser private to its own format.)
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view in) : in_(in) {}
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= in_.size();
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ >= in_.size() || in_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < in_.size() && in_[pos_] == c;
-  }
-
-  bool ReadString(std::string* out) {
-    SkipSpace();
-    if (pos_ >= in_.size() || in_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < in_.size()) {
-      char c = in_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= in_.size()) return false;
-        char esc = in_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            if (pos_ + 4 > in_.size()) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = in_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return false;
-            }
-            if (code > 0x7f) return false;
-            out->push_back(static_cast<char>(code));
-            break;
-          }
-          default:
-            return false;
-        }
-        continue;
-      }
-      out->push_back(c);
-    }
-    return false;  // unterminated
-  }
-
-  bool ReadU64(uint64_t* out) {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < in_.size() &&
-           std::isdigit(static_cast<unsigned char>(in_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == start || pos_ - start > 20) return false;
-    errno = 0;
-    char* end = nullptr;
-    std::string num(in_.substr(start, pos_ - start));
-    uint64_t v = std::strtoull(num.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0') return false;
-    *out = v;
-    return true;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < in_.size() && (in_[pos_] == ' ' || in_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  std::string_view in_;
-  size_t pos_ = 0;
-};
+bool ReadHex64(JsonReader& r, uint64_t* out) {
+  std::string hex;
+  return r.ReadString(&hex) && ParseHex64(hex, out);
+}
 
 uint64_t HashU64(uint64_t value, uint64_t seed) {
   char bytes[8];
@@ -380,10 +248,8 @@ Status RunCheckpoint::Create(const std::string& dir,
                              const CheckpointHeader& header) {
   XMLPROJ_RETURN_IF_ERROR(OpenFile(dir, "we"));
   std::string line = FormatHeader(header);
-  line.push_back('\n');
   std::lock_guard<std::mutex> lock(mutex_);
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
+  if (!AppendJsonlLine(file_, std::move(line), /*durable=*/true)) {
     return UnavailableError("cannot write checkpoint header to \"" + path_ +
                             "\": " + std::strerror(errno));
   }
@@ -408,13 +274,11 @@ Status RunCheckpoint::CommitOutput(uint64_t task,
 
 Status RunCheckpoint::AppendTask(const CheckpointTaskRecord& record) {
   std::string line = FormatRecord(record);
-  line.push_back('\n');
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) {
     return InternalError("checkpoint is not open");
   }
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
+  if (!AppendJsonlLine(file_, std::move(line), /*durable=*/true)) {
     return UnavailableError("cannot append to checkpoint \"" + path_ +
                             "\": " + std::strerror(errno));
   }
@@ -491,118 +355,67 @@ std::string RunCheckpoint::FormatRecord(const CheckpointTaskRecord& record) {
   return out;
 }
 
-namespace {
-
-// Shared object-scanning loop for header and task lines. Returns false
-// on any malformed line; `type_out` receives the "type" value and the
-// field callback handles everything else.
-template <typename FieldFn>
-bool ParseCheckpointObject(std::string_view line, std::string* type_out,
-                           FieldFn&& field) {
-  JsonReader r(line);
-  if (!r.Consume('{')) return false;
-  bool first = true;
-  while (!r.Peek('}')) {
-    if (!first && !r.Consume(',')) return false;
-    first = false;
-    std::string key;
-    if (!r.ReadString(&key) || !r.Consume(':')) return false;
-    if (key == "type") {
-      if (!r.ReadString(type_out)) return false;
-      continue;
-    }
-    if (!field(key, r)) return false;
-  }
-  if (!r.Consume('}') || !r.AtEnd()) return false;
-  return true;
-}
-
-// Unknown-key tolerance, same contract as the journal: a newer writer
-// may add scalar fields without breaking this reader.
-bool SkipScalar(JsonReader& r) {
-  std::string sink_s;
-  uint64_t sink_u = 0;
-  return r.ReadString(&sink_s) || r.ReadU64(&sink_u);
-}
-
-}  // namespace
-
 bool RunCheckpoint::ParseHeader(std::string_view line, CheckpointHeader* out) {
+  JsonReader r(line);
   CheckpointHeader header;
   std::string type;
-  bool ok = ParseCheckpointObject(
-      line, &type, [&](const std::string& key, JsonReader& r) {
-        if (key == "run_id") return r.ReadString(&header.run_id);
-        if (key == "started_unix_ms") {
-          return r.ReadU64(&header.started_unix_ms);
-        }
-        if (key == "tasks") return r.ReadU64(&header.binding.tasks);
-        if (key == "workload") return r.ReadString(&header.binding.workload);
-        std::string hex;
-        if (key == "corpus_digest") {
-          return r.ReadString(&hex) &&
-                 ParseHex64(hex, &header.binding.corpus_digest);
-        }
-        if (key == "projector_hash") {
-          return r.ReadString(&hex) &&
-                 ParseHex64(hex, &header.binding.projector_hash);
-        }
-        if (key == "options_fingerprint") {
-          return r.ReadString(&hex) &&
-                 ParseHex64(hex, &header.binding.options_fingerprint);
-        }
-        return SkipScalar(r);
-      });
-  if (!ok || type != "header" || header.run_id.empty()) return false;
+  bool ok = r.ReadObject([&](const std::string& key) {
+    if (key == "type") return r.ReadString(&type);
+    if (key == "run_id") return r.ReadString(&header.run_id);
+    if (key == "started_unix_ms") return r.ReadU64(&header.started_unix_ms);
+    if (key == "tasks") return r.ReadU64(&header.binding.tasks);
+    if (key == "workload") return r.ReadString(&header.binding.workload);
+    if (key == "corpus_digest") {
+      return ReadHex64(r, &header.binding.corpus_digest);
+    }
+    if (key == "projector_hash") {
+      return ReadHex64(r, &header.binding.projector_hash);
+    }
+    if (key == "options_fingerprint") {
+      return ReadHex64(r, &header.binding.options_fingerprint);
+    }
+    return r.SkipScalar();
+  });
+  if (!ok || !r.AtEnd() || type != "header" || header.run_id.empty()) {
+    return false;
+  }
   *out = std::move(header);
   return true;
 }
 
 bool RunCheckpoint::ParseRecord(std::string_view line,
                                 CheckpointTaskRecord* out) {
+  JsonReader r(line);
   CheckpointTaskRecord record;
   std::string type;
   std::string outcome;
   bool saw_task = false;
-  bool ok = ParseCheckpointObject(
-      line, &type, [&](const std::string& key, JsonReader& r) {
-        if (key == "task") {
-          saw_task = true;
-          return r.ReadU64(&record.task);
-        }
-        if (key == "outcome") return r.ReadString(&outcome);
-        if (key == "path") return r.ReadString(&record.output_path);
-        if (key == "bytes") return r.ReadU64(&record.output_bytes);
-        if (key == "hash") {
-          std::string hex;
-          return r.ReadString(&hex) && ParseHex64(hex, &record.output_hash);
-        }
-        if (key == "degraded") {
-          uint64_t v = 0;
-          if (!r.ReadU64(&v)) return false;
-          record.degraded = v != 0;
-          return true;
-        }
-        if (key == "input_bytes") return r.ReadU64(&record.input_bytes);
-        if (key == "input_nodes") return r.ReadU64(&record.input_nodes);
-        if (key == "kept_nodes") return r.ReadU64(&record.kept_nodes);
-        if (key == "input_text_bytes") {
-          return r.ReadU64(&record.input_text_bytes);
-        }
-        if (key == "kept_text_bytes") {
-          return r.ReadU64(&record.kept_text_bytes);
-        }
-        if (key == "stage") return r.ReadString(&record.stage);
-        if (key == "code") return r.ReadString(&record.code);
-        if (key == "attempts") {
-          uint64_t v = 0;
-          if (!r.ReadU64(&v)) return false;
-          record.attempts = static_cast<int>(v);
-          return true;
-        }
-        return SkipScalar(r);
-      });
-  if (!ok || type != "task" || !saw_task) return false;
+  uint64_t degraded = 0;
+  uint64_t attempts = 1;
+  bool ok = r.ReadObject([&](const std::string& key) {
+    if (key == "type") return r.ReadString(&type);
+    if (key == "task") {
+      saw_task = true;
+      return r.ReadU64(&record.task);
+    }
+    if (key == "outcome") return r.ReadString(&outcome);
+    if (key == "path") return r.ReadString(&record.output_path);
+    if (key == "bytes") return r.ReadU64(&record.output_bytes);
+    if (key == "hash") return ReadHex64(r, &record.output_hash);
+    if (key == "degraded") return r.ReadU64(&degraded);
+    if (key == "input_bytes") return r.ReadU64(&record.input_bytes);
+    if (key == "input_nodes") return r.ReadU64(&record.input_nodes);
+    if (key == "kept_nodes") return r.ReadU64(&record.kept_nodes);
+    if (key == "input_text_bytes") return r.ReadU64(&record.input_text_bytes);
+    if (key == "kept_text_bytes") return r.ReadU64(&record.kept_text_bytes);
+    if (key == "stage") return r.ReadString(&record.stage);
+    if (key == "code") return r.ReadString(&record.code);
+    if (key == "attempts") return r.ReadU64(&attempts);
+    return r.SkipScalar();
+  });
+  if (!ok || !r.AtEnd() || type != "task" || !saw_task) return false;
+  record.degraded = degraded != 0;
+  record.attempts = static_cast<int>(attempts);
   if (outcome == "completed") {
     record.completed = true;
     if (record.output_path.empty()) return false;
@@ -621,47 +434,30 @@ bool RunCheckpoint::LoadCheckpoint(const std::string& dir,
                                    std::vector<CheckpointTaskRecord>* records,
                                    size_t* skipped_lines, std::string* error) {
   records->clear();
-  if (skipped_lines != nullptr) *skipped_lines = 0;
   std::string path = PathFor(dir);
-  std::FILE* f = std::fopen(path.c_str(), "re");
-  if (f == nullptr) {
+  bool have_header = false;
+  bool opened = ReadJsonlLines(
+      path,
+      [&](std::string_view line) {
+        // The header must be the first parseable line; anything before
+        // it means the file is not a checkpoint.
+        if (!have_header) {
+          have_header = ParseHeader(line, header);
+          return have_header;
+        }
+        CheckpointTaskRecord record;
+        if (!ParseRecord(line, &record)) return false;
+        records->push_back(std::move(record));
+        return true;
+      },
+      skipped_lines);
+  if (!opened) {
     if (error != nullptr) {
       *error = "cannot read checkpoint \"" + path +
                "\": " + std::strerror(errno);
     }
     return false;
   }
-  bool have_header = false;
-  std::string line;
-  char buf[4096];
-  auto flush_line = [&]() {
-    if (line.empty()) return;
-    if (!have_header) {
-      // The header must be the first parseable line; anything before it
-      // means the file is not a checkpoint.
-      have_header = ParseHeader(line, header);
-      if (!have_header && skipped_lines != nullptr) ++*skipped_lines;
-      line.clear();
-      return;
-    }
-    CheckpointTaskRecord record;
-    if (ParseRecord(line, &record)) {
-      records->push_back(std::move(record));
-    } else if (skipped_lines != nullptr) {
-      ++*skipped_lines;
-    }
-    line.clear();
-  };
-  while (std::fgets(buf, sizeof(buf), f) != nullptr) {
-    line.append(buf);
-    if (!line.empty() && line.back() == '\n') {
-      line.pop_back();
-      flush_line();
-    }
-  }
-  // A final line without '\n' is a torn append — try it anyway.
-  flush_line();
-  std::fclose(f);
   if (!have_header) {
     if (error != nullptr) {
       *error = "checkpoint \"" + path + "\" has no valid header line";

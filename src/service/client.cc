@@ -1,8 +1,9 @@
 #include "service/client.h"
 
-#include <cstdlib>
+#include <utility>
 
 #include "common/http/http.h"
+#include "obs/json.h"
 
 namespace xmlproj {
 namespace {
@@ -46,21 +47,12 @@ bool ExtractJsonStringField(std::string_view json, std::string_view key,
   std::string needle = "\"" + std::string(key) + "\":\"";
   size_t at = json.find(needle);
   if (at == std::string_view::npos) return false;
-  size_t start = at + needle.size();
+  // Re-read from the value's opening quote.
+  JsonReader reader(json.substr(at + needle.size() - 1));
   std::string value;
-  for (size_t i = start; i < json.size(); ++i) {
-    char c = json[i];
-    if (c == '\\' && i + 1 < json.size()) {
-      value.push_back(json[++i]);
-      continue;
-    }
-    if (c == '"') {
-      *out = std::move(value);
-      return true;
-    }
-    value.push_back(c);
-  }
-  return false;
+  if (!reader.ReadString(&value)) return false;
+  *out = std::move(value);
+  return true;
 }
 
 bool ExtractJsonU64Field(std::string_view json, std::string_view key,
@@ -68,17 +60,7 @@ bool ExtractJsonU64Field(std::string_view json, std::string_view key,
   std::string needle = "\"" + std::string(key) + "\":";
   size_t at = json.find(needle);
   if (at == std::string_view::npos) return false;
-  size_t start = at + needle.size();
-  if (start >= json.size() || json[start] < '0' || json[start] > '9') {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = start; i < json.size() && json[i] >= '0' && json[i] <= '9';
-       ++i) {
-    value = value * 10 + static_cast<uint64_t>(json[i] - '0');
-  }
-  *out = value;
-  return true;
+  return JsonReader(json.substr(at + needle.size())).ReadU64(out);
 }
 
 namespace {

@@ -96,8 +96,12 @@ class ProjectionClient {
   ProjectionClientOptions options_;
 };
 
-// Best-effort scalar field extraction from the service's flat JSON
-// responses (exposed for the client binary; not a JSON parser).
+// First-match field lookup in the service's JSON responses: the first
+// `"key":` in `json` (for a string, the first one followed by a quote),
+// nested objects included — `hits` inside the /workloads `cache` block.
+// The value is decoded with the shared reader (obs/json.h), so escapes
+// are undone and integers are exact uint64. False when the key is
+// absent or its value does not decode.
 bool ExtractJsonStringField(std::string_view json, std::string_view key,
                             std::string* out);
 bool ExtractJsonU64Field(std::string_view json, std::string_view key,

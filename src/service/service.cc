@@ -1,13 +1,13 @@
 #include "service/service.h"
 
 #include <atomic>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
 
 #include "dtd/dtd_parser.h"
+#include "obs/json.h"
 #include "obs/server.h"
 #include "projection/checkpoint.h"
 #include "projection/pipeline.h"
@@ -17,34 +17,6 @@
 
 namespace xmlproj {
 namespace {
-
-uint64_t UnixNowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-}
-
-void AppendJsonString(std::string_view s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-      continue;
-    }
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
 
 std::string HexId(uint64_t v) {
   char buf[20];

@@ -216,6 +216,91 @@ TEST(CheckpointFormatTest, ParseRejectsGarbage) {
                                           &header));
 }
 
+// Lines exactly as earlier builds wrote them: the writers must keep
+// producing these bytes, and the readers must keep loading them, so
+// --resume works on checkpoints written before an upgrade.
+constexpr char kGoldenHeader[] =
+    R"({"type":"header","run_id":"run-0123456789a-beef",)"
+    R"("started_unix_ms":1700000000000,"tasks":8,)"
+    R"("workload":"dash \"board\"\n","corpus_digest":"0123456789abcdef",)"
+    R"("projector_hash":"fedcba9876543210",)"
+    R"("options_fingerprint":"a09d945a1cd8d6e5"})";
+constexpr char kGoldenCompleted[] =
+    R"({"type":"task","task":7,"outcome":"completed",)"
+    R"("path":"out/task-7.xml","bytes":12345,"hash":"deadbeefcafef00d",)"
+    R"("degraded":1,"input_bytes":54321,"input_nodes":100,"kept_nodes":42,)"
+    R"("input_text_bytes":900,"kept_text_bytes":450})";
+constexpr char kGoldenQuarantined[] =
+    R"({"type":"task","task":3,"outcome":"quarantined","stage":"watchdog",)"
+    R"("code":"DEADLINE_EXCEEDED","attempts":2})";
+
+TEST(CheckpointFormatTest, HeaderMatchesGoldenLineAndParsesBack) {
+  CheckpointHeader in;
+  in.run_id = "run-0123456789a-beef";
+  in.started_unix_ms = 1700000000000ull;
+  in.binding.tasks = 8;
+  in.binding.workload = "dash \"board\"\n";
+  in.binding.corpus_digest = 0x0123456789abcdefull;
+  in.binding.projector_hash = 0xfedcba9876543210ull;
+  in.binding.options_fingerprint = 0xa09d945a1cd8d6e5ull;
+  EXPECT_EQ(RunCheckpoint::FormatHeader(in), kGoldenHeader);
+  CheckpointHeader out;
+  ASSERT_TRUE(RunCheckpoint::ParseHeader(kGoldenHeader, &out));
+  EXPECT_EQ(out.run_id, in.run_id);
+  EXPECT_EQ(out.started_unix_ms, in.started_unix_ms);
+  EXPECT_EQ(out.binding.tasks, in.binding.tasks);
+  EXPECT_EQ(out.binding.workload, in.binding.workload);
+  EXPECT_EQ(out.binding.corpus_digest, in.binding.corpus_digest);
+  EXPECT_EQ(out.binding.projector_hash, in.binding.projector_hash);
+  EXPECT_EQ(out.binding.options_fingerprint, in.binding.options_fingerprint);
+}
+
+TEST(CheckpointFormatTest, CompletedRecordMatchesGoldenLineAndParsesBack) {
+  CheckpointTaskRecord in;
+  in.task = 7;
+  in.completed = true;
+  in.degraded = true;
+  in.output_path = "out/task-7.xml";
+  in.output_bytes = 12345;
+  in.output_hash = 0xdeadbeefcafef00dull;
+  in.input_bytes = 54321;
+  in.input_nodes = 100;
+  in.kept_nodes = 42;
+  in.input_text_bytes = 900;
+  in.kept_text_bytes = 450;
+  EXPECT_EQ(RunCheckpoint::FormatRecord(in), kGoldenCompleted);
+  CheckpointTaskRecord out;
+  ASSERT_TRUE(RunCheckpoint::ParseRecord(kGoldenCompleted, &out));
+  EXPECT_EQ(out.task, in.task);
+  EXPECT_TRUE(out.completed);
+  EXPECT_TRUE(out.degraded);
+  EXPECT_EQ(out.output_path, in.output_path);
+  EXPECT_EQ(out.output_bytes, in.output_bytes);
+  EXPECT_EQ(out.output_hash, in.output_hash);
+  EXPECT_EQ(out.input_bytes, in.input_bytes);
+  EXPECT_EQ(out.input_nodes, in.input_nodes);
+  EXPECT_EQ(out.kept_nodes, in.kept_nodes);
+  EXPECT_EQ(out.input_text_bytes, in.input_text_bytes);
+  EXPECT_EQ(out.kept_text_bytes, in.kept_text_bytes);
+}
+
+TEST(CheckpointFormatTest, QuarantinedRecordMatchesGoldenLineAndParsesBack) {
+  CheckpointTaskRecord in;
+  in.task = 3;
+  in.completed = false;
+  in.stage = "watchdog";
+  in.code = "DEADLINE_EXCEEDED";
+  in.attempts = 2;
+  EXPECT_EQ(RunCheckpoint::FormatRecord(in), kGoldenQuarantined);
+  CheckpointTaskRecord out;
+  ASSERT_TRUE(RunCheckpoint::ParseRecord(kGoldenQuarantined, &out));
+  EXPECT_EQ(out.task, in.task);
+  EXPECT_FALSE(out.completed);
+  EXPECT_EQ(out.stage, in.stage);
+  EXPECT_EQ(out.code, in.code);
+  EXPECT_EQ(out.attempts, in.attempts);
+}
+
 TEST(StatusCodeFromNameTest, InvertsStatusCodeName) {
   for (StatusCode code :
        {StatusCode::kParseError, StatusCode::kInvalid, StatusCode::kCancelled,

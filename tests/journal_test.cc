@@ -4,8 +4,10 @@
 // fatal), missing-file semantics, and SuggestBudgets' p99 × headroom
 // auto-tuning with corpus filtering.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,25 @@ RunRecord SampleRecord() {
   return r;
 }
 
+void ExpectSameRecord(const RunRecord& out, const RunRecord& in) {
+  EXPECT_EQ(out.run_id, in.run_id);
+  EXPECT_EQ(out.corpus, in.corpus);
+  EXPECT_EQ(out.start_unix_ms, in.start_unix_ms);
+  EXPECT_EQ(out.end_unix_ms, in.end_unix_ms);
+  EXPECT_DOUBLE_EQ(out.wall_seconds, in.wall_seconds);
+  EXPECT_EQ(out.tasks, in.tasks);
+  EXPECT_EQ(out.failed, in.failed);
+  EXPECT_EQ(out.degraded, in.degraded);
+  EXPECT_EQ(out.retries, in.retries);
+  EXPECT_EQ(out.input_bytes, in.input_bytes);
+  EXPECT_EQ(out.output_bytes, in.output_bytes);
+  EXPECT_EQ(out.peak_memory_bytes, in.peak_memory_bytes);
+  EXPECT_EQ(out.budget_trips, in.budget_trips);
+  EXPECT_EQ(out.resume_skipped, in.resume_skipped);
+  EXPECT_EQ(out.resume_rerun, in.resume_rerun);
+  EXPECT_EQ(out.quarantine, in.quarantine);
+}
+
 TEST(RunRecordTest, FormatParseRoundTrip) {
   RunRecord in = SampleRecord();
   RunRecord out;
@@ -73,6 +94,8 @@ TEST(RunRecordTest, FormatParseRoundTrip) {
 TEST(RunRecordTest, CorpusWithJsonSpecialsRoundTrips) {
   RunRecord in = SampleRecord();
   in.corpus = "with \"quotes\" and \\slashes\\ and\nnewline";
+  for (int c = 0; c < 0x20; ++c) in.corpus.push_back(static_cast<char>(c));
+  in.corpus += "\x7f \xe2\x82\xac";  // DEL and a 3-byte UTF-8 character
   RunRecord out;
   ASSERT_TRUE(RunJournal::ParseRecord(RunJournal::FormatRecord(in), &out));
   EXPECT_EQ(out.corpus, in.corpus);
@@ -84,6 +107,41 @@ TEST(RunRecordTest, ParseRejectsGarbage) {
   EXPECT_FALSE(RunJournal::ParseRecord("not json at all", &out));
   EXPECT_FALSE(RunJournal::ParseRecord("{\"tasks\":5}", &out));  // no run_id
   EXPECT_FALSE(RunJournal::ParseRecord("{\"run_id\":\"x\",\"tasks\":", &out));
+  // Integers are exact uint64: no fractions, no overflow.
+  EXPECT_FALSE(
+      RunJournal::ParseRecord("{\"run_id\":\"x\",\"tasks\":1.5}", &out));
+  EXPECT_FALSE(RunJournal::ParseRecord(
+      "{\"run_id\":\"x\",\"tasks\":18446744073709551616}", &out));
+}
+
+TEST(RunRecordTest, IntegersRoundTripExactly) {
+  RunRecord in = SampleRecord();
+  in.input_bytes = std::numeric_limits<uint64_t>::max();
+  in.peak_memory_bytes = (uint64_t{1} << 53) + 1;  // not a double
+  RunRecord out;
+  ASSERT_TRUE(RunJournal::ParseRecord(RunJournal::FormatRecord(in), &out));
+  EXPECT_EQ(out.input_bytes, in.input_bytes);
+  EXPECT_EQ(out.peak_memory_bytes, in.peak_memory_bytes);
+}
+
+// One record exactly as earlier builds wrote it: the writer must keep
+// producing these bytes, and the reader must keep loading them, so
+// --auto-budget and breaker seeding survive an upgrade.
+constexpr char kGoldenRecord[] =
+    R"({"run_id":"run-0123456789a-beef","corpus":"xmark \"1%\"\t\\\u0001",)"
+    R"("start_unix_ms":1700000000000,"end_unix_ms":1700000000500,)"
+    R"("wall_seconds":0.500000,"tasks":64,"failed":2,"degraded":1,)"
+    R"("retries":3,"input_bytes":1048576,"output_bytes":524288,)"
+    R"("peak_memory_bytes":123456,"budget_trips":1,"resume_skipped":40,)"
+    R"("resume_rerun":24,"quarantine":{"budget":1,"parse":1}})";
+
+TEST(RunRecordTest, FormatMatchesGoldenLineAndParsesBack) {
+  RunRecord in = SampleRecord();
+  in.corpus = "xmark \"1%\"\t\\\x01";
+  EXPECT_EQ(RunJournal::FormatRecord(in), kGoldenRecord);
+  RunRecord out;
+  ASSERT_TRUE(RunJournal::ParseRecord(kGoldenRecord, &out));
+  ExpectSameRecord(out, in);
 }
 
 TEST(RunRecordTest, ParseToleratesUnknownScalarKeys) {
@@ -252,6 +310,15 @@ TEST(SuggestBudgetsTest, CorpusFilterKeepsBudgetsCorpusShaped) {
   EXPECT_EQ(huge.suggested_max_bytes, 1000000u);
   BudgetSuggestion none = SuggestBudgets(records, "unseen", 1.0);
   EXPECT_EQ(none.runs, 0u);
+}
+
+TEST(SuggestBudgetsTest, HugePeaksSaturateInsteadOfMeaningNoCap) {
+  // p99 × headroom past 2^64 must not wrap to 0, which means "no cap".
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  std::vector<RunRecord> records = {PeakRecord(15000000000000000000ull)};
+  EXPECT_EQ(SuggestBudgets(records, {}, 1.5).suggested_max_bytes, kMax);
+  records = {PeakRecord(kMax)};
+  EXPECT_EQ(SuggestBudgets(records, {}, 1.0).suggested_max_bytes, kMax);
 }
 
 TEST(SuggestBudgetsTest, HeadroomClampsToAtLeastOne) {

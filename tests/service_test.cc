@@ -286,6 +286,25 @@ TEST_F(ServiceTest, ErrorPathsMapOntoHttpStatuses) {
   EXPECT_EQ(infos[0].prunes, 0u);
 }
 
+TEST_F(ServiceTest, ErrorMessageControlBytesSurviveTheClient) {
+  StartService();
+  ProjectionClient client = Client();
+  // `a%0Ab` decodes to "a\nb" on the server; the error body escapes the
+  // newline and the client must decode it back, not drop the backslash.
+  auto missing = client.Prune("a%0Ab", "<site/>");
+  ASSERT_EQ(missing.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(missing.status().message().find("unknown workload 'a\nb'"),
+            std::string::npos)
+      << missing.status().message();
+}
+
+TEST(ExtractJsonFieldTest, DecodesStringEscapes) {
+  std::string value;
+  ASSERT_TRUE(
+      ExtractJsonStringField(R"({"error":"a\u000ab\tc"})", "error", &value));
+  EXPECT_EQ(value, "a\nb\tc");
+}
+
 TEST_F(ServiceTest, ListWorkloadsReportsStatsAndCache) {
   StartService();
   ProjectionClient client = Client();
