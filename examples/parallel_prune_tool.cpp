@@ -633,9 +633,6 @@ int main(int argc, char** argv) {
                 history.size(), RunJournal::PathFor(journal_dir).c_str());
     if (skipped > 0) std::printf(" (%zu corrupt line(s) skipped)", skipped);
     std::printf("\n");
-    // Per-task memory is what the journal tunes budgets from, so meter it
-    // even when this run carries no explicit cap.
-    options.meter_memory = true;
   }
   if (auto_budget) {
     BudgetSuggestion suggestion = SuggestBudgets(history, corpus_label);

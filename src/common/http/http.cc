@@ -146,19 +146,6 @@ int ParseRequestHead(std::string_view head, HttpRequest* request) {
   return 0;
 }
 
-// Parses a decimal Content-Length; false on garbage.
-bool ParseContentLength(std::string_view value, size_t* out) {
-  if (value.empty()) return false;
-  size_t parsed = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') return false;
-    if (parsed > (SIZE_MAX - 9) / 10) return false;
-    parsed = parsed * 10 + static_cast<size_t>(c - '0');
-  }
-  *out = parsed;
-  return true;
-}
-
 std::string SerializeResponse(const HttpResponse& response) {
   std::string out("HTTP/1.1 ");
   out.append(std::to_string(response.status));
@@ -270,6 +257,19 @@ void EchoTraceHeaders(const HttpRequest& request, HttpResponse* response) {
 }
 
 }  // namespace
+
+bool ParseDecimalU64(std::string_view value, uint64_t* out) {
+  if (value.empty()) return false;
+  uint64_t parsed = 0;
+  for (char c : value) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (parsed > (UINT64_MAX - digit) / 10) return false;
+    parsed = parsed * 10 + digit;
+  }
+  *out = parsed;
+  return true;
+}
 
 bool ParseTraceparent(std::string_view header, TraceContext* out) {
   // Exactly "00-<32 hex>-<16 hex>-<2 hex>": 55 bytes. Anything else —
@@ -572,10 +572,10 @@ void HttpServer::HandleConnection(int fd) {
     respond(TextResponse(501, "transfer-encoding is not supported\n"));
     return;
   }
-  size_t content_length = 0;
+  uint64_t content_length = 0;
   std::string_view length_header = request.Header("content-length");
   if (!length_header.empty() &&
-      !ParseContentLength(length_header, &content_length)) {
+      !ParseDecimalU64(length_header, &content_length)) {
     respond(TextResponse(400, "malformed content-length\n"));
     return;
   }

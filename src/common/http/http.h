@@ -77,6 +77,12 @@ std::string MintTraceId();  // 32 lowercase hex, never all-zero
 std::string MintSpanId();   // 16 lowercase hex, never all-zero
 TraceContext MintTraceContext();
 
+// Strict decimal parse for protocol integers (Content-Length, the
+// service's numeric query params): one or more ASCII digits and nothing
+// else — no sign, no whitespace — with no overflow past UINT64_MAX.
+// Returns false, leaving `*out` untouched, on anything else.
+bool ParseDecimalU64(std::string_view value, uint64_t* out);
+
 // One parsed request. Header names are lowercased at parse time; values
 // keep their bytes (leading/trailing whitespace stripped).
 struct HttpRequest {

@@ -35,7 +35,6 @@ void ThreadPool::SampleQueueDepth() {
 std::future<Status> ThreadPool::Submit(std::function<Status()> task) {
   Task entry;
   entry.fn = std::move(task);
-  if (instrumented_) entry.submit_ns = MonotonicNowNs();
   std::future<Status> done = entry.done.get_future();
   if (!queue_.Push(std::move(entry))) {
     // Pool already shut down: Push left `entry` untouched, so its promise
@@ -98,16 +97,11 @@ void ThreadPool::WorkerLoop() {
     }
     SampleQueueDepth();
     uint64_t start_ns = MonotonicNowNs();
-    if (metrics_.queue_wait_ns != nullptr && start_ns > task->submit_ns) {
-      metrics_.queue_wait_ns->Record(start_ns - task->submit_ns);
-    }
     if (metrics_.active_workers != nullptr) metrics_.active_workers->Add(1);
     task->done.set_value(task->fn());
     if (metrics_.active_workers != nullptr) metrics_.active_workers->Sub(1);
-    uint64_t run_ns = MonotonicNowNs() - start_ns;
-    if (metrics_.run_ns != nullptr) metrics_.run_ns->Record(run_ns);
     if (metrics_.busy_ns_total != nullptr) {
-      metrics_.busy_ns_total->Increment(run_ns);
+      metrics_.busy_ns_total->Increment(MonotonicNowNs() - start_ns);
     }
     if (metrics_.tasks_total != nullptr) metrics_.tasks_total->Increment();
   }

@@ -99,12 +99,13 @@ class BoundedQueue {
 // a default-constructed struct (no sinks) keeps the pool on its original
 // uninstrumented path — no clock reads, no extra queue locking. Callers
 // resolve the metrics from a MetricsRegistry once and pass the handles in.
+//
+// Per-task latency is not measured here: the pool's caller times each
+// task once (the pipeline's xmlproj_stage_{queue_wait,task}_ns).
 struct ThreadPoolMetrics {
   Counter* tasks_total = nullptr;     // tasks executed
   Counter* busy_ns_total = nullptr;   // summed task run time (worker
                                       // utilization = busy / (wall×threads))
-  Histogram* queue_wait_ns = nullptr;  // submit → dequeue latency
-  Histogram* run_ns = nullptr;         // task execution latency
   Gauge* queue_depth = nullptr;        // sampled after each push/pop
   Gauge* queue_depth_peak = nullptr;   // high-water mark of the above
   Gauge* active_workers = nullptr;     // workers currently running a task
@@ -115,7 +116,6 @@ struct ThreadPoolMetrics {
 
   bool enabled() const {
     return tasks_total != nullptr || busy_ns_total != nullptr ||
-           queue_wait_ns != nullptr || run_ns != nullptr ||
            queue_depth != nullptr || queue_depth_peak != nullptr ||
            active_workers != nullptr || trace != nullptr;
   }
@@ -174,7 +174,6 @@ class ThreadPool {
   struct Task {
     std::function<Status()> fn;
     std::promise<Status> done;
-    uint64_t submit_ns = 0;  // only stamped when metrics are enabled
   };
 
   void WorkerLoop();

@@ -52,9 +52,13 @@ struct RunRecord {
   uint64_t input_bytes = 0;
   uint64_t output_bytes = 0;
 
-  // Resource accounting for budget auto-tuning: the largest per-task
-  // metered peak (xmlproj_memory_peak_bytes) and how many tasks tripped
-  // a budget (kResourceExhausted + kDeadlineExceeded).
+  // Resource accounting for budget auto-tuning: the largest task memory
+  // peak (xmlproj_memory_peak_bytes) and how many tasks tripped a budget
+  // (kResourceExhausted + kDeadlineExceeded). The peak is the bytes the
+  // fused pass materializes — output plus the open-element charge — not
+  // the input document, nor a service request's body and response copy:
+  // SuggestBudgets() turns it into a cap on that same quantity
+  // (TaskBudget::max_bytes).
   uint64_t peak_memory_bytes = 0;
   uint64_t budget_trips = 0;
 

@@ -13,7 +13,6 @@
 
 #include "common/circuit.h"
 #include "projection/checkpoint.h"
-#include "common/memory_meter.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "xml/parser.h"
@@ -65,7 +64,7 @@ struct PipelineMetrics {
   Gauge* progress_completed = nullptr;
   Gauge* progress_failed = nullptr;
   Gauge* progress_inflight = nullptr;
-  // Peak of the per-task metered memory (budgeted or meter_memory runs);
+  // Largest task memory peak (output + open-element charge, every task);
   // SetMax fold, so the gauge survives MergeFrom across shards.
   Gauge* memory_peak_bytes = nullptr;
   // Checkpoint/resume and watchdog counters (README "Checkpoint &
@@ -142,8 +141,9 @@ struct PipelineMetrics {
     registry->SetHelp("xmlproj_stage_task_ns",
                       "Whole fused-pass latency per task, nanoseconds");
     registry->SetHelp("xmlproj_memory_peak_bytes",
-                      "Largest per-task metered memory peak (budgeted or "
-                      "meter_memory runs)");
+                      "Largest per-task memory peak: bytes the fused pass "
+                      "materializes (output + open-element charge), "
+                      "excluding the input document");
     registry->SetHelp("xmlproj_checkpoint_appends",
                       "Durable (fsync'd) checkpoint records appended");
     registry->SetHelp("xmlproj_checkpoint_tasks_skipped",
@@ -164,8 +164,6 @@ ThreadPoolMetrics ResolvePoolMetrics(MetricsRegistry* registry,
   if (registry != nullptr) {
     m.tasks_total = registry->GetCounter("xmlproj_pool_tasks_total");
     m.busy_ns_total = registry->GetCounter("xmlproj_pool_busy_ns_total");
-    m.queue_wait_ns = registry->GetHistogram("xmlproj_pool_task_wait_ns");
-    m.run_ns = registry->GetHistogram("xmlproj_pool_task_run_ns");
     m.queue_depth = registry->GetGauge("xmlproj_pool_queue_depth");
     m.queue_depth_peak = registry->GetGauge("xmlproj_pool_queue_depth_peak");
     m.active_workers = registry->GetGauge("xmlproj_pool_active_workers");
@@ -174,20 +172,28 @@ ThreadPoolMetrics ResolvePoolMetrics(MetricsRegistry* registry,
   return m;
 }
 
-// Per-open-element bookkeeping charge for the budget meter: the pruner /
-// validator / parser stacks each keep O(1) state per open element.
-constexpr size_t kStackFrameBytes = 64;
+// Monotonic deadline `ms` milliseconds after `now_ns`, saturating: a
+// deadline too large to represent means "none", never "already past".
+uint64_t SaturatingDeadlineNs(uint64_t now_ns, uint64_t ms) {
+  constexpr uint64_t kNsPerMs = 1000000;
+  if (ms > (UINT64_MAX - now_ns) / kNsPerMs) return UINT64_MAX;
+  return now_ns + ms * kNsPerMs;
+}
 
-// SAX filter enforcing a TaskBudget over the fused pass. Placed outermost
-// (right below the parser) so it sees every event, pruned or kept:
+// SAX filter enforcing an active TaskBudget over the fused pass. Placed
+// outermost (right below the parser) so it sees every event, pruned or
+// kept:
 //
 //  - wall-clock deadline: one steady-clock read before each event (only
 //    when a deadline is configured), converting a stalled pass into
 //    kDeadlineExceeded at event granularity;
-//  - byte cap: after each event, the growth of the serialized output plus
-//    the open-element stack charge is fed to a MemoryMeter; crossing the
-//    cap aborts with kResourceExhausted within one event of the cap (the
+//  - byte cap: after each event, the sink's produced bytes plus the
+//    guard's own open-element charge are compared with the cap; crossing
+//    it aborts with kResourceExhausted within one event of the cap (the
 //    overshoot is bounded by a single event's output).
+//
+// The guard only enforces. The task's memory peak is read after the pass
+// from the sink and the parser (RunAttempt), budget or not.
 class BudgetGuard : public SaxHandler {
  public:
   // `cancel` (nullable) is the watchdog's kill switch: once it flips, the
@@ -201,12 +207,9 @@ class BudgetGuard : public SaxHandler {
         max_bytes_(budget.max_bytes),
         deadline_ms_(budget.deadline_ms) {
     if (budget.deadline_ms > 0) {
-      deadline_ns_ =
-          MonotonicNowNs() + budget.deadline_ms * uint64_t{1000000};
+      deadline_ns_ = SaturatingDeadlineNs(MonotonicNowNs(), budget.deadline_ms);
     }
   }
-
-  size_t peak_bytes() const { return meter_.peak(); }
 
   void SetLocator(const SaxLocator* locator) override {
     downstream_->SetLocator(locator);
@@ -215,34 +218,36 @@ class BudgetGuard : public SaxHandler {
   Status StartDocument() override {
     XMLPROJ_RETURN_IF_ERROR(CheckDeadline());
     XMLPROJ_RETURN_IF_ERROR(downstream_->StartDocument());
-    return Account(0, 0);
+    return CheckBytes();
   }
   Status EndDocument() override {
     XMLPROJ_RETURN_IF_ERROR(CheckDeadline());
     XMLPROJ_RETURN_IF_ERROR(downstream_->EndDocument());
-    return Account(0, 0);
+    return CheckBytes();
   }
   Status StartElement(std::string_view tag,
                       const std::vector<SaxAttribute>& attributes) override {
     XMLPROJ_RETURN_IF_ERROR(CheckDeadline());
     XMLPROJ_RETURN_IF_ERROR(downstream_->StartElement(tag, attributes));
-    return Account(tag.size() + kStackFrameBytes, 0);
+    open_bytes_ += tag.size() + kOpenElementBytes;
+    return CheckBytes();
   }
   Status EndElement(std::string_view tag) override {
     XMLPROJ_RETURN_IF_ERROR(CheckDeadline());
     XMLPROJ_RETURN_IF_ERROR(downstream_->EndElement(tag));
-    return Account(0, tag.size() + kStackFrameBytes);
+    open_bytes_ -= tag.size() + kOpenElementBytes;
+    return CheckBytes();
   }
   Status Characters(std::string_view text) override {
     XMLPROJ_RETURN_IF_ERROR(CheckDeadline());
     XMLPROJ_RETURN_IF_ERROR(downstream_->Characters(text));
-    return Account(0, 0);
+    return CheckBytes();
   }
   Status Doctype(std::string_view name,
                  std::string_view internal_subset) override {
     XMLPROJ_RETURN_IF_ERROR(CheckDeadline());
     XMLPROJ_RETURN_IF_ERROR(downstream_->Doctype(name, internal_subset));
-    return Account(0, 0);
+    return CheckBytes();
   }
 
  private:
@@ -260,20 +265,15 @@ class BudgetGuard : public SaxHandler {
     return Status::Ok();
   }
 
-  Status Account(size_t add_bytes, size_t sub_bytes) {
-    if (add_bytes > 0) meter_.Add(add_bytes);
-    if (sub_bytes > 0) meter_.Sub(sub_bytes);
+  Status CheckBytes() const {
+    if (max_bytes_ == 0) return Status::Ok();
     // produced_bytes() includes the sink's deferred splice span, so a
     // long kept run cannot hide output growth from the cap until flush.
-    size_t produced = sink_->produced_bytes();
-    if (produced > accounted_output_) {
-      meter_.Add(produced - accounted_output_);
-      accounted_output_ = produced;
-    }
-    if (max_bytes_ != 0 && meter_.current() > max_bytes_) {
+    const size_t metered = sink_->produced_bytes() + open_bytes_;
+    if (metered > max_bytes_) {
       return ResourceExhaustedError(StringPrintf(
           "task memory budget exhausted: %zu bytes metered, cap %zu",
-          meter_.current(), max_bytes_));
+          metered, max_bytes_));
     }
     return Status::Ok();
   }
@@ -284,8 +284,7 @@ class BudgetGuard : public SaxHandler {
   const size_t max_bytes_;
   const uint64_t deadline_ms_;
   uint64_t deadline_ns_ = 0;
-  size_t accounted_output_ = 0;
-  MemoryMeter meter_;
+  size_t open_bytes_ = 0;
 };
 
 // Stat-counting passthrough for the degraded identity pass: every node is
@@ -362,7 +361,10 @@ class TaskWatchdog {
   // `cancel` must stay alive until the matching Unwatch.
   void Watch(size_t task, std::atomic<bool>* cancel) {
     std::lock_guard<std::mutex> lock(mutex_);
-    slots_[task] = Slot{MonotonicNowNs() + limit_ns_, cancel, false};
+    const uint64_t now = MonotonicNowNs();
+    const uint64_t deadline =
+        limit_ns_ > UINT64_MAX - now ? UINT64_MAX : now + limit_ns_;
+    slots_[task] = Slot{deadline, cancel, false};
   }
 
   // Ends the watch; true when the watchdog fired for this task.
@@ -445,10 +447,9 @@ struct TaskEnv {
   TaskBudget budget;
   bool degrade = false;
   FaultInjector* fault = nullptr;
-  // Admission-control breaker (only set when policy != kFailFast) and
-  // the meter-without-cap flag; see PipelineOptions.
+  // Admission-control breaker (only set when policy != kFailFast); see
+  // PipelineOptions.
   CircuitBreaker* breaker = nullptr;
-  bool meter = false;
   PipelineMetrics metrics;
   TraceCollector* trace = nullptr;
   bool instrumented = false;
@@ -475,8 +476,6 @@ struct TaskOutcome {
   const char* stage_override = nullptr;
 };
 
-const char* StageForStatus(StatusCode code, bool validate);
-
 // Quarantine stage attribution for one task outcome. `code` is the
 // authoritative final status code (the pool future's, which can differ
 // from the outcome's when the worker never ran the task body).
@@ -489,14 +488,18 @@ const char* FailureStage(const TaskOutcome& outcome, StatusCode code,
 }
 
 // One attempt of the fused per-document pass: SAX events from the parser
-// flow through the (optional) budget guard and the pruner straight into
-// the serializer — no DOM, O(depth) state, exactly the paper's one-pass
-// deployment. `identity` replaces the pruner with a counting passthrough
-// (the degraded no-prune fallback). The chain is the same whether or not
-// telemetry is attached: ExecuteTask times the task from outside.
+// flow through the budget guard (only when a budget is active) and the
+// pruner straight into the serializer — no DOM, O(depth) state, exactly
+// the paper's one-pass deployment. `identity` replaces the pruner with a
+// counting passthrough (the degraded no-prune fallback). The chain is the
+// same whether or not telemetry is attached: ExecuteTask times the task
+// from outside. `*peak_bytes` receives the pass's memory peak, failed or
+// not: the sink's produced bytes plus the parser's open-element
+// high-water mark.
 Status RunAttempt(const TaskEnv& env, const PipelineTask& task, bool identity,
                   const std::atomic<bool>* cancel, PipelineResult* out,
                   size_t* peak_bytes) {
+  *peak_bytes = 0;
   XMLPROJ_RETURN_IF_ERROR(XMLPROJ_FAULT_HIT(env.fault, "pipeline.task"));
 
   out->output.clear();
@@ -513,16 +516,17 @@ Status RunAttempt(const TaskEnv& env, const PipelineTask& task, bool identity,
   auto run_pass = [&](SaxHandler* pass_root) -> Status {
     SaxHandler* top = pass_root;
     std::optional<BudgetGuard> guard;
-    // The guard is also the memory meter: meter_memory runs it with zero
-    // caps (BudgetGuard skips the cap and deadline checks then) purely
-    // for the peak_bytes reading that budget auto-tuning feeds on.
-    if (env.budget.active() || env.meter) {
+    if (env.budget.active()) {
       guard.emplace(pass_root, &sink, env.budget, cancel);
       top = &*guard;
     }
-    Status status = ParseXmlStream(*task.xml_text, top, parse_options);
+    size_t open_bytes_peak = 0;
+    Status status =
+        ParseXmlStream(*task.xml_text, top, parse_options, &open_bytes_peak);
     sink.Finish();
-    if (guard.has_value()) *peak_bytes = guard->peak_bytes();
+    // Output only grows, so the pass's peak is its final output plus the
+    // deepest open-element charge.
+    *peak_bytes = sink.produced_bytes() + open_bytes_peak;
     return status;
   };
 
@@ -580,9 +584,13 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
                                ? std::max(1, env.retry.max_attempts)
                                : 1;
   double backoff_ms = static_cast<double>(env.retry.backoff_ms);
+  // The task's peak is the largest over all of its passes: every retry
+  // and the degraded fallback.
+  size_t pass_peak = 0;
   for (int attempt = 1;; ++attempt) {
-    outcome.status = RunAttempt(env, task, /*identity=*/false, cancel, out,
-                                &outcome.peak_bytes);
+    outcome.status =
+        RunAttempt(env, task, /*identity=*/false, cancel, out, &pass_peak);
+    outcome.peak_bytes = std::max(outcome.peak_bytes, pass_peak);
     outcome.attempts = attempt;
     // Only kUnavailable is transient: a parse error or budget blowout
     // will fail identically on every attempt.
@@ -605,9 +613,9 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     // inapplicable — but the document itself may be fine. Identity pass:
     // the query still answers, just without the memory savings.
     PipelineResult fallback;
-    size_t fallback_peak = 0;
     Status fallback_status = RunAttempt(env, task, /*identity=*/true, cancel,
-                                        &fallback, &fallback_peak);
+                                        &fallback, &pass_peak);
+    outcome.peak_bytes = std::max(outcome.peak_bytes, pass_peak);
     if (fallback_status.ok()) {
       *out = std::move(fallback);
       out->degraded = true;
@@ -769,6 +777,18 @@ Status AnnotateTaskError(size_t index, const Status& status) {
                                    ": " + status.message());
 }
 
+Status CheckTasks(std::span<const PipelineTask> tasks) {
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    if (tasks[i].xml_text == nullptr || tasks[i].projector == nullptr) {
+      return InvalidError("pipeline task " + std::to_string(i) +
+                          " has a null document or projector");
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 const char* StageForStatus(StatusCode code, bool validate) {
   switch (code) {
     case StatusCode::kParseError:
@@ -789,18 +809,6 @@ const char* StageForStatus(StatusCode code, bool validate) {
       return "task";
   }
 }
-
-Status CheckTasks(std::span<const PipelineTask> tasks) {
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    if (tasks[i].xml_text == nullptr || tasks[i].projector == nullptr) {
-      return InvalidError("pipeline task " + std::to_string(i) +
-                          " has a null document or projector");
-    }
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 void PipelineSummary::AddTask(size_t task_input_bytes,
                               const PipelineResult& result) {
@@ -835,7 +843,6 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
   // policy already stops at the first failure.
   env.breaker =
       options.policy != ErrorPolicy::kFailFast ? options.breaker : nullptr;
-  env.meter = options.meter_memory;
   env.registry = options.metrics;
   env.metrics = PipelineMetrics::Resolve(options.metrics);
   env.trace = options.trace;
@@ -863,9 +870,14 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
   // execution scopes so it outlives every Watch/Unwatch.
   std::optional<TaskWatchdog> watchdog;
   if (options.watchdog_factor > 0 && options.budget.deadline_ms > 0) {
-    uint64_t limit_ns = static_cast<uint64_t>(
-        static_cast<double>(options.budget.deadline_ms) * 1e6 *
-        options.watchdog_factor);
+    // Saturating: a grace limit past UINT64_MAX ns means "never fire"
+    // (the double-to-integer cast would otherwise be undefined).
+    const double limit = static_cast<double>(options.budget.deadline_ms) *
+                         1e6 * options.watchdog_factor;
+    const uint64_t limit_ns =
+        limit >= static_cast<double>(UINT64_MAX)
+            ? UINT64_MAX
+            : static_cast<uint64_t>(limit);
     watchdog.emplace(limit_ns, env.checkpoint, env.metrics.watchdog_total,
                      options.logger);
     env.watchdog = &*watchdog;

@@ -27,12 +27,21 @@
 //     tasks that still fail — or fail non-transiently — are quarantined
 //     as under kIsolate, with the attempt count in the report.
 //
+// Memory peak: every task reports one number, the bytes its fused pass
+// materializes — the serialized output plus the open-element charge
+// (tag bytes + kOpenElementBytes per open element, xml/parser.h). It
+// does not include the input document, nor the service's request body
+// and response copy. Output only grows, so a pass's peak is read after
+// the pass: the sink's produced bytes plus the parser's open-element
+// high-water mark. A task's peak is the largest over all of its passes
+// (retries and the degraded fallback), budgeted or not, failed or not.
+//
 // Resource budgets (PipelineOptions::budget) bound each task: a byte cap
-// on the memory the pass materializes (output buffer + open-element
-// stack, metered via MemoryMeter) and a wall-clock deadline, both checked
-// at SAX-event granularity inside the fused pass, so an oversized or
-// wedged document surfaces as a clean kResourceExhausted /
-// kDeadlineExceeded Status instead of an OOM kill or a hang.
+// on that same quantity and a wall-clock deadline, both checked at
+// SAX-event granularity by a guard filter inside the fused pass, so an
+// oversized or wedged document surfaces as a clean kResourceExhausted /
+// kDeadlineExceeded Status instead of an OOM kill or a hang. The guard
+// is in the chain only when a budget is active.
 //
 // Graceful degradation (PipelineOptions::degrade_on_invalid): when
 // pruning fails because the document does not fit the DTD (validation
@@ -95,13 +104,14 @@ struct RetryOptions {
 // budget machinery stays entirely out of the pass (no extra SAX filter,
 // no clock reads).
 struct TaskBudget {
-  // Cap on the bytes the fused pass materializes: serialized output plus
-  // the open-element stack (per-frame overhead + tag bytes), metered via
-  // MemoryMeter at SAX-event granularity. Exceeding it aborts the task
-  // with kResourceExhausted within one SAX event of the cap.
+  // Cap on the task's memory peak (see file comment: serialized output
+  // plus the open-element charge), checked after every SAX event.
+  // Exceeding it aborts the task with kResourceExhausted within one SAX
+  // event of the cap.
   size_t max_bytes = 0;
   // Per-task (per-attempt) wall-clock deadline, checked before every SAX
-  // event; a stalled pass aborts with kDeadlineExceeded.
+  // event; a stalled pass aborts with kDeadlineExceeded. A deadline too
+  // large to represent in nanoseconds means no deadline.
   uint64_t deadline_ms = 0;
 
   bool active() const { return max_bytes != 0 || deadline_ms != 0; }
@@ -117,7 +127,9 @@ struct TaskFailure {
   std::string stage;
   Status status;
   int attempts = 1;      // attempts consumed (> 1 only under kRetry)
-  size_t peak_bytes = 0; // metered task bytes at failure (budgeted runs)
+  // The task's memory peak over all its passes (see file comment): output
+  // plus open-element charge, up to the failure. 0 when no pass ran.
+  size_t peak_bytes = 0;
 };
 
 struct PipelineOptions {
@@ -175,12 +187,12 @@ struct PipelineOptions {
   // failure, and fast-failing it would only change *which* error wins.
   // Borrowed; must outlive the run.
   CircuitBreaker* breaker = nullptr;
-  // Meter per-task memory even when `budget` is inactive (the same
-  // metering SAX filter with no cap): publishes the per-task peak into
-  // the xmlproj_memory_peak_bytes gauge and the run's
-  // PipelineSummary::max_task_peak_bytes, which the run journal records
-  // and SuggestBudgets() auto-tunes from — a budget has to be measured
-  // before it can be enforced.
+  // Ignored: every task reports its memory peak (see file comment) into
+  // the xmlproj_memory_peak_bytes gauge and
+  // PipelineSummary::max_task_peak_bytes whatever this says. The field
+  // remains only because the benchmark's layer ladder
+  // (perfbench/src/layers.cc) sets it; the next change to the benchmark
+  // deletes both.
   bool meter_memory = false;
   // Crash-safe checkpointing (projection/checkpoint.h). With `checkpoint`
   // attached (open), every executed task's terminal outcome is made
@@ -259,9 +271,9 @@ struct PipelineSummary {
   // tasks are counted nowhere else — they have no terminal outcome.
   size_t resumed_skipped = 0;  // settled by a prior run, not re-executed
   size_t drained = 0;          // abandoned un-run after a stop request
-  // Largest per-task metered memory peak across the run (0 when neither
-  // a byte budget nor meter_memory was active). Feeds the run journal's
-  // peak_memory_bytes and budget auto-tuning.
+  // Largest task memory peak across the run (see file comment: output
+  // plus open-element charge), failed tasks included. Feeds the run
+  // journal's peak_memory_bytes and budget auto-tuning.
   size_t max_task_peak_bytes = 0;
 
   // Fraction kept (Table 1's "pruning ratio" is 1 - these).
@@ -323,6 +335,12 @@ Result<PipelineRun> PruneCorpusPerQuery(std::span<const std::string> corpus,
 
 // Aggregate helpers over pipeline results.
 size_t TotalOutputBytes(std::span<const PipelineResult> results);
+
+// Coarse stage attribution for a failing task's status code, the one
+// mapping behind TaskFailure::stage and every quarantine digest:
+// "parse", "validate" (kInvalid with `validate`), "prune", "budget",
+// "deadline", "io", "pool", or "task".
+const char* StageForStatus(StatusCode code, bool validate);
 
 }  // namespace xmlproj
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "dtd/dtd_parser.h"
@@ -36,16 +35,13 @@ HttpResponse ErrorJson(int status, std::string_view message,
   return JsonResponse(status, std::move(body));
 }
 
-// Parses a non-negative integer query param; false on garbage.
+// Parses a non-negative integer query param: digits only, no sign or
+// space, no overflow (ParseDecimalU64); false on anything else.
 bool ParseU64Param(const HttpRequest& request, std::string_view key,
                    uint64_t* out) {
   std::string value = request.QueryParam(key);
   if (value.empty()) return true;  // absent = keep default
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') return false;
-  *out = parsed;
-  return true;
+  return ParseDecimalU64(value, out);
 }
 
 // HTTP status for a failed prune, and whether the failure is the
@@ -68,24 +64,6 @@ int PruneErrorHttpStatus(StatusCode code, bool* server_fault) {
     default:
       *server_fault = true;
       return 500;
-  }
-}
-
-// Coarse stage attribution for the journal's quarantine digest,
-// mirroring the pipeline's TaskFailure stages.
-const char* PruneErrorStage(StatusCode code) {
-  switch (code) {
-    case StatusCode::kParseError:
-      return "parse";
-    case StatusCode::kInvalid:
-    case StatusCode::kNotFound:
-      return "validate";
-    case StatusCode::kResourceExhausted:
-      return "budget";
-    case StatusCode::kDeadlineExceeded:
-      return "deadline";
-    default:
-      return "task";
   }
 }
 
@@ -464,7 +442,6 @@ HttpResponse ProjectionService::HandlePrune(const HttpRequest& request) {
   popts.metrics = options_.metrics;
   popts.trace = options_.trace;
   popts.logger = options_.logger;
-  popts.meter_memory = true;  // feeds the journal's peak for auto-tuning
   popts.corpus_label = entry->id;
 
   // The pipeline runs inline on this worker thread, so a thread-scoped
@@ -497,7 +474,7 @@ HttpResponse ProjectionService::HandlePrune(const HttpRequest& request) {
     }
     JournalPrune(*entry, /*wall_us=*/0, request.body.size(),
                  /*output_bytes=*/0, /*peak_bytes=*/0, /*failed=*/true,
-                 PruneErrorStage(run.status().code()));
+                 StageForStatus(run.status().code(), popts.validate));
     return ErrorJson(status, run.status().message(),
                      StatusCodeName(run.status().code()));
   }

@@ -50,6 +50,8 @@ class Parser {
 
   Status Run();
 
+  size_t open_bytes_peak() const { return open_bytes_peak_; }
+
  private:
   // Byte spans handed to the handler through SaxHandler::SetLocator.
   struct Locator : SaxLocator {
@@ -119,7 +121,16 @@ class Parser {
   std::string pending_text_;
   bool pending_text_nonempty_ = false;
   size_t pending_text_begin_ = 0;  // offset of the first pending byte
-  std::vector<std::string_view> open_tags_;
+  // One open element: its tag and the open-element charge while it is
+  // open (tag bytes + kOpenElementBytes for it and each ancestor).
+  struct OpenTag {
+    std::string_view tag;
+    size_t open_bytes;
+  };
+  std::vector<OpenTag> open_tags_;
+  // High-water mark of the open-element charge: the pass's O(depth)
+  // working state, read by the pipeline's per-task memory peak.
+  size_t open_bytes_peak_ = 0;
   // Per-start-tag scratch, reused across elements so the hot loop does
   // not allocate. Attribute values are views into input_ unless they
   // contained references; decoded values live in attr_storage_ and are
@@ -375,13 +386,17 @@ Status Parser::ParseStartTag(bool* closed) {
   // A self-closing tag is one markup span producing two events; both
   // report it.
   SetSpan(tag_begin, pos_);
+  const size_t open_bytes =
+      (open_tags_.empty() ? 0 : open_tags_.back().open_bytes) + tag.size() +
+      kOpenElementBytes;
+  if (open_bytes > open_bytes_peak_) open_bytes_peak_ = open_bytes;
   XMLPROJ_RETURN_IF_ERROR(handler_->StartElement(tag, attributes_));
   if (self_closing) {
     *closed = true;
     return handler_->EndElement(tag);
   }
   *closed = false;
-  open_tags_.emplace_back(tag);
+  open_tags_.push_back(OpenTag{tag, open_bytes});
   return Status::Ok();
 }
 
@@ -403,14 +418,14 @@ Status Parser::ParseTree() {
         pos_ += 2;
         std::string_view name;
         XMLPROJ_RETURN_IF_ERROR(ParseName(&name));
-        if (open_tags_.empty() || name != open_tags_.back()) {
+        if (open_tags_.empty() || name != open_tags_.back().tag) {
           return Error("mismatched end tag </" + std::string(name) + ">");
         }
         SkipSpace();
         if (AtEnd() || Peek() != '>') return Error("malformed end tag");
         ++pos_;
         SetSpan(end_tag_begin, pos_);
-        std::string_view closed_tag = open_tags_.back();
+        std::string_view closed_tag = open_tags_.back().tag;
         open_tags_.pop_back();
         XMLPROJ_RETURN_IF_ERROR(handler_->EndElement(closed_tag));
       } else if (next == '!') {
@@ -503,9 +518,12 @@ Status Parser::Run() {
 }  // namespace
 
 Status ParseXmlStream(std::string_view input, SaxHandler* handler,
-                      const XmlParseOptions& options) {
+                      const XmlParseOptions& options,
+                      size_t* open_bytes_peak) {
   Parser parser(input, handler, options);
-  return parser.Run();
+  Status status = parser.Run();
+  if (open_bytes_peak != nullptr) *open_bytes_peak = parser.open_bytes_peak();
+  return status;
 }
 
 Result<Document> ParseXml(std::string_view input,

@@ -9,6 +9,7 @@
 #ifndef XMLPROJ_XML_PARSER_H_
 #define XMLPROJ_XML_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "common/fault.h"
@@ -29,9 +30,21 @@ struct XmlParseOptions {
   FaultInjector* fault = nullptr;
 };
 
+// Bookkeeping charge per open element on top of its tag bytes: the
+// parser, pruner and validator stacks each keep O(1) state per open
+// element. The open-element charge of a pass is the sum over the
+// elements currently open of (tag bytes + kOpenElementBytes).
+inline constexpr size_t kOpenElementBytes = 64;
+
 // Streams SAX events for `input` into `handler`. Stops at the first error.
+// When `open_bytes_peak` is non-null it receives the high-water mark of
+// the open-element charge, whether or not the parse succeeds. An element
+// is charged just before its StartElement event (so the peak still counts
+// it when the handler fails on that event) and released at its end tag;
+// a self-closing element is charged across its start and end events.
 Status ParseXmlStream(std::string_view input, SaxHandler* handler,
-                      const XmlParseOptions& options = {});
+                      const XmlParseOptions& options = {},
+                      size_t* open_bytes_peak = nullptr);
 
 // Parses `input` into a Document.
 Result<Document> ParseXml(std::string_view input,

@@ -396,6 +396,37 @@ TEST_F(PipelineChaosTest, DegradesToIdentityPassWhenDocumentOffGrammar) {
   ExpectOneTaskSamplePerTask(registry, corpus.size());
 }
 
+TEST_F(PipelineChaosTest, DegradedPeakCoversTheIdentityPass) {
+  // The pruning attempt fails at the root's first child, so its peak is
+  // tiny; the identity fallback then materializes the whole document.
+  // The task's peak — and the journal's auto-tuned cap built from it —
+  // must cover the pass that produced the output, with or without a
+  // budget guard in the chain.
+  std::string doc = "<root><rogue/>";
+  for (int i = 0; i < 64; ++i) {
+    doc += "<item><keep>k" + std::to_string(i) + "</keep></item>";
+  }
+  doc += "</root>";
+  for (uint64_t deadline_ms : {uint64_t{0}, uint64_t{60000}}) {
+    MetricsRegistry registry;
+    PipelineOptions options;
+    options.num_threads = 1;
+    options.policy = ErrorPolicy::kIsolate;
+    options.degrade_on_invalid = true;
+    options.budget.deadline_ms = deadline_ms;
+    options.metrics = &registry;
+    auto run = PruneCorpus(std::span(&doc, 1), *dtd_, projector_, options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_TRUE(run->results[0].degraded) << "deadline " << deadline_ms;
+    const size_t output_bytes = run->results[0].output.size();
+    EXPECT_GE(run->summary.max_task_peak_bytes, output_bytes)
+        << "deadline " << deadline_ms;
+    EXPECT_GE(registry.GetGauge("xmlproj_memory_peak_bytes")->Value(),
+              static_cast<int64_t>(output_bytes))
+        << "deadline " << deadline_ms;
+  }
+}
+
 TEST_F(PipelineChaosTest, DegradationDoesNotMaskParseErrors) {
   // A truncated document fails the identity pass too: degradation must
   // not claim to answer it.

@@ -286,6 +286,78 @@ TEST_F(ServiceTest, ErrorPathsMapOntoHttpStatuses) {
   EXPECT_EQ(infos[0].prunes, 0u);
 }
 
+TEST_F(ServiceTest, HostileBudgetParamsAre400AndLeaveTheBreakerClosed) {
+  CircuitBreakerOptions breaker_options;
+  breaker_options.window = 8;
+  breaker_options.min_samples = 4;
+  breaker_options.cooldown_ms = 60000;
+  CircuitBreaker breaker(breaker_options);
+  ProjectionServiceOptions options;
+  options.breaker = &breaker;
+  StartService(options);
+  ProjectionClient client = Client();
+
+  auto registration =
+      client.RegisterWorkload(SpecFor({XMarkDashboardWorkload()[1]}));
+  ASSERT_TRUE(registration.ok());
+  XMarkCorpusOptions corpus_options;
+  corpus_options.documents = 1;
+  corpus_options.scale = 0.001;
+  std::string doc = GenerateXMarkCorpus(corpus_options)[0];
+  const std::string target = "/prune?workload=" + registration->id;
+
+  // Budget params are digits only: a sign, a space or an overflow is the
+  // client's mistake (400), never a server-side deadline blowout that
+  // counts against the breaker.
+  std::vector<std::string> hostile(8, "&deadline_ms=-1");
+  hostile.push_back("&deadline_ms=%2010");                  // " 10"
+  hostile.push_back("&max_bytes=%2B5");                     // "+5"
+  hostile.push_back("&deadline_ms=99999999999999999999");  // > UINT64_MAX
+  for (const std::string& query : hostile) {
+    HttpClientResult raw;
+    ASSERT_TRUE(HttpCall(service_.port(), "POST", target + query, doc,
+                         "application/xml", &raw));
+    EXPECT_EQ(raw.status, 400) << query << ": " << raw.body;
+  }
+  EXPECT_EQ(breaker.state(), CircuitState::kClosed);
+
+  HttpClientResult honest;
+  ASSERT_TRUE(HttpCall(service_.port(), "POST", target, doc,
+                       "application/xml", &honest));
+  EXPECT_EQ(honest.status, 200) << honest.body;
+}
+
+TEST_F(ServiceTest, JournalStagesMatchThePipelineMapping) {
+  std::string dir = ::testing::TempDir() + "/service_stage_journal_test";
+  std::remove(RunJournal::PathFor(dir).c_str());  // stale prior-run journal
+  ProjectionServiceOptions options;
+  options.journal_dir = dir;
+  options.limits.journal_batch = 1;
+  StartService(options);
+  ProjectionClient client = Client();
+
+  auto registration =
+      client.RegisterWorkload(SpecFor({XMarkDashboardWorkload()[1]}));
+  ASSERT_TRUE(registration.ok());
+  // Well-formed but off-grammar: <bogus> is not declared in the XMark
+  // DTD. Without validation the pruner rejects it; with validation the
+  // validator does — the same attribution as the batch pipeline's
+  // TaskFailure::stage (StageForStatus).
+  const std::string doc = "<site><bogus/></site>";
+  PruneRequestOptions validating;
+  validating.validate = true;
+  ASSERT_FALSE(client.Prune(registration->id, doc).ok());
+  ASSERT_FALSE(client.Prune(registration->id, doc, validating).ok());
+
+  std::vector<RunRecord> records;
+  std::string error;
+  ASSERT_TRUE(RunJournal::Load(dir, &records, nullptr, &error)) << error;
+  ASSERT_EQ(records.size(), 2u);
+  using Digest = std::vector<std::pair<std::string, uint64_t>>;
+  EXPECT_EQ(records[0].quarantine, (Digest{{"prune", 1}}));
+  EXPECT_EQ(records[1].quarantine, (Digest{{"validate", 1}}));
+}
+
 TEST_F(ServiceTest, ErrorMessageControlBytesSurviveTheClient) {
   StartService();
   ProjectionClient client = Client();

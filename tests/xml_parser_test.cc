@@ -165,6 +165,31 @@ TEST(XmlParser, RoundTripThroughSerializer) {
   EXPECT_EQ(doc.size(), again.size());
 }
 
+// The open-element charge is tag bytes + kOpenElementBytes per open
+// element; its high-water mark is reported with or without an error. A
+// self-closing element is charged across its start and end events.
+TEST(XmlParser, ReportsOpenElementHighWaterMark) {
+  constexpr size_t k = kOpenElementBytes;
+  struct Case {
+    const char* text;
+    size_t peak;
+  };
+  const Case cases[] = {
+      {"<a/>", 1 + k},
+      {"<a><bb/><c>t</c></a>", (1 + k) + (2 + k)},
+      {"<a><b><c/></b><dd/></a>", (1 + k) + (1 + k) + (1 + k)},
+      // Fails at the mismatched end tag; the peak up to there survives.
+      {"<root><x><yy></x></root>", (4 + k) + (1 + k) + (2 + k)},
+  };
+  for (const Case& c : cases) {
+    std::string out;
+    SerializingHandler sink(&out);
+    size_t peak = 0;
+    (void)ParseXmlStream(c.text, &sink, {}, &peak);
+    EXPECT_EQ(peak, c.peak) << c.text;
+  }
+}
+
 TEST(DecodeXmlReferences, Basic) {
   auto result = DecodeXmlReferences("a&lt;b&amp;c");
   ASSERT_TRUE(result.ok());
