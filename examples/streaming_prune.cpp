@@ -2,7 +2,8 @@
 //
 // The StreamingPruner is a SAX filter with O(depth) state — "a single
 // bufferless one-pass traversal". Composed with the parser it prunes the
-// document as it is read, so the unprojected DOM never exists in memory;
+// document as it is read, so the unprojected DOM never exists in memory,
+// and the subtrees it rejects are crossed without being tokenized;
 // composed with a serializer it acts as an external pruning tool (file in,
 // smaller file out).
 //
@@ -66,10 +67,11 @@ int main() {
       return 1;
     }
     std::printf(
-        "loader pruning: pruned DOM is %.2f KB in memory (%zu nodes); a "
-        "full DOM of the input would hold %zu nodes\n",
+        "loader pruning: pruned DOM is %.2f KB in memory (%zu nodes); "
+        "%.2f KB of rejected subtrees were crossed without being "
+        "tokenized\n",
         pruned_doc->MemoryBytes() / 1024.0,
-        pruned_doc->content_node_count(), stats.input_nodes);
+        pruned_doc->content_node_count(), stats.skipped_bytes / 1024.0);
   }
   return 0;
 }

@@ -11,8 +11,11 @@
 // identically for a fixed seed and arm configuration.
 //
 // Checkpoints compiled into this tree (see README "Fault tolerance"):
-//   xml.parse      — xml/parser.cc, once per element start tag
+//   xml.parse      — xml/parser.cc, once per element start tag, including
+//                    the start tags crossed inside a skipped element
 //   prune.element  — projection/pruner.cc, both pruners, per StartElement
+//                    that reaches the pruner (never inside a skipped
+//                    element)
 //   pool.task      — common/thread_pool.cc, before a worker runs a task
 //   pipeline.task  — projection/pipeline.cc, at the start of each attempt
 //   pipeline.commit — projection/pipeline.cc, before the atomic output

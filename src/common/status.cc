@@ -24,6 +24,8 @@ const char* StatusCodeName(StatusCode code) {
       return "UNAVAILABLE";
     case StatusCode::kInternal:
       return "INTERNAL";
+    case StatusCode::kSkipSubtree:
+      return "SKIP_SUBTREE";
   }
   return "UNKNOWN";
 }

@@ -40,6 +40,10 @@ enum class StatusCode {
   // may succeed. The pipeline's kRetry policy retries exactly this code.
   kUnavailable,
   kInternal,
+  // Not an error: a SAX handler's verdict that the element whose
+  // StartElement returned it is dropped whole (xml/sax.h). Event
+  // producers consume it; no public entry point returns it.
+  kSkipSubtree,
 };
 
 const char* StatusCodeName(StatusCode code);
@@ -92,6 +96,11 @@ inline Status UnavailableError(std::string message) {
 }
 inline Status InternalError(std::string message) {
   return Status(StatusCode::kInternal, std::move(message));
+}
+// The skip verdict of SaxHandler::StartElement (xml/sax.h). Not ok(), so
+// XMLPROJ_RETURN_IF_ERROR forwards it through filters unchanged.
+inline Status SkipSubtree() {
+  return Status(StatusCode::kSkipSubtree, std::string());
 }
 
 // Result<T> is either a value or a non-OK Status.

@@ -48,6 +48,7 @@ struct PipelineMetrics {
   Counter* kept_nodes_total = nullptr;
   Counter* input_text_bytes_total = nullptr;
   Counter* kept_text_bytes_total = nullptr;
+  Counter* skipped_bytes_total = nullptr;
   // Fault-tolerance counters (README "Fault tolerance").
   Counter* retries_total = nullptr;
   Counter* isolated_total = nullptr;
@@ -94,6 +95,8 @@ struct PipelineMetrics {
         registry->GetCounter("xmlproj_pipeline_input_text_bytes_total");
     m.kept_text_bytes_total =
         registry->GetCounter("xmlproj_pipeline_kept_text_bytes_total");
+    m.skipped_bytes_total =
+        registry->GetCounter("xmlproj_pipeline_skipped_bytes_total");
     m.retries_total = registry->GetCounter("xmlproj_pipeline_retries_total");
     m.isolated_total =
         registry->GetCounter("xmlproj_pipeline_isolated_total");
@@ -130,6 +133,9 @@ struct PipelineMetrics {
                       "Projected output bytes produced by the pipeline");
     registry->SetHelp("xmlproj_pipeline_kept_nodes_total",
                       "Nodes kept by projection (paper Table 1 numerator)");
+    registry->SetHelp("xmlproj_pipeline_skipped_bytes_total",
+                      "Input bytes the parser crossed untokenized inside "
+                      "elements the pruner rejected");
     registry->SetHelp("xmlproj_progress_tasks",
                       "Tasks submitted to the current pipeline run");
     registry->SetHelp("xmlproj_progress_completed",
@@ -181,24 +187,31 @@ uint64_t SaturatingDeadlineNs(uint64_t now_ns, uint64_t ms) {
 }
 
 // SAX filter enforcing an active TaskBudget over the fused pass. Placed
-// outermost (right below the parser) so it sees every event, pruned or
-// kept:
+// outermost (right below the parser) so it sees every event the parser
+// delivers, pruned or kept, and the parser's polls inside skips:
 //
-//  - wall-clock deadline: one steady-clock read before each event (only
-//    when a deadline is configured), converting a stalled pass into
-//    kDeadlineExceeded at event granularity;
+//  - wall-clock deadline: one steady-clock read before each event and
+//    on each Poll (only when a deadline is configured), converting a
+//    stalled pass into kDeadlineExceeded at event granularity, or every
+//    kSkipPollBytes inside a skipped element;
 //  - byte cap: after each event, the sink's produced bytes plus the
 //    guard's own open-element charge are compared with the cap; crossing
 //    it aborts with kResourceExhausted within one event of the cap (the
-//    overshoot is bounded by a single event's output).
+//    overshoot is bounded by a single event's output). A skip produces
+//    no output, so the cap is checked again at the next event.
+//
+// The pruner's skip verdict passes through StartElement unchanged, before
+// the element is charged; no EndElement follows it, so the charge stays
+// balanced.
 //
 // The guard only enforces. The task's memory peak is read after the pass
 // from the sink and the parser (RunAttempt), budget or not.
 class BudgetGuard : public SaxHandler {
  public:
   // `cancel` (nullable) is the watchdog's kill switch: once it flips, the
-  // next SAX event aborts the pass — the only way to interrupt a task
-  // that is wedged *between* deadline checks (e.g. an injected stall).
+  // next SAX event or poll aborts the pass — the only way to interrupt a
+  // task that is wedged *between* deadline checks (e.g. an injected
+  // stall).
   BudgetGuard(SaxHandler* downstream, const SplicingSerializingHandler* sink,
               const TaskBudget& budget, const std::atomic<bool>* cancel)
       : downstream_(downstream),
@@ -249,6 +262,7 @@ class BudgetGuard : public SaxHandler {
     XMLPROJ_RETURN_IF_ERROR(downstream_->Doctype(name, internal_subset));
     return CheckBytes();
   }
+  Status Poll() override { return CheckDeadline(); }
 
  private:
   Status CheckDeadline() {
@@ -331,10 +345,10 @@ class CountingPassthrough : public SaxHandler {
 // Hung-task watchdog (PipelineOptions::watchdog_factor): one monitor
 // thread polls the in-flight registry and, for any task running past its
 // grace limit, (1) flips the task's cancel flag so BudgetGuard aborts it
-// at the next SAX event, and (2) — when a checkpoint is attached —
-// appends a stage-"watchdog" quarantine record *while the task is still
-// wedged*, so even a subsequent crash leaves the poisonous document on
-// record for resume to skip. A task that later completes anyway
+// at the next SAX event or skip poll, and (2) — when a checkpoint is
+// attached — appends a stage-"watchdog" quarantine record *while the task
+// is still wedged*, so even a subsequent crash leaves the poisonous
+// document on record for resume to skip. A task that later completes anyway
 // supersedes that record (the resume planner takes the last record per
 // task). The watchdog cannot preempt a thread: a pass stalled inside a
 // single SAX callback stays stalled until that callback returns — the
@@ -701,6 +715,7 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
   CounterAdd(env.metrics.kept_nodes_total, out->stats.kept_nodes);
   CounterAdd(env.metrics.input_text_bytes_total, out->stats.input_text_bytes);
   CounterAdd(env.metrics.kept_text_bytes_total, out->stats.kept_text_bytes);
+  CounterAdd(env.metrics.skipped_bytes_total, out->stats.skipped_bytes);
   if (!outcome.status.ok()) {
     CounterAdd(env.metrics.errors_total);
     if (outcome.status.code() == StatusCode::kDeadlineExceeded) {

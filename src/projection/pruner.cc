@@ -76,35 +76,31 @@ Status StreamingPruner::StartDocument() {
   return downstream_->StartDocument();
 }
 
-Status StreamingPruner::EndDocument() { return downstream_->EndDocument(); }
+Status StreamingPruner::EndDocument() {
+  if (locator_ != nullptr) {
+    stats_.input_nodes += locator_->skipped_elements();
+    stats_.skipped_bytes += locator_->skipped_bytes();
+  }
+  return downstream_->EndDocument();
+}
 
 Status StreamingPruner::StartElement(
     std::string_view tag, const std::vector<SaxAttribute>& attributes) {
   XMLPROJ_RETURN_IF_ERROR(XMLPROJ_FAULT_HIT(fault_, "prune.element"));
   ++stats_.input_nodes;
-  if (skip_depth_ > 0) {
-    ++skip_depth_;
-    return Status::Ok();
-  }
   NameId name = dtd_.NameOfTag(tag);
   if (name == kNoName) {
     return InvalidError("undeclared element '" + std::string(tag) +
                         "' while pruning");
   }
-  if (!projector_.Contains(name)) {
-    skip_depth_ = 1;
-    return Status::Ok();
-  }
+  // A rejected element takes its whole subtree along (Def 2.7).
+  if (!projector_.Contains(name)) return SkipSubtree();
   open_names_.push_back(name);
   ++stats_.kept_nodes;
   return downstream_->StartElement(tag, attributes);
 }
 
 Status StreamingPruner::EndElement(std::string_view tag) {
-  if (skip_depth_ > 0) {
-    --skip_depth_;
-    return Status::Ok();
-  }
   open_names_.pop_back();
   return downstream_->EndElement(tag);
 }
@@ -112,7 +108,6 @@ Status StreamingPruner::EndElement(std::string_view tag) {
 Status StreamingPruner::Characters(std::string_view text) {
   ++stats_.input_nodes;
   stats_.input_text_bytes += text.size();
-  if (skip_depth_ > 0) return Status::Ok();
   if (open_names_.empty()) {
     return InvalidError("text content outside the root element");
   }

@@ -6,9 +6,11 @@
 //
 //  - StreamingPruner is a SaxHandler filter: it tracks the current element
 //    name with a stack (O(depth) state, the paper's "single bufferless
-//    one-pass traversal") and forwards or drops events. Compose it with
-//    the XML parser to prune *while parsing* — pruning then costs nothing
-//    beyond parsing itself — or behind ReplayAsSax for in-memory pruning.
+//    one-pass traversal") and forwards kept events. A rejected element
+//    gets the skip verdict (xml/sax.h), so the producer drops its whole
+//    subtree: behind the XML parser the rejected bytes are crossed
+//    without being tokenized, so pruning while parsing costs less than
+//    parsing; behind ReplayAsSax the replay jumps past the subtree.
 //
 //  - PruneDocument is the DOM-level equivalent given a validated
 //    document's interpretation ℑ (Def 2.7 verbatim); used by tests to
@@ -29,11 +31,26 @@
 
 namespace xmlproj {
 
+// What one pass saw and kept. Behind the parser (ParseAndPrune, the
+// pipeline) a StreamingPruner's counts are:
+//  - input_nodes: every element of the input, plus each text node the
+//    pass tokenized. Text inside skipped elements is never tokenized, so
+//    it is not counted; the elements there are, from the parser's
+//    locator at EndDocument.
+//  - input_text_bytes: the decoded text the pass tokenized.
+//  - kept_nodes, kept_text_bytes: what went downstream. Exact.
+//  - skipped_bytes: for each skipped element, its content plus its end
+//    tag, as the parser crossed it.
+// PruneViaStreaming replays a DOM, which has no locator: it counts only
+// the nodes the pruner examined, and skipped_bytes stays 0. The DOM-level
+// PruneDocument and ValidatingPruner, which skip nothing, count every
+// node and all text.
 struct PruneStats {
-  size_t input_nodes = 0;   // elements + text nodes seen
+  size_t input_nodes = 0;
   size_t kept_nodes = 0;
   size_t input_text_bytes = 0;
   size_t kept_text_bytes = 0;
+  size_t skipped_bytes = 0;
 };
 
 // t \_ℑ π (Def 2.7): nodes whose name is outside π become the empty
@@ -49,16 +66,19 @@ Result<Document> PruneDocument(const Document& doc,
 
 // SAX filter implementing the same projection in one streaming pass.
 // Elements with undeclared tags are rejected (the input must be valid
-// with respect to the DTD for type-driven projection to apply).
+// with respect to the DTD for type-driven projection to apply). An
+// element whose name is outside π gets the skip verdict: nothing inside
+// it reaches the pruner, so undeclared tags there go unchecked.
 class StreamingPruner : public SaxHandler {
  public:
   StreamingPruner(const Dtd& dtd, const NameSet& projector,
                   SaxHandler* downstream);
 
   // Forwarded so a splicing sink downstream sees the parser's byte
-  // spans; the pruner itself never reads them (a kept event is kept
-  // whole, so its span passes through unchanged).
+  // spans (a kept event is kept whole, so its span passes through
+  // unchanged). The pruner reads only the skip counts, at EndDocument.
   void SetLocator(const SaxLocator* locator) override {
+    locator_ = locator;
     downstream_->SetLocator(locator);
   }
 
@@ -71,19 +91,19 @@ class StreamingPruner : public SaxHandler {
 
   const PruneStats& stats() const { return stats_; }
 
-  // Arms the "prune.element" failpoint, checked per StartElement
-  // (common/fault.h). Null — the default — is one compare per element.
+  // Arms the "prune.element" failpoint, checked per StartElement that
+  // reaches the pruner (common/fault.h). Null — the default — is one
+  // compare per element.
   void set_fault_injector(FaultInjector* fault) { fault_ = fault; }
 
  private:
   const Dtd& dtd_;
   const NameSet& projector_;
   SaxHandler* downstream_;
+  const SaxLocator* locator_ = nullptr;
   FaultInjector* fault_ = nullptr;
   // Names of currently open (kept) elements.
   std::vector<NameId> open_names_;
-  // Number of start tags seen since entering a pruned subtree.
-  size_t skip_depth_ = 0;
   PruneStats stats_;
 };
 

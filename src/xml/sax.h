@@ -5,6 +5,17 @@
 // drops events (projection/pruner.h). Both the XML parser and a DOM
 // replayer produce these events, so pruning can run during parsing (no
 // overhead, §1.2) or over an already-loaded document.
+//
+// The skip verdict. StartElement may return SkipSubtree()
+// (common/status.h): the handler drops that element whole. The producer
+// then delivers no further event for it — neither its content nor its
+// EndElement — and continues after its end tag. Both producers honour
+// the verdict and neither returns it to its own caller: the parser
+// crosses the element's bytes without tokenizing them (xml/parser.h),
+// ReplayAsSax jumps to the node's subtree_end. A filter that forwards
+// the status unchanged (XMLPROJ_RETURN_IF_ERROR) stays balanced without
+// knowing about it: its own StartElement returns before it counts the
+// element open, and no EndElement follows.
 
 #ifndef XMLPROJ_XML_SAX_H_
 #define XMLPROJ_XML_SAX_H_
@@ -39,6 +50,13 @@ class SaxLocator {
   virtual size_t event_begin() const = 0;
   // One past the last byte of that markup.
   virtual size_t event_end() const = 0;
+
+  // What the producer crossed on skip verdicts so far: the start tags it
+  // passed inside skipped elements (the skipped element itself reached
+  // the handler and is not counted), and the bytes of each skipped
+  // element's content plus its end tag.
+  virtual size_t skipped_elements() const = 0;
+  virtual size_t skipped_bytes() const = 0;
 };
 
 class SaxHandler {
@@ -52,6 +70,7 @@ class SaxHandler {
 
   virtual Status StartDocument() { return Status::Ok(); }
   virtual Status EndDocument() { return Status::Ok(); }
+  // May return SkipSubtree() to drop the element whole (see above).
   virtual Status StartElement(std::string_view tag,
                               const std::vector<SaxAttribute>& attributes) = 0;
   virtual Status EndElement(std::string_view tag) = 0;
@@ -64,6 +83,14 @@ class SaxHandler {
     (void)internal_subset;
     return Status::Ok();
   }
+  // Called while the parser crosses a skipped element, which delivers no
+  // events: at least once per MiB of skipped input, and after every
+  // skipped start tag while a fault injector is attached (an armed
+  // failpoint can sleep). A non-OK status aborts the parse with it. The
+  // parser polls the handler it was given, the head of the chain; a
+  // filter with a per-event clock (a deadline, a cancel flag) checks it
+  // here too. Default: OK.
+  virtual Status Poll() { return Status::Ok(); }
 };
 
 // A SaxHandler that materializes the event stream into a Document.
@@ -97,7 +124,9 @@ class DomBuilderHandler : public SaxHandler {
   DocumentBuilder builder_;
 };
 
-// Replays a Document subtree as SAX events (document node excluded).
+// Replays a Document subtree as SAX events (document node excluded). A
+// skip verdict jumps to the node's subtree_end. There is no locator, so
+// nothing is counted as skipped.
 Status ReplayAsSax(const Document& doc, SaxHandler* handler);
 
 }  // namespace xmlproj

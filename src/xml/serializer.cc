@@ -146,8 +146,13 @@ Status ReplayAsSax(const Document& doc, SaxHandler* handler) {
         attributes.push_back(
             SaxAttribute{doc.symbols().NameOf(a.name), a.value});
       }
-      XMLPROJ_RETURN_IF_ERROR(handler->StartElement(doc.tag_name(id),
-                                                    attributes));
+      Status verdict = handler->StartElement(doc.tag_name(id), attributes);
+      if (verdict.code() == StatusCode::kSkipSubtree) {
+        // Skipped: jump past its descendants; no EndElement follows.
+        id = n.subtree_end - 1;
+        continue;
+      }
+      XMLPROJ_RETURN_IF_ERROR(verdict);
       end_stack.push_back(n.subtree_end);
       tag_stack.push_back(doc.tag_name(id));
     }

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/memory_meter.h"
+#include "full_stream.h"
 #include "projection/pipeline.h"
 #include "random_xml.h"
 #include "xmark/corpus.h"
@@ -30,6 +31,7 @@ namespace {
 
 using testing_random::DocGenerator;
 using testing_random::RandomDtd;
+using testing_skip::FullStream;
 
 std::string Serialize(const Document& doc) { return SerializeDocument(doc); }
 
@@ -386,8 +388,11 @@ OracleReading OracleTask(const std::string& xml, const Dtd& dtd,
       ValidatingPruner pruner(dtd, projector, &sink);
       run(&pruner);
     } else {
+      // The meter must see every event the parser can produce, so the
+      // pruner's skip verdicts are taken by FullStream, not the parser.
       StreamingPruner pruner(dtd, projector, &sink);
-      run(&pruner);
+      FullStream full(&pruner);
+      run(&full);
     }
     return status;
   };

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dtd/dtd_parser.h"
 #include "projection/projection.h"
 #include "random_xml.h"
 #include "xmark/corpus.h"
@@ -207,6 +208,27 @@ TEST(PipelineTest, SequentialPathAnnotatesFailingTask) {
   EXPECT_NE(results.status().message().find("pipeline task 1"),
             std::string::npos)
       << results.status().ToString();
+}
+
+// A character reference to a surrogate is not well-formed (XML 1.0
+// §2.2); kept text carrying one fails the task at the parse stage rather
+// than reaching the output as invalid UTF-8.
+TEST(PipelineTest, IllegalCharacterReferenceFailsAtParse) {
+  auto dtd = ParseDtd("<!ELEMENT a (#PCDATA)>", "a");
+  ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+  std::vector<std::string> corpus = {"<a>ok</a>", "<a>&#xD800;</a>"};
+  PipelineOptions options;
+  options.num_threads = 1;
+  options.policy = ErrorPolicy::kIsolate;
+  auto run = PruneCorpus(corpus, *dtd, dtd->AllNames(), options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->results[0].output, "<a>ok</a>");
+  ASSERT_EQ(run->failures.size(), 1u);
+  EXPECT_EQ(run->failures[0].task, 1u);
+  EXPECT_EQ(run->failures[0].status.code(), StatusCode::kParseError)
+      << run->failures[0].status.ToString();
+  EXPECT_EQ(run->failures[0].stage, "parse");
+  EXPECT_TRUE(run->results[1].output.empty());
 }
 
 TEST(PipelineTest, EmptyCorpusYieldsEmptyResults) {

@@ -286,6 +286,39 @@ TEST_F(ServiceTest, ErrorPathsMapOntoHttpStatuses) {
   EXPECT_EQ(infos[0].prunes, 0u);
 }
 
+// The parser skips subtrees the projector rejects without tokenizing
+// them, so a defect there is never seen: the request prunes (200) to the
+// clean document's bytes. A validating request sees every byte and gets
+// the 400.
+TEST_F(ServiceTest, DefectInsidePrunedSubtreeIsNotSeen) {
+  StartService();
+  ProjectionClient client = Client();
+  auto registration =
+      client.RegisterWorkload("xpath\t/site/people/person/name\n");
+  ASSERT_TRUE(registration.ok()) << registration.status().ToString();
+  XMarkCorpusOptions corpus_options;
+  corpus_options.documents = 1;
+  corpus_options.scale = 0.001;
+  const std::string doc = GenerateXMarkCorpus(corpus_options)[0];
+  auto clean = client.Prune(registration->id, doc);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+  std::string hostile = doc;
+  const size_t regions = hostile.find("<regions>");
+  ASSERT_NE(regions, std::string::npos);
+  hostile.insert(regions + 9, "<x a=1>&nbsp;&#xD800;</x>");
+  auto pruned = client.Prune(registration->id, hostile);
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  EXPECT_EQ(pruned->output, clean->output);
+
+  PruneRequestOptions validating;
+  validating.validate = true;
+  auto validated = client.Prune(registration->id, hostile, validating);
+  ASSERT_FALSE(validated.ok());
+  EXPECT_EQ(validated.status().code(), StatusCode::kInvalid)
+      << validated.status().ToString();
+}
+
 TEST_F(ServiceTest, HostileBudgetParamsAre400AndLeaveTheBreakerClosed) {
   CircuitBreakerOptions breaker_options;
   breaker_options.window = 8;

@@ -1,18 +1,28 @@
 // Robustness fuzzing: randomly corrupted XML, DTD and query inputs must
 // produce Status errors — never crashes, hangs, or accepted garbage that
-// breaks downstream invariants. Runs a few thousand mutations per seed.
+// breaks downstream invariants — and the skip-scanning parser must agree
+// with a full parse wherever the full parse succeeds. Runs a few thousand
+// mutations per seed.
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "dtd/dtd_parser.h"
 #include "dtd/validator.h"
+#include "full_stream.h"
+#include "projection/pruner.h"
+#include "random_xml.h"
+#include "xmark/corpus.h"
 #include "xmark/generator.h"
+#include "xmark/queries.h"
 #include "xmark/xmark_dtd.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
+#include "xml/splice.h"
 #include "xpath/parser.h"
 #include "xquery/parser.h"
 
@@ -115,6 +125,67 @@ TEST(XmlFuzz, ValidatorNeverCrashesOnWellFormedGarbage) {
     if (!doc.ok()) continue;
     (void)Validate(*doc, dtd);
   }
+}
+
+// Skip-scanning under mutation: the parser crosses rejected elements
+// without tokenizing them, so it accepts some defects a full parse
+// rejects (xml/parser.h, "Skip contract"). It must never crash, and
+// whenever the full pass — the same pruner behind FullStream, which
+// tokenizes everything — succeeds, the skip pass must succeed with the
+// same bytes.
+void FuzzSkipAgainstFull(const std::string& base, const Dtd& dtd,
+                         const NameSet& projector, uint64_t seed) {
+  Rng rng(seed);
+  int full_ok = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string mutated = Mutate(base, &rng);
+    std::string full_out;
+    SplicingSerializingHandler full_sink(mutated, &full_out);
+    StreamingPruner full_pruner(dtd, projector, &full_sink);
+    testing_skip::FullStream full(&full_pruner);
+    const Status full_status = ParseXmlStream(mutated, &full);
+    full_sink.Finish();
+
+    std::string skip_out;
+    SplicingSerializingHandler skip_sink(mutated, &skip_out);
+    StreamingPruner skip_pruner(dtd, projector, &skip_sink);
+    const Status skip_status = ParseXmlStream(mutated, &skip_pruner);
+    skip_sink.Finish();
+    EXPECT_NE(skip_status.code(), StatusCode::kSkipSubtree);
+    if (!full_status.ok()) continue;
+    ++full_ok;
+    ASSERT_TRUE(skip_status.ok())
+        << "mutation " << i << ": " << skip_status.ToString();
+    ASSERT_EQ(skip_out, full_out) << "mutation " << i;
+  }
+  EXPECT_GT(full_ok, 0);
+}
+
+TEST(XmlFuzz, SkipScanMatchesFullParse) {
+  Dtd xmark = std::move(LoadXMarkDtd()).value();
+  const BenchmarkQuery* qm06 = nullptr;
+  const std::vector<BenchmarkQuery> queries = AllBenchmarkQueries();
+  for (const BenchmarkQuery& query : queries) {
+    if (query.id == "QM06") qm06 = &query;
+  }
+  ASSERT_NE(qm06, nullptr);
+  auto projector = WorkloadProjector(xmark, std::span(qm06, 1));
+  ASSERT_TRUE(projector.ok()) << projector.status().ToString();
+  XMarkOptions options;
+  options.scale = 0.0005;
+  FuzzSkipAgainstFull(GenerateXMarkText(options), xmark, *projector, 0x5c1b);
+
+  int name_count = 0;
+  Dtd random = testing_random::RandomDtd(7, &name_count);
+  testing_random::DocGenerator gen(random, 7 * 7919 + 3);
+  auto doc = gen.Generate();
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  NameSet thinned(random.name_count());
+  random.AllNames().ForEach([&](NameId n) {
+    if (n % 2 == 0) thinned.Add(n);
+  });
+  thinned.Add(random.root());
+  FuzzSkipAgainstFull(SerializeDocument(*doc), random, thinned, 0x5c1c);
 }
 
 }  // namespace

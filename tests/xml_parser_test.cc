@@ -1,5 +1,8 @@
 #include "xml/parser.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "xml/serializer.h"
@@ -149,7 +152,11 @@ INSTANTIATE_TEST_SUITE_P(
         ErrorCase{"LtInAttribute", "<a x=\"<\"/>"},
         ErrorCase{"UnterminatedCdata", "<a><![CDATA[x</a>"},
         ErrorCase{"EmptyInput", ""},
-        ErrorCase{"BadCharRef", "<a>&#xQQ;</a>"}),
+        ErrorCase{"BadCharRef", "<a>&#xQQ;</a>"},
+        // XML 1.0 §2.2 WFC: Legal Character.
+        ErrorCase{"SurrogateCharRef", "<a>&#xD800;</a>"},
+        ErrorCase{"ControlCharRef", "<a>&#1;</a>"},
+        ErrorCase{"NonCharacterRef", "<a>&#xFFFE;</a>"}),
     [](const ::testing::TestParamInfo<ErrorCase>& info) {
       return info.param.name;
     });
@@ -195,6 +202,91 @@ TEST(DecodeXmlReferences, Basic) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ("a<b&c", result.value());
   EXPECT_FALSE(DecodeXmlReferences("oops&lt").ok());
+}
+
+// The parser's decoder: character references, and only legal ones.
+TEST(DecodeXmlReferences, CharacterReferences) {
+  for (const char* text : {"&#65;", "&#x41;"}) {
+    auto result = DecodeXmlReferences(text);
+    ASSERT_TRUE(result.ok()) << text << ": " << result.status().ToString();
+    EXPECT_EQ("A", result.value());
+  }
+  auto multibyte = DecodeXmlReferences("&#xE9;&#x10FFFF;");
+  ASSERT_TRUE(multibyte.ok());
+  EXPECT_EQ("\xC3\xA9\xF4\x8F\xBF\xBF", multibyte.value());
+  // Surrogates, U+FFFE, C0 controls other than tab/LF/CR, values past
+  // U+10FFFF, and digits that would wrap 32 bits.
+  for (const char* text : {"&#xD800;", "&#xFFFE;", "&#1;", "&#x110000;",
+                           "&#x100000041;", "&#4294967361;"}) {
+    EXPECT_FALSE(DecodeXmlReferences(text).ok()) << text;
+  }
+  auto whitespace = DecodeXmlReferences("&#9;&#xA;&#13;");
+  ASSERT_TRUE(whitespace.ok());
+  EXPECT_EQ("\t\n\r", whitespace.value());
+}
+
+// Records how often the parser polls inside a skip; skips every <s>.
+class PollCounter : public SaxHandler {
+ public:
+  Status StartElement(std::string_view tag,
+                      const std::vector<SaxAttribute>&) override {
+    if (tag == "s") return SkipSubtree();
+    return Status::Ok();
+  }
+  Status EndElement(std::string_view) override { return Status::Ok(); }
+  Status Characters(std::string_view) override { return Status::Ok(); }
+  Status Poll() override {
+    ++polls;
+    return poll_status;
+  }
+
+  int polls = 0;
+  Status poll_status;
+};
+
+// <s> holds at least `content_bytes` of markup and text.
+std::string BigSkippedDocument(size_t content_bytes) {
+  std::string xml = "<r><s>";
+  while (xml.size() < 6 + content_bytes) xml += "<i k=\"v\">some text</i>";
+  xml += "</s><k/></r>";
+  return xml;
+}
+
+TEST(XmlParserSkip, PollsAtLeastOncePerSkippedMiB) {
+  const std::string xml = BigSkippedDocument(4 * kSkipPollBytes);
+  PollCounter handler;
+  Status status = ParseXmlStream(xml, &handler);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(handler.polls, 4);
+
+  // One text run longer than the poll window is polled inside, too.
+  PollCounter text_handler;
+  const std::string text_xml =
+      "<r><s>" + std::string(4 * kSkipPollBytes, 'x') + "</s></r>";
+  status = ParseXmlStream(text_xml, &text_handler);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(text_handler.polls, 4);
+}
+
+TEST(XmlParserSkip, PollErrorAbortsTheSkip) {
+  const std::string xml = BigSkippedDocument(4 * kSkipPollBytes);
+  PollCounter handler;
+  handler.poll_status = DeadlineExceededError("stop");
+  Status status = ParseXmlStream(xml, &handler);
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+      << status.ToString();
+  EXPECT_EQ(handler.polls, 1);
+}
+
+// Skipped elements are charged like parsed ones, so the high-water mark
+// does not depend on the verdicts.
+TEST(XmlParserSkip, SkippedElementsKeepTheOpenElementCharge) {
+  constexpr size_t k = kOpenElementBytes;
+  const std::string xml = "<r><s><deep><er/></deep></s></r>";
+  PollCounter skipping;
+  size_t peak = 0;
+  ASSERT_TRUE(ParseXmlStream(xml, &skipping, {}, &peak).ok());
+  EXPECT_EQ(peak, (1 + k) + (1 + k) + (4 + k) + (2 + k));
 }
 
 }  // namespace

@@ -86,6 +86,13 @@ TEST_F(XQueryEvalTest, NestedConstructors) {
             Run("<out><in>x</in>{1 + 2}</out>"));
 }
 
+// Constructor content is decoded by the XML parser's own decoder, so
+// character references work there as in documents.
+TEST_F(XQueryEvalTest, ConstructorDecodesCharacterReferences) {
+  EXPECT_EQ("<r>A</r>", Run("<r>&#65;</r>"));
+  EXPECT_EQ("<r>A&amp;B</r>", Run("<r>&#x41;&amp;B</r>"));
+}
+
 TEST_F(XQueryEvalTest, Join) {
   EXPECT_EQ(
       "<s name=\"Alice\">2</s><s name=\"Bob\">1</s><s name=\"Carol\">0</s>",
