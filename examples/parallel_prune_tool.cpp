@@ -13,8 +13,7 @@
 //                       [--statsd=HOST:PORT] [--push-interval-ms=N]
 //                       [--push-jsonl=PATH] [--journal=DIR] [--auto-budget]
 //                       [--checkpoint=DIR] [--resume=DIR]
-//                       [--resume-retry-quarantined] [--drain-ms=N]
-//                       [--watchdog-factor=F]
+//                       [--resume-retry-quarantined] [--watchdog-factor=F]
 //
 // Generates a corpus of N XMark documents (xmlgen scale S each) — or, with
 // one or more --input flags, reads the corpus from XML files instead —
@@ -41,7 +40,9 @@
 //
 // Observability (README "Observability"): --metrics-out writes the
 // MetricsRegistry JSON dump, --prometheus-out the same registry in
-// Prometheus text format, and --trace-out a Chrome-trace/Perfetto JSON.
+// Prometheus text format, and --trace-out a Chrome-trace/Perfetto JSON
+// of the last TraceCollector::kMaxEvents spans (two per task, so the
+// last ~32k tasks).
 // --serve-metrics=PORT starts the embedded scrape server (obs/server.h)
 // on 127.0.0.1:PORT for the duration of the run — /metrics, /healthz,
 // /statusz, /tracez against the *live* registry; PORT 0 picks an
@@ -77,8 +78,9 @@
 // output-shaping options changed. Quarantined tasks stay quarantined on
 // resume unless --resume-retry-quarantined re-admits them. SIGINT or
 // SIGTERM triggers a graceful drain: no new tasks start, in-flight tasks
-// get --drain-ms (default 10000) to finish, telemetry and the journal
-// still flush, and the process exits 8 (a second signal hard-kills).
+// finish (bounded only by --deadline-ms and the watchdog), telemetry and
+// the journal still flush, and the process exits 8 (a second signal
+// hard-kills).
 // --watchdog-factor=F (requires --deadline-ms) arms a watchdog that
 // cancels and quarantines tasks wedged past F x the deadline budget.
 //
@@ -166,7 +168,7 @@ void PrintUsage() {
       "                           [--journal=DIR] [--auto-budget]\n"
       "                           [--checkpoint=DIR] [--resume=DIR]\n"
       "                           [--resume-retry-quarantined]\n"
-      "                           [--drain-ms=N] [--watchdog-factor=F]\n");
+      "                           [--watchdog-factor=F]\n");
 }
 
 // Strict numeric flag parsing: the whole value must consume, no silent
@@ -303,13 +305,6 @@ void PrintStageTable(MetricsRegistry& registry) {
                 static_cast<unsigned long long>(h->Count()), h->Mean() / 1e6,
                 h->ApproxPercentile(0.5) / 1e6, h->ApproxPercentile(0.9) / 1e6);
   }
-  std::printf("thread pool: queue depth peak %lld, busy %.1f ms over %lld "
-              "tasks\n",
-              static_cast<long long>(
-                  registry.GetGauge("xmlproj_pool_queue_depth_peak")->Value()),
-              registry.GetCounter("xmlproj_pool_busy_ns_total")->Value() / 1e6,
-              static_cast<long long>(
-                  registry.GetCounter("xmlproj_pool_tasks_total")->Value()));
 }
 
 // Atomic (write-temp-then-rename): a crash or drain mid-write never
@@ -358,7 +353,6 @@ int main(int argc, char** argv) {
   std::string checkpoint_dir;
   std::string resume_dir;
   bool resume_retry_quarantined = false;
-  long drain_ms = 10000;
   double watchdog_factor = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -479,10 +473,6 @@ int main(int argc, char** argv) {
       resume_dir = arg + 9;
     } else if (std::strcmp(arg, "--resume-retry-quarantined") == 0) {
       resume_retry_quarantined = true;
-    } else if (std::strncmp(arg, "--drain-ms=", 11) == 0) {
-      if (!ParseLong(arg + 11, &drain_ms) || drain_ms < 0) {
-        return BadFlag("--drain-ms", arg + 11, "expected an integer >= 0");
-      }
     } else if (std::strncmp(arg, "--watchdog-factor=", 18) == 0) {
       if (!ParseDouble(arg + 18, &watchdog_factor) || watchdog_factor <= 0) {
         return BadFlag("--watchdog-factor", arg + 18,
@@ -744,9 +734,8 @@ int main(int argc, char** argv) {
   }
 
   // Graceful drain: SIGINT/SIGTERM stop task admission; in-flight tasks
-  // get --drain-ms to finish, then telemetry and the journal still flush.
+  // finish, then telemetry and the journal still flush.
   options.stop = &g_stop;
-  options.drain_ms = static_cast<uint64_t>(drain_ms);
   options.watchdog_factor = watchdog_factor;
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);

@@ -5,11 +5,8 @@
 namespace xmlproj {
 
 ThreadPool::ThreadPool(int num_threads, size_t queue_capacity,
-                       ThreadPoolMetrics metrics, FaultInjector* fault)
-    : queue_(queue_capacity),
-      metrics_(metrics),
-      instrumented_(metrics.enabled()),
-      fault_(fault) {
+                       FaultInjector* fault)
+    : queue_(queue_capacity), fault_(fault) {
   if (num_threads <= 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -21,17 +18,6 @@ ThreadPool::ThreadPool(int num_threads, size_t queue_capacity,
 
 ThreadPool::~ThreadPool() { Shutdown(); }
 
-void ThreadPool::SampleQueueDepth() {
-  int64_t depth = static_cast<int64_t>(queue_.size());
-  if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Set(depth);
-  if (metrics_.queue_depth_peak != nullptr) {
-    metrics_.queue_depth_peak->SetMax(depth);
-  }
-  if (metrics_.trace != nullptr) {
-    metrics_.trace->AddCounterEvent("queue depth", MonotonicNowNs(), depth);
-  }
-}
-
 std::future<Status> ThreadPool::Submit(std::function<Status()> task) {
   Task entry;
   entry.fn = std::move(task);
@@ -40,47 +26,19 @@ std::future<Status> ThreadPool::Submit(std::function<Status()> task) {
     // Pool already shut down: Push left `entry` untouched, so its promise
     // is still ours to fulfill.
     entry.done.set_value(CancelledError("thread pool is shut down"));
-    return done;
   }
-  if (instrumented_) SampleQueueDepth();
   return done;
 }
 
-void ThreadPool::Join() {
+void ThreadPool::Shutdown() {
+  queue_.Close();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
 }
 
-void ThreadPool::Shutdown() {
-  queue_.Close();
-  Join();
-}
-
-bool ThreadPool::Shutdown(std::chrono::milliseconds drain_timeout) {
-  uint64_t deadline_ns =
-      MonotonicNowNs() +
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(drain_timeout)
-              .count());
-  cancel_after_ns_.store(deadline_ns, std::memory_order_relaxed);
-  queue_.Close();
-  Join();
-  return cancelled_tasks_.load(std::memory_order_relaxed) == 0;
-}
-
 void ThreadPool::WorkerLoop() {
   while (std::optional<Task> task = queue_.Pop()) {
-    // Deadline shutdown: queued tasks past the drain deadline resolve to
-    // kCancelled instead of running. One relaxed load in the common case.
-    uint64_t cancel_after = cancel_after_ns_.load(std::memory_order_relaxed);
-    if (cancel_after != UINT64_MAX && MonotonicNowNs() >= cancel_after) {
-      cancelled_tasks_.fetch_add(1, std::memory_order_relaxed);
-      task->done.set_value(
-          CancelledError("thread pool drain deadline passed before this "
-                         "task could run"));
-      continue;
-    }
     if (fault_ != nullptr) {
       Status injected = fault_->MaybeFail("pool.task");
       if (!injected.ok()) {
@@ -91,19 +49,7 @@ void ThreadPool::WorkerLoop() {
         continue;
       }
     }
-    if (!instrumented_) {
-      task->done.set_value(task->fn());
-      continue;
-    }
-    SampleQueueDepth();
-    uint64_t start_ns = MonotonicNowNs();
-    if (metrics_.active_workers != nullptr) metrics_.active_workers->Add(1);
     task->done.set_value(task->fn());
-    if (metrics_.active_workers != nullptr) metrics_.active_workers->Sub(1);
-    if (metrics_.busy_ns_total != nullptr) {
-      metrics_.busy_ns_total->Increment(MonotonicNowNs() - start_ns);
-    }
-    if (metrics_.tasks_total != nullptr) metrics_.tasks_total->Increment();
   }
 }
 

@@ -29,19 +29,6 @@ uint64_t Histogram::ApproxPercentile(double p) const {
   return Max();
 }
 
-void Histogram::MergeFrom(const Histogram& other) {
-  for (size_t i = 0; i < kBuckets; ++i) {
-    uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-    if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.Count(), std::memory_order_relaxed);
-  sum_.fetch_add(other.Sum(), std::memory_order_relaxed);
-  if (other.Count() != 0) {
-    AtomicMin(&min_, other.min_.load(std::memory_order_relaxed));
-    AtomicMax(&max_, other.max_.load(std::memory_order_relaxed));
-  }
-}
-
 void AppendEscapedLabelValue(std::string_view value, std::string* out) {
   for (char c : value) {
     switch (c) {
@@ -87,29 +74,6 @@ std::string OverflowEncoding(const MetricLabels& labels) {
   MetricLabels collapsed = labels;
   for (MetricLabel& label : collapsed) label.value = "other";
   return EncodeMetricLabels(collapsed);
-}
-
-// Same collapse, starting from an already-encoded label string (the
-// MergeFrom path, where the MetricLabels are gone). Values are escaped,
-// so an unescaped `"` terminates a value unambiguously.
-std::string CollapseEncodedLabels(const std::string& encoded) {
-  std::string out;
-  size_t i = 0;
-  while (i < encoded.size()) {
-    size_t eq = encoded.find("=\"", i);
-    if (eq == std::string::npos) break;
-    if (!out.empty()) out.push_back(',');
-    out.append(encoded, i, eq - i);
-    out.append("=\"other\"");
-    // Skip the escaped value up to its closing quote.
-    size_t j = eq + 2;
-    while (j < encoded.size() && encoded[j] != '"') {
-      j += (encoded[j] == '\\') ? 2 : 1;
-    }
-    i = j + 1;
-    if (i < encoded.size() && encoded[i] == ',') ++i;
-  }
-  return out;
 }
 
 }  // namespace
@@ -192,43 +156,6 @@ void MetricsRegistry::SetHelp(std::string_view name, std::string_view help) {
 std::map<std::string, std::string> MetricsRegistry::HelpTexts() const {
   std::lock_guard<std::mutex> lock(mu_);
   return {help_.begin(), help_.end()};
-}
-
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  if (&other == this) return;  // self-merge would deadlock on mu_
-  // Shared find-or-create for the merge path: if the destination family
-  // is at its cardinality bound, the source series folds into the
-  // all-"other" overflow series rather than being dropped.
-  auto resolve = [this](auto* families, const std::string& name,
-                        const std::string& labels, Kind kind) -> auto* {
-    auto* metric = GetMetricEncoded(families, name, labels, kind);
-    if (metric == nullptr && !labels.empty()) {
-      metric = GetMetricEncoded(families, name, CollapseEncodedLabels(labels),
-                                kind, /*exempt_from_bound=*/true);
-    }
-    return metric;
-  };
-  other.ForEachCounter([&](const std::string& name, const std::string& labels,
-                           const Counter& c) {
-    std::lock_guard<std::mutex> lock(mu_);
-    Counter* mine = resolve(&counters_, name, labels, Kind::kCounter);
-    if (mine != nullptr) mine->MergeFrom(c);
-  });
-  other.ForEachGauge([&](const std::string& name, const std::string& labels,
-                         const Gauge& g) {
-    std::lock_guard<std::mutex> lock(mu_);
-    Gauge* mine = resolve(&gauges_, name, labels, Kind::kGauge);
-    if (mine != nullptr) mine->MergeFrom(g);
-  });
-  other.ForEachHistogram([&](const std::string& name,
-                             const std::string& labels, const Histogram& h) {
-    std::lock_guard<std::mutex> lock(mu_);
-    Histogram* mine = resolve(&histograms_, name, labels, Kind::kHistogram);
-    if (mine != nullptr) mine->MergeFrom(h);
-  });
-  for (const auto& [name, help] : other.HelpTexts()) {
-    SetHelp(name, help);
-  }
 }
 
 std::string_view XmlprojVersion() { return "0.7.0"; }

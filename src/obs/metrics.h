@@ -12,13 +12,14 @@
 //    (each thread owns a shard index), Gauge/Histogram use relaxed
 //    atomics; only registration (name -> metric lookup) takes a mutex,
 //    and callers are expected to resolve metrics once, outside loops.
-//  - mergeable: counters and histograms add, gauges take the max (the
-//    only gauges we merge are peaks). This lets per-shard or per-run
-//    registries fold into one.
+//  - shared, never merged: concurrent pipeline runs and service requests
+//    publish into one registry, so counters and histograms only add and
+//    gauges move by deltas (progress) or only rise (peaks, via SetMax) —
+//    no user resets a value another user is still moving.
 //
 // This library deliberately depends on nothing but the C++ standard
-// library (not even common/status.h), so lower layers such as
-// common/thread_pool.h can report into it without a dependency cycle.
+// library (not even common/status.h), so any lower layer can report into
+// it without a dependency cycle.
 
 #ifndef XMLPROJ_OBS_METRICS_H_
 #define XMLPROJ_OBS_METRICS_H_
@@ -76,8 +77,6 @@ class Counter {
     return total;
   }
 
-  void MergeFrom(const Counter& other) { Increment(other.Value()); }
-
  private:
   static constexpr size_t kShards = 8;
   struct alignas(64) Shard {
@@ -95,7 +94,7 @@ class Counter {
   Shard shards_[kShards];
 };
 
-// Point-in-time signed value (queue depth, worker count, peak bytes).
+// Point-in-time signed value (tasks in flight, thread count, peak bytes).
 class Gauge {
  public:
   Gauge() = default;
@@ -117,10 +116,6 @@ class Gauge {
 
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
-  // Merging keeps the larger reading: the gauges this library merges are
-  // peaks (queue depth, memory), where max is the meaningful fold.
-  void MergeFrom(const Gauge& other) { SetMax(other.Value()); }
-
  private:
   std::atomic<int64_t> value_{0};
 };
@@ -128,7 +123,7 @@ class Gauge {
 // Fixed-bucket histogram over non-negative values (latencies in ns, byte
 // sizes). Bucket i counts values whose bit width is i, i.e. bucket 0 is
 // exactly {0} and bucket i>0 spans [2^(i-1), 2^i - 1] — boundaries are
-// compile-time fixed, so any two histograms merge bucket-by-bucket.
+// compile-time fixed, so every exporter sees the same layout.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 65;  // bit widths 0..64
@@ -184,8 +179,6 @@ class Histogram {
   // usual fixed-bucket estimate, exact enough for p50/p90/p99 summaries.
   uint64_t ApproxPercentile(double p) const;
 
-  void MergeFrom(const Histogram& other);
-
  private:
   static void AtomicMin(std::atomic<uint64_t>* slot, uint64_t v) {
     uint64_t current = slot->load(std::memory_order_relaxed);
@@ -227,7 +220,7 @@ std::string EncodeMetricLabels(const MetricLabels& labels);
 // Escapes one label value (`\` -> `\\`, `"` -> `\"`, newline -> `\n`).
 void AppendEscapedLabelValue(std::string_view value, std::string* out);
 
-// Named metrics, one instance per pipeline run / process / shard.
+// Named metrics, shared by every run and request that publishes into it.
 // Get* registers on first use and returns a stable pointer; resolve once
 // and hold the pointer across the hot loop. All methods are thread-safe.
 //
@@ -275,11 +268,6 @@ class MetricsRegistry {
   uint64_t kind_conflicts() const {
     return kind_conflicts_.load(std::memory_order_relaxed);
   }
-
-  // Folds `other` into this registry: counters/histograms add, gauges
-  // take the max (see Gauge::MergeFrom). Metrics (and labeled series)
-  // absent here are created.
-  void MergeFrom(const MetricsRegistry& other);
 
   // Iteration for exporters, in (name, labels) order — the unlabeled
   // series of a family (labels == "") sorts first. `labels` is the
@@ -330,8 +318,7 @@ class MetricsRegistry {
   template <typename M>
   M* GetMetric(std::map<std::string, Family<M>, std::less<>>* families,
                std::string_view name, const MetricLabels& labels, Kind kind);
-  // Find-or-create by pre-encoded labels (MergeFrom's path: the source
-  // registry already canonicalized, and the label keys are gone). With
+  // Find-or-create by pre-encoded labels (EncodeMetricLabels form). With
   // `exempt_from_bound` the series is created outside the per-family
   // cardinality budget — used only for the all-"other" overflow series.
   template <typename M>
@@ -357,26 +344,8 @@ std::string_view XmlprojCompiler();
 // Registers the conventional `xmlproj_build_info` gauge (value 1,
 // `version`/`compiler` labels) into `registry`. Explicit — never called
 // by the registry itself — so registries that want a minimal series set
-// (tests, per-shard merges) stay untouched. Null registry is a no-op.
+// (tests) stay untouched. Null registry is a no-op.
 void RegisterBuildInfo(MetricsRegistry* registry);
-
-// RAII latency sample: records elapsed nanoseconds into `hist` on
-// destruction. A null histogram skips the clock reads entirely.
-class ScopedLatencyTimer {
- public:
-  explicit ScopedLatencyTimer(Histogram* hist) : hist_(hist) {
-    if (hist_ != nullptr) start_ns_ = MonotonicNowNs();
-  }
-  ~ScopedLatencyTimer() {
-    if (hist_ != nullptr) hist_->Record(MonotonicNowNs() - start_ns_);
-  }
-  ScopedLatencyTimer(const ScopedLatencyTimer&) = delete;
-  ScopedLatencyTimer& operator=(const ScopedLatencyTimer&) = delete;
-
- private:
-  Histogram* hist_;
-  uint64_t start_ns_ = 0;
-};
 
 }  // namespace xmlproj
 

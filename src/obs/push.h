@@ -225,7 +225,8 @@ class PushFlusher {
   std::mutex delta_mu_;
   std::map<std::string, uint64_t> last_values_;
   uint64_t sequence_ = 0;
-  size_t trace_cursor_ = 0;  // events already exported (same guard)
+  size_t trace_cursor_ = 0;  // trace events appended at the last export
+                             // (same guard)
 };
 
 }  // namespace xmlproj

@@ -129,8 +129,9 @@ void AppendStatusz(const MetricsRegistry& registry, uint64_t uptime_ns,
   AppendJsonString(XmlprojCompiler(), out);
   out->append("},\"threads\":");
   AppendI64(snap.GaugeOr0("xmlproj_pipeline_threads"), out);
-  // Progress gauges are updated at task granularity by the pipeline:
-  // completed + failed == tasks at the end of a run, inflight == 0.
+  // Progress gauges are updated at task granularity by the pipeline and
+  // only add: once no run is in flight, completed + failed == tasks and
+  // inflight == 0.
   out->append(",\"progress\":{\"tasks\":");
   AppendI64(snap.GaugeOr0("xmlproj_progress_tasks"), out);
   out->append(",\"completed\":");
@@ -157,12 +158,6 @@ void AppendStatusz(const MetricsRegistry& registry, uint64_t uptime_ns,
   AppendU64(snap.CounterOr0("xmlproj_pipeline_input_bytes_total"), out);
   out->append(",\"out\":");
   AppendU64(snap.CounterOr0("xmlproj_pipeline_output_bytes_total"), out);
-  out->append("},\"pool\":{\"queue_depth\":");
-  AppendI64(snap.GaugeOr0("xmlproj_pool_queue_depth"), out);
-  out->append(",\"queue_depth_peak\":");
-  AppendI64(snap.GaugeOr0("xmlproj_pool_queue_depth_peak"), out);
-  out->append(",\"active_workers\":");
-  AppendI64(snap.GaugeOr0("xmlproj_pool_active_workers"), out);
   out->append("},\"stages\":{");
   bool first = true;
   AppendStageStats(snap, "task", "xmlproj_stage_task_ns", &first, out);

@@ -9,7 +9,7 @@
 //   /metrics.json  the obs/export.h JSON document
 //   /healthz       liveness + failure/degradation counters (JSON)
 //   /statusz       pipeline progress: task counts, bytes, stage
-//                  latencies, pool state, uptime (JSON)
+//                  latencies, uptime (JSON)
 //   /tracez        most recent sampled trace spans (JSON)
 //
 // The endpoints only read: relaxed-atomic metric values under the

@@ -58,14 +58,13 @@ void TraceCollector::AddCompleteEvent(std::string name, std::string category,
   Event event;
   event.name = std::move(name);
   event.category = std::move(category);
-  event.phase = 'X';
   event.ts_ns = Rebase(start_ns);
   event.dur_ns = duration_ns;
   event.args = std::move(args);
   std::lock_guard<std::mutex> lock(mu_);
   event.tid = TidLocked();
   StampFromThreadContextLocked(&event);
-  events_.push_back(std::move(event));
+  AppendLocked(std::move(event));
 }
 
 void TraceCollector::AddSpanEvent(std::string name, std::string category,
@@ -75,7 +74,6 @@ void TraceCollector::AddSpanEvent(std::string name, std::string category,
   Event event;
   event.name = std::move(name);
   event.category = std::move(category);
-  event.phase = 'X';
   event.ts_ns = Rebase(start_ns);
   event.dur_ns = duration_ns;
   event.args = std::move(args);
@@ -85,7 +83,13 @@ void TraceCollector::AddSpanEvent(std::string name, std::string category,
   event.workload = context.workload;
   std::lock_guard<std::mutex> lock(mu_);
   event.tid = TidLocked();
+  AppendLocked(std::move(event));
+}
+
+void TraceCollector::AppendLocked(Event&& event) {
+  if (events_.size() == kMaxEvents) events_.pop_front();
   events_.push_back(std::move(event));
+  ++appended_;
 }
 
 void TraceCollector::SetThreadSpanContext(const SpanContext& context) {
@@ -96,18 +100,6 @@ void TraceCollector::SetThreadSpanContext(const SpanContext& context) {
 void TraceCollector::ClearThreadSpanContext() {
   std::lock_guard<std::mutex> lock(mu_);
   contexts_.erase(std::this_thread::get_id());
-}
-
-void TraceCollector::AddCounterEvent(std::string name, uint64_t ts_ns,
-                                     int64_t value) {
-  Event event;
-  event.name = std::move(name);
-  event.phase = 'C';
-  event.ts_ns = Rebase(ts_ns);
-  event.counter_value = value;
-  std::lock_guard<std::mutex> lock(mu_);
-  event.tid = TidLocked();
-  events_.push_back(std::move(event));
 }
 
 size_t TraceCollector::event_count() const {
@@ -124,20 +116,14 @@ void TraceCollector::AppendEventJsonLocked(const Event& event,
     out->append(",\"cat\":");
     AppendJsonString(event.category, out);
   }
-  std::snprintf(buf, sizeof(buf), ",\"ph\":\"%c\",\"pid\":1,\"tid\":%d",
-                event.phase, event.tid);
+  std::snprintf(buf, sizeof(buf), ",\"ph\":\"X\",\"pid\":1,\"tid\":%d",
+                event.tid);
   out->append(buf);
   out->append(",\"ts\":");
   AppendMicros(event.ts_ns, out);
-  if (event.phase == 'X') {
-    out->append(",\"dur\":");
-    AppendMicros(event.dur_ns, out);
-  }
-  if (event.phase == 'C') {
-    std::snprintf(buf, sizeof(buf), ",\"args\":{\"value\":%" PRId64 "}",
-                  event.counter_value);
-    out->append(buf);
-  } else if (!event.args.empty()) {
+  out->append(",\"dur\":");
+  AppendMicros(event.dur_ns, out);
+  if (!event.args.empty()) {
     out->append(",\"args\":{");
     for (size_t a = 0; a < event.args.size(); ++a) {
       if (a != 0) out->push_back(',');
@@ -195,8 +181,9 @@ void TraceCollector::AppendRecentSpansJson(size_t max_events,
     matches.push_back(i);
   }
   size_t start = matches.size() > max_events ? matches.size() - max_events : 0;
+  const size_t evicted = appended_ - events_.size();
   out->append("{\"dropped\":");
-  AppendU64(start, out);
+  AppendU64(evicted + start, out);
   out->append(",\"spans\":[\n");
   for (size_t m = start; m < matches.size(); ++m) {
     AppendEventJsonLocked(events_[matches[m]], out);
@@ -209,8 +196,11 @@ void TraceCollector::AppendRecentSpansJson(size_t max_events,
 bool TraceCollector::AppendOtlpSpansJson(size_t* cursor,
                                          std::string* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t from = *cursor;
-  *cursor = events_.size();
+  // The cursor and `oldest` are append counts; events evicted before
+  // this export are gone.
+  const size_t oldest = appended_ - events_.size();
+  const size_t from = *cursor > oldest ? *cursor - oldest : 0;
+  *cursor = appended_;
   std::string spans;
   bool first = true;
   // Sized for the longest fragment: 30 chars of key syntax plus a
@@ -218,9 +208,9 @@ bool TraceCollector::AppendOtlpSpansJson(size_t* cursor,
   char buf[64];
   for (size_t i = from; i < events_.size(); ++i) {
     const Event& event = events_[i];
-    // Only trace-stamped complete events are OTLP spans; counter events
-    // and anonymous stage spans stay local to /tracez.
-    if (event.phase != 'X' || event.trace_id.empty()) continue;
+    // Only trace-stamped events are OTLP spans; anonymous stage spans
+    // stay local to /tracez.
+    if (event.trace_id.empty()) continue;
     if (!first) spans.push_back(',');
     first = false;
     spans.append("{\"traceId\":");

@@ -1,11 +1,17 @@
 // Span-style task tracing for the pruning pipeline.
 //
-// A TraceCollector accumulates complete ("X") and counter ("C") events —
-// one `prune` / `validate+prune` span per pipeline task, its `queue-wait`
-// span, and thread-pool queue depth — and serializes them in the Chrome
-// Trace Event JSON format, loadable in chrome://tracing and Perfetto. One
-// event object per line, so the file doubles as JSON-lines for ad-hoc
-// grep/jq.
+// A TraceCollector accumulates complete ("X") events — one `prune` /
+// `validate+prune` span per pipeline task and its `queue-wait` span, or a
+// service request span and its `prune` child — and serializes them in the
+// Chrome Trace Event JSON format, loadable in chrome://tracing and
+// Perfetto. One event object per line, so the file doubles as JSON-lines
+// for ad-hoc grep/jq.
+//
+// The collector is bounded: it keeps the most recent kMaxEvents events
+// and evicts the oldest, so a long-lived daemon that traces every request
+// holds at most that many (about 31 MB at ~0.47 KB per event). /tracez
+// counts evicted events as dropped; an OTLP exporter that falls more than
+// kMaxEvents behind loses the oldest.
 //
 // All timestamps are absolute MonotonicNowNs() values (obs/metrics.h);
 // the collector rebases them onto its construction time so traces start
@@ -17,7 +23,9 @@
 #ifndef XMLPROJ_OBS_TRACE_H_
 #define XMLPROJ_OBS_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -52,6 +60,9 @@ struct SpanContext {
 
 class TraceCollector {
  public:
+  // Retained events; appending past this evicts the oldest.
+  static constexpr size_t kMaxEvents = 65536;
+
   TraceCollector();
   TraceCollector(const TraceCollector&) = delete;
   TraceCollector& operator=(const TraceCollector&) = delete;
@@ -61,9 +72,6 @@ class TraceCollector {
   void AddCompleteEvent(std::string name, std::string category,
                         uint64_t start_ns, uint64_t duration_ns,
                         std::vector<TraceArg> args = {});
-
-  // Counter event ("ph":"C"): plots `value` over time (e.g. queue depth).
-  void AddCounterEvent(std::string name, uint64_t ts_ns, int64_t value);
 
   // Complete event recorded *as* `context` — the request span itself:
   // the event's span id is context.span_id, its parent
@@ -81,17 +89,19 @@ class TraceCollector {
   void SetThreadSpanContext(const SpanContext& context);
   void ClearThreadSpanContext();
 
+  // Retained events (at most kMaxEvents).
   size_t event_count() const;
 
-  // Serializes {"traceEvents":[...]} with one event per line.
+  // Serializes the retained events as {"traceEvents":[...]}, one event
+  // per line.
   void AppendChromeTraceJson(std::string* out) const;
 
   // Serializes the most recent `max_events` events (all, if fewer) as
   // {"spans":[...],"dropped":N} in the same per-event shape as the
   // Chrome trace — the /tracez payload. `dropped` counts the older
-  // events not included. Non-empty `trace_id` / `workload` restrict the
-  // listing to events stamped with that id / workload (the
-  // /tracez?trace_id=&workload= filters).
+  // events not included, evicted ones among them. Non-empty `trace_id` /
+  // `workload` restrict the listing to events stamped with that id /
+  // workload (the /tracez?trace_id=&workload= filters).
   void AppendRecentSpansJson(size_t max_events, std::string* out) const;
   void AppendRecentSpansJson(size_t max_events, std::string_view trace_id,
                              std::string_view workload,
@@ -99,22 +109,22 @@ class TraceCollector {
 
   // OTLP-shaped trace export: appends one JSON object (a
   // `resourceSpans` batch, single line, no trailing newline) holding
-  // every trace-stamped complete event recorded since `*cursor`, and
-  // advances the cursor past all current events. Returns false — with
-  // `*out` untouched — when no new qualifying span exists. Timestamps
-  // are unix nanos (the collector pins a wall-clock epoch at
-  // construction). The PushFlusher drives this onto a JsonlFileSink.
+  // every retained trace-stamped event appended since `*cursor`, and
+  // advances the cursor past all current events. The cursor counts
+  // events ever appended (start at 0), so eviction never re-sends a span
+  // or reads out of range. Returns false — with `*out` untouched — when
+  // no new qualifying span exists. Timestamps are unix nanos (the
+  // collector pins a wall-clock epoch at construction). The PushFlusher
+  // drives this onto a JsonlFileSink.
   bool AppendOtlpSpansJson(size_t* cursor, std::string* out) const;
 
  private:
   struct Event {
     std::string name;
     std::string category;
-    char phase = 'X';
     uint64_t ts_ns = 0;  // rebased to the collector epoch
     uint64_t dur_ns = 0;
     int tid = 0;
-    int64_t counter_value = 0;
     std::vector<TraceArg> args;
     // Request attribution; empty for events recorded outside any span
     // context (the pre-PR-10 anonymous spans).
@@ -135,6 +145,9 @@ class TraceCollector {
   // Stamps `event` from the calling thread's span context (if any),
   // minting a child span id. Caller holds mu_.
   void StampFromThreadContextLocked(Event* event);
+  // Appends `event`, evicting the oldest past kMaxEvents. Caller holds
+  // mu_.
+  void AppendLocked(Event&& event);
 
   const uint64_t epoch_ns_;
   const uint64_t unix_epoch_ns_;  // wall clock at construction (OTLP)
@@ -142,7 +155,8 @@ class TraceCollector {
   mutable std::mutex mu_;
   std::map<std::thread::id, int> tids_;
   std::map<std::thread::id, SpanContext> contexts_;
-  std::vector<Event> events_;
+  std::deque<Event> events_;  // the most recent kMaxEvents
+  size_t appended_ = 0;       // events ever appended (the OTLP cursor)
 };
 
 // RAII installation of a span context on the current thread. Null

@@ -59,14 +59,16 @@ struct PipelineMetrics {
   Histogram* queue_wait_ns = nullptr;
   Gauge* threads = nullptr;
   // Live progress gauges, updated at task granularity so a /statusz
-  // scrape mid-run sees how far the corpus has gotten. At the end of a
-  // non-cancelled run completed + failed == tasks and inflight == 0.
+  // scrape mid-run sees how far the corpus has gotten. They only add, so
+  // runs sharing a registry never zero each other's counts: `tasks` sums
+  // every run's task count, and once no run is in flight (and none was
+  // cancelled) completed + failed == tasks and inflight == 0.
   Gauge* progress_tasks = nullptr;
   Gauge* progress_completed = nullptr;
   Gauge* progress_failed = nullptr;
   Gauge* progress_inflight = nullptr;
-  // Largest task memory peak (output + open-element charge, every task);
-  // SetMax fold, so the gauge survives MergeFrom across shards.
+  // Largest task memory peak (output + open-element charge, every task),
+  // raised with SetMax so it only ever holds the largest peak seen.
   Gauge* memory_peak_bytes = nullptr;
   // Checkpoint/resume and watchdog counters (README "Checkpoint &
   // resume"): appends made durable, tasks skipped by a resume plan, runs
@@ -163,20 +165,6 @@ struct PipelineMetrics {
     return m;
   }
 };
-
-ThreadPoolMetrics ResolvePoolMetrics(MetricsRegistry* registry,
-                                     TraceCollector* trace) {
-  ThreadPoolMetrics m;
-  if (registry != nullptr) {
-    m.tasks_total = registry->GetCounter("xmlproj_pool_tasks_total");
-    m.busy_ns_total = registry->GetCounter("xmlproj_pool_busy_ns_total");
-    m.queue_depth = registry->GetGauge("xmlproj_pool_queue_depth");
-    m.queue_depth_peak = registry->GetGauge("xmlproj_pool_queue_depth_peak");
-    m.active_workers = registry->GetGauge("xmlproj_pool_active_workers");
-  }
-  m.trace = trace;
-  return m;
-}
 
 // Monotonic deadline `ms` milliseconds after `now_ns`, saturating: a
 // deadline too large to represent means "none", never "already past".
@@ -478,16 +466,12 @@ struct TaskOutcome {
   int attempts = 1;
   bool degraded = false;
   size_t peak_bytes = 0;
-  // Denied at admission by an open circuit breaker — the task never
-  // executed, and its quarantine stage is "circuit" rather than the
-  // status-derived one (kUnavailable would otherwise map to "io").
-  bool fast_failed = false;
-  // The watchdog fired and the task failed: quarantine stage "watchdog".
-  bool watchdog = false;
-  // Durability failure after a successful pass: "commit" (atomic output
-  // rename failed) or "checkpoint" (record append failed). Overrides the
-  // status-derived stage.
-  const char* stage_override = nullptr;
+  // Quarantine stage when the status code alone would misattribute the
+  // failure: "circuit" (denied at admission by an open breaker; never
+  // executed), "watchdog" (the watchdog fired and the task failed),
+  // "commit" (atomic output rename failed) or "checkpoint" (record append
+  // failed). Null: the stage derives from the status (StageForStatus).
+  const char* stage = nullptr;
 };
 
 // Quarantine stage attribution for one task outcome. `code` is the
@@ -495,10 +479,8 @@ struct TaskOutcome {
 // from the outcome's when the worker never ran the task body).
 const char* FailureStage(const TaskOutcome& outcome, StatusCode code,
                          bool validate) {
-  if (outcome.fast_failed) return "circuit";
-  if (outcome.watchdog) return "watchdog";
-  if (outcome.stage_override != nullptr) return outcome.stage_override;
-  return StageForStatus(code, validate);
+  return outcome.stage != nullptr ? outcome.stage
+                                  : StageForStatus(code, validate);
 }
 
 // One attempt of the fused per-document pass: SAX events from the parser
@@ -575,7 +557,7 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
   // still counts into progress_failed so completed + failed == tasks
   // holds at run end.
   if (env.breaker != nullptr && !env.breaker->Allow()) {
-    outcome.fast_failed = true;
+    outcome.stage = "circuit";
     outcome.status = UnavailableError(
         "circuit breaker open: task fast-failed at admission");
     out->output.clear();
@@ -660,7 +642,7 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     bool fired = env.watchdog->Unwatch(index);
     // A fired watchdog on a task that completed anyway is a non-event:
     // the completed checkpoint record supersedes the watchdog's.
-    outcome.watchdog = fired && !outcome.status.ok();
+    if (fired && !outcome.status.ok()) outcome.stage = "watchdog";
   }
 
   // Durability: commit the output atomically (write *.tmp, fsync,
@@ -674,7 +656,7 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
       durable = env.checkpoint->CommitOutput(index, out->output);
     }
     if (!durable.ok()) {
-      outcome.stage_override = "commit";
+      outcome.stage = "commit";
       outcome.status = std::move(durable);
     } else {
       durable = XMLPROJ_FAULT_HIT(env.fault, "checkpoint.append");
@@ -694,7 +676,7 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
         durable = env.checkpoint->AppendTask(record);
       }
       if (!durable.ok()) {
-        outcome.stage_override = "checkpoint";
+        outcome.stage = "checkpoint";
         outcome.status = std::move(durable);
       } else {
         CounterAdd(env.metrics.checkpoint_appends);
@@ -764,11 +746,11 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
 
   // Quarantine-to-be tasks get their terminal outcome on disk *here*, in
   // the worker, not at run end: crash-safety is the point. Fast-failed
-  // (circuit) tasks never executed and are deliberately not recorded —
-  // a resume should re-admit them. Under kFailFast the run aborts and
-  // nothing is settled, so failures are likewise not recorded.
+  // (circuit) tasks returned above without a record — a resume should
+  // re-admit them. Under kFailFast the run aborts and nothing is
+  // settled, so failures are likewise not recorded.
   if (env.checkpoint != nullptr && !outcome.status.ok() &&
-      !outcome.fast_failed && env.policy != ErrorPolicy::kFailFast) {
+      env.policy != ErrorPolicy::kFailFast) {
     CheckpointTaskRecord record;
     record.task = index;
     record.completed = false;
@@ -911,13 +893,9 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
         std::max(1u, std::thread::hardware_concurrency()));
   }
   GaugeSet(env.metrics.threads, threads);
-  // Progress gauges describe the current run: reset so a scrape during
-  // run N is not contaminated by run N-1 (the *_total counters keep
-  // cross-run accounting).
-  GaugeSet(env.metrics.progress_tasks, static_cast<int64_t>(tasks.size()));
-  GaugeSet(env.metrics.progress_completed, 0);
-  GaugeSet(env.metrics.progress_failed, 0);
-  GaugeSet(env.metrics.progress_inflight, 0);
+  // Progress gauges only add (see PipelineMetrics): the service runs
+  // several one-document pipelines on one registry at a time.
+  GaugeAdd(env.metrics.progress_tasks, static_cast<int64_t>(tasks.size()));
 
   // Per-task final status and outcome detail, index-aligned with `tasks`
   // (workers write disjoint slots).
@@ -948,115 +926,80 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
     }
   }
 
-  if (threads == 1) {
-    // Reference sequential path: same pass, same order, documents run one
-    // at a time on the calling thread, no pool.
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      if (skipped[i]) continue;
-      if (stop_requested()) {
-        for (size_t j = i; j < tasks.size(); ++j) {
-          if (!skipped[j]) drained[j] = 1;
-        }
-        break;
-      }
-      outcomes[i] = ExecuteTask(env, tasks[i], i, /*submit_ns=*/0,
-                                &run.results[i]);
-      finals[i] = outcomes[i].status;
-      if (!finals[i].ok() && options.policy == ErrorPolicy::kFailFast) {
-        return AnnotateTaskError(i, finals[i]);
-      }
-    }
-  } else {
-    std::atomic<bool> cancelled{false};
-    // Index-aligned; slots for skipped/never-submitted tasks hold an
-    // invalid (default) future.
-    std::vector<std::future<Status>> done(tasks.size());
-    {
-      ThreadPool pool(threads, options.queue_capacity,
-                      instrumented ? ResolvePoolMetrics(options.metrics,
-                                                        options.trace)
-                                   : ThreadPoolMetrics{},
-                      options.fault);
-      for (size_t i = 0; i < tasks.size(); ++i) {
-        if (skipped[i]) continue;
-        if (stop_requested()) {
-          // Graceful drain, admission side: everything not yet submitted
-          // is abandoned without a terminal outcome.
-          for (size_t j = i; j < tasks.size(); ++j) {
-            if (!skipped[j]) drained[j] = 1;
-          }
-          break;
-        }
-        uint64_t submit_ns = instrumented ? MonotonicNowNs() : 0;
-        done[i] = pool.Submit([&, i, submit_ns]() -> Status {
-          if (cancelled.load(std::memory_order_relaxed)) {
-            return CancelledError("skipped after an earlier task failed");
-          }
-          if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-            // Graceful drain, worker side: a queued task claimed after
-            // the stop request never starts. Workers own disjoint slots,
-            // so the flag write is race-free.
-            drained[i] = 1;
-            return CancelledError("drained: stop requested before start");
-          }
-          outcomes[i] =
-              ExecuteTask(env, tasks[i], i, submit_ns, &run.results[i]);
-          if (!outcomes[i].status.ok() &&
-              env.policy == ErrorPolicy::kFailFast) {
-            cancelled.store(true, std::memory_order_relaxed);
-          }
-          return outcomes[i].status;
-        });
-      }
-      if (stop_requested() && options.drain_ms > 0) {
-        // Bounded drain: in-flight tasks get drain_ms to finish; work
-        // still queued past the deadline resolves kCancelled (and is
-        // marked drained below). Without a stop request the destructor
-        // drains everything, as before.
-        pool.Shutdown(std::chrono::milliseconds(options.drain_ms));
-      }
-      // Pool destructor drains and joins; every future below is ready.
-    }
-    // The future is authoritative: it carries pool-level outcomes
-    // (cancellation, injected worker faults) the task body never saw.
-    for (size_t i = 0; i < done.size(); ++i) {
-      if (done[i].valid()) finals[i] = done[i].get();
+  // kFailFast: set by the first failing task; tasks claimed after it
+  // return kCancelled without running.
+  std::atomic<bool> cancelled{false};
+  // One task from claim to final status. A task claimed after the stop
+  // request never starts (graceful drain, worker side). Tasks write
+  // disjoint slots of `drained`, `outcomes` and `run.results`, so the
+  // writes are race-free.
+  auto run_task = [&](size_t i, uint64_t submit_ns) -> Status {
+    if (cancelled.load(std::memory_order_relaxed)) {
+      return CancelledError("skipped after an earlier task failed");
     }
     if (stop_requested()) {
-      // Queued tasks the deadline shutdown cancelled have kCancelled
-      // futures and never ran: they drained, same as never-submitted.
-      for (size_t i = 0; i < finals.size(); ++i) {
-        if (!skipped[i] && !drained[i] &&
-            finals[i].code() == StatusCode::kCancelled) {
-          drained[i] = 1;
-        }
-      }
+      drained[i] = 1;
+      return CancelledError("drained: stop requested before start");
     }
+    outcomes[i] = ExecuteTask(env, tasks[i], i, submit_ns, &run.results[i]);
+    if (!outcomes[i].status.ok() && env.policy == ErrorPolicy::kFailFast) {
+      cancelled.store(true, std::memory_order_relaxed);
+    }
+    return outcomes[i].status;
+  };
 
-    if (options.policy == ErrorPolicy::kFailFast) {
-      // Report the lowest-indexed real failure (cancelled tasks only lose
-      // to the error that triggered the cancellation).
-      Status first_error;
-      Status first_cancelled;
-      for (size_t i = 0; i < finals.size(); ++i) {
-        if (skipped[i] || drained[i]) continue;
-        const Status& status = finals[i];
-        if (status.ok()) continue;
-        if (status.code() == StatusCode::kCancelled) {
-          if (first_cancelled.ok()) {
-            first_cancelled = AnnotateTaskError(i, status);
-          }
-          continue;
-        }
-        if (first_error.ok()) first_error = AnnotateTaskError(i, status);
+  // One admission loop. With one thread every task runs inline on the
+  // calling thread and no pool exists — the reference sequential path.
+  // With more, tasks queue on a bounded pool (submission blocks past
+  // queue_capacity), whose futures are authoritative: they carry
+  // pool-level outcomes (injected worker faults) the task never saw.
+  std::optional<ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads, options.queue_capacity, options.fault);
+  std::vector<std::future<Status>> done(pool ? tasks.size() : 0);
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    if (skipped[i]) continue;
+    if (stop_requested()) {
+      // Graceful drain, admission side: everything not yet admitted is
+      // abandoned without a terminal outcome.
+      for (size_t j = i; j < tasks.size(); ++j) {
+        if (!skipped[j]) drained[j] = 1;
       }
-      if (!first_error.ok()) return first_error;
-      // All non-OK statuses were cancellations with no originating error:
-      // cannot happen in this pipeline (drained tasks were filtered
-      // above), but fail loudly rather than return partially-empty
-      // results.
-      if (!first_cancelled.ok()) return first_cancelled;
+      break;
     }
+    if (!pool) {
+      finals[i] = run_task(i, /*submit_ns=*/0);
+      continue;
+    }
+    const uint64_t submit_ns = instrumented ? MonotonicNowNs() : 0;
+    done[i] = pool->Submit(
+        [&run_task, i, submit_ns] { return run_task(i, submit_ns); });
+  }
+  // Destroying the pool runs every queued task and joins the workers.
+  pool.reset();
+  for (size_t i = 0; i < done.size(); ++i) {
+    if (done[i].valid()) finals[i] = done[i].get();
+  }
+
+  if (options.policy == ErrorPolicy::kFailFast) {
+    // Report the lowest-indexed real failure. Cancellations lose to the
+    // error that triggered them, but an injected pool-level cancellation
+    // with no other failure still fails the run.
+    Status first_error;
+    Status first_cancelled;
+    for (size_t i = 0; i < finals.size(); ++i) {
+      if (skipped[i] || drained[i]) continue;
+      const Status& status = finals[i];
+      if (status.ok()) continue;
+      if (status.code() == StatusCode::kCancelled) {
+        if (first_cancelled.ok()) {
+          first_cancelled = AnnotateTaskError(i, status);
+        }
+        continue;
+      }
+      if (first_error.ok()) first_error = AnnotateTaskError(i, status);
+    }
+    if (!first_error.ok()) return first_error;
+    if (!first_cancelled.ok()) return first_cancelled;
   }
 
   // kIsolate / kRetry: quarantine failures into structured reports; the

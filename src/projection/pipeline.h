@@ -54,11 +54,12 @@
 // Observability: every run folds per-task PruneStats into a
 // PipelineSummary (the paper's Table 1 quantities at corpus scale), and
 // PipelineOptions can attach a MetricsRegistry (per-task latency and
-// queue-wait histograms, pruning counters, thread-pool queue stats) and a
+// queue-wait histograms, pruning counters, progress gauges) and a
 // TraceCollector (per-task queue-wait and prune spans for Perfetto). A
 // task is timed once, from outside the fused pass: parse, prune and
-// splice interleave per SAX event, so no per-stage split is published.
-// Both are opt-in; with neither attached the pipeline reads no clocks.
+// splice interleave per SAX event, so no per-stage split is published,
+// and the thread pool keeps no numbers of its own. Both are opt-in; with
+// neither attached the pipeline reads no clocks.
 
 #ifndef XMLPROJ_PROJECTION_PIPELINE_H_
 #define XMLPROJ_PROJECTION_PIPELINE_H_
@@ -142,12 +143,12 @@ struct PipelineOptions {
   // Bound on queued-but-unclaimed tasks; submission blocks beyond it.
   size_t queue_capacity = 256;
   // Optional telemetry. When `metrics` is set the pipeline publishes the
-  // xmlproj_pipeline_* / xmlproj_stage_{task,queue_wait}_ns /
-  // xmlproj_pool_* metrics (see README "Observability") into it; when
-  // `trace` is set every task emits a queue-wait span (pool runs) and one
-  // [validate+]prune span covering the whole task. Either costs a few
-  // clock reads per task and none per SAX event; both null (the default)
-  // reads no clocks at all.
+  // xmlproj_pipeline_* / xmlproj_progress_* /
+  // xmlproj_stage_{task,queue_wait}_ns metrics (see README
+  // "Observability") into it; when `trace` is set every task emits a
+  // queue-wait span (pool runs) and one [validate+]prune span covering
+  // the whole task. Either costs a few clock reads per task and none per
+  // SAX event; both null (the default) reads no clocks at all.
   MetricsRegistry* metrics = nullptr;
   TraceCollector* trace = nullptr;
   // Optional structured log (obs/log.h): drain summaries and watchdog
@@ -210,14 +211,13 @@ struct PipelineOptions {
   // `resume->resumable` and done.size() == task count. Borrowed.
   const ResumePlan* resume = nullptr;
   // Graceful drain: when `stop` flips true (a signal handler's atomic),
-  // the pipeline stops admitting tasks — queued-but-unstarted tasks are
-  // abandoned without a terminal outcome (counted in
-  // PipelineSummary::drained, absent from failures and the checkpoint,
-  // so a resume re-runs them) — and in-flight tasks finish. With
-  // `drain_ms` > 0 the pool shutdown bounds the wait; past the deadline
-  // still-queued work is cancelled. Borrowed; may be null.
+  // the pipeline stops admitting tasks, and a queued task a worker claims
+  // after the stop returns without running. Both kinds are abandoned
+  // without a terminal outcome (counted in PipelineSummary::drained,
+  // absent from failures and the checkpoint, so a resume re-runs them).
+  // In-flight tasks always finish; only their budget deadline and the
+  // watchdog bound how long that takes. Borrowed; may be null.
   const std::atomic<bool>* stop = nullptr;
-  uint64_t drain_ms = 0;
   // Per-task watchdog (requires budget.deadline_ms > 0): a monitor
   // thread flags any task still running past watchdog_factor × the
   // deadline budget — the task aborts at its next SAX event with

@@ -510,6 +510,25 @@ TEST_F(PipelineChaosTest, PoolLevelFaultsAreQuarantinedUnderIsolate) {
   }
 }
 
+// kFailFast reports the lowest-indexed error that is not a cancellation,
+// but a run whose only failure is an injected pool-level cancellation
+// still fails with it: the admission loop must not mistake that task for
+// a drained one and return OK with an empty result slot.
+TEST_F(PipelineChaosTest, InjectedPoolCancellationFailsAFailFastRun) {
+  FaultInjector fault;
+  ASSERT_TRUE(fault.ArmFromSpec("pool.task:cancelled:1:1").ok());
+
+  PipelineOptions options;
+  options.num_threads = 3;
+  options.fault = &fault;  // policy stays kFailFast
+  auto run = PruneCorpus(corpus_, *dtd_, projector_, options);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(run.status().message().rfind("pipeline task ", 0), 0u)
+      << run.status().ToString();
+  EXPECT_EQ(fault.FireCount("pool.task"), 1u);
+}
+
 // --- Circuit breaker in the pipeline ------------------------------------
 
 TEST_F(PipelineChaosTest, OpenBreakerFastFailsAdmissionUnderIsolate) {

@@ -694,59 +694,64 @@ TEST(DrainTest, StopBeforeRunDrainsEverythingWithNoTerminalOutcome) {
             corpus.size());
 }
 
+// One admission loop drains both ways: inline on the calling thread (1
+// thread, no pool) and on the pool, where a queued task claimed after the
+// stop returns without running.
 TEST(DrainTest, MidRunStopFinishesInFlightAndDrainsTheRest) {
-  std::vector<std::string> corpus = SmallCorpus(6);
-  std::string dir = ScratchDir();
-  PipelineOptions options;
-  options.policy = ErrorPolicy::kIsolate;
-  options.num_threads = 2;
-  options.drain_ms = 5000;
-  // Slow every task down so the stop lands mid-corpus.
-  FaultInjector fault;
-  ASSERT_TRUE(fault.ArmFromSpec("pipeline.task:delay:1:-1:60").ok());
-  options.fault = &fault;
-  RunCheckpoint checkpoint;
-  ASSERT_TRUE(checkpoint.Create(dir, SampleHeader(corpus, options)).ok());
-  options.checkpoint = &checkpoint;
-  std::atomic<bool> stop{false};
-  options.stop = &stop;
-  std::thread flipper([&stop] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(90));
-    stop.store(true, std::memory_order_relaxed);
-  });
-  auto result = PruneCorpus(corpus, XmarkDtd(), XmarkProjector(), options);
-  flipper.join();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const PipelineSummary& s = result->summary;
-  EXPECT_GT(s.drained, 0u) << "stop landed too late to drain anything";
-  EXPECT_EQ(s.tasks + s.drained + s.failed, corpus.size());
-  // Every completed task was checkpointed; drained ones were not.
-  EXPECT_EQ(checkpoint.appends(), s.tasks);
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<std::string> corpus = SmallCorpus(6);
+    std::string dir = ScratchDir();
+    PipelineOptions options;
+    options.policy = ErrorPolicy::kIsolate;
+    options.num_threads = threads;
+    // Slow every task down so the stop lands mid-corpus.
+    FaultInjector fault;
+    ASSERT_TRUE(fault.ArmFromSpec("pipeline.task:delay:1:-1:60").ok());
+    options.fault = &fault;
+    RunCheckpoint checkpoint;
+    ASSERT_TRUE(checkpoint.Create(dir, SampleHeader(corpus, options)).ok());
+    options.checkpoint = &checkpoint;
+    std::atomic<bool> stop{false};
+    options.stop = &stop;
+    std::thread flipper([&stop] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(90));
+      stop.store(true, std::memory_order_relaxed);
+    });
+    auto result = PruneCorpus(corpus, XmarkDtd(), XmarkProjector(), options);
+    flipper.join();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const PipelineSummary& s = result->summary;
+    EXPECT_GT(s.drained, 0u) << "stop landed too late to drain anything";
+    EXPECT_EQ(s.tasks + s.drained + s.failed, corpus.size());
+    // Every completed task was checkpointed; drained ones were not.
+    EXPECT_EQ(checkpoint.appends(), s.tasks);
 
-  // The drained remainder resumes to the full corpus.
-  PipelineRun reference = ReferenceRun(corpus, PipelineOptions{});
-  std::span<const NameSet> projectors(&XmarkProjector(), 1);
-  PipelineOptions clean;
-  clean.policy = ErrorPolicy::kIsolate;
-  clean.num_threads = 2;
-  ResumePlan plan = PlanResume(
-      dir,
-      ComputeCorpusBinding(corpus, projectors, clean,
-                           "xmark-dashboard-merged"),
-      false);
-  ASSERT_TRUE(plan.resumable) << plan.mismatch;
-  EXPECT_EQ(plan.skipped_completed, s.tasks);
-  RunCheckpoint resumed;
-  ASSERT_TRUE(resumed.OpenForAppend(dir).ok());
-  clean.checkpoint = &resumed;
-  clean.resume = &plan;
-  auto final_run = PruneCorpus(corpus, XmarkDtd(), XmarkProjector(), clean);
-  ASSERT_TRUE(final_run.ok()) << final_run.status().ToString();
-  EXPECT_EQ(final_run->summary.tasks, corpus.size());
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    EXPECT_EQ(ReadFileOrDie(RunCheckpoint::TaskOutputPath(dir, i)),
-              reference.results[i].output)
-        << "task " << i;
+    // The drained remainder resumes to the full corpus.
+    PipelineRun reference = ReferenceRun(corpus, PipelineOptions{});
+    std::span<const NameSet> projectors(&XmarkProjector(), 1);
+    PipelineOptions clean;
+    clean.policy = ErrorPolicy::kIsolate;
+    clean.num_threads = threads;
+    ResumePlan plan = PlanResume(
+        dir,
+        ComputeCorpusBinding(corpus, projectors, clean,
+                             "xmark-dashboard-merged"),
+        false);
+    ASSERT_TRUE(plan.resumable) << plan.mismatch;
+    EXPECT_EQ(plan.skipped_completed, s.tasks);
+    RunCheckpoint resumed;
+    ASSERT_TRUE(resumed.OpenForAppend(dir).ok());
+    clean.checkpoint = &resumed;
+    clean.resume = &plan;
+    auto final_run = PruneCorpus(corpus, XmarkDtd(), XmarkProjector(), clean);
+    ASSERT_TRUE(final_run.ok()) << final_run.status().ToString();
+    EXPECT_EQ(final_run->summary.tasks, corpus.size());
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      EXPECT_EQ(ReadFileOrDie(RunCheckpoint::TaskOutputPath(dir, i)),
+                reference.results[i].output)
+          << "task " << i;
+    }
   }
 }
 

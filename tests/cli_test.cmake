@@ -57,6 +57,9 @@ expect_exit(1 --no-such-flag)
 # Removed flags: a well-formed value is still a usage error.
 expect_exit(1 --intra-doc-threads=2)
 expect_exit(1 --chunk-bytes=4096)
+expect_exit(1 --drain-ms=10000)
+expect_exit(1 --drain-ms=abc)
+expect_exit(1 --drain-ms=-1)
 
 # Observability flags are strict too.
 expect_exit(1 --statsd=missing-port)
@@ -98,8 +101,6 @@ expect_output("pushing metrics every 200 ms to 1 sink"
 # Checkpoint/resume flag contract: strict values and mutual exclusions.
 expect_exit(1 --checkpoint=)
 expect_exit(1 --resume=)
-expect_exit(1 --drain-ms=abc)
-expect_exit(1 --drain-ms=-1)
 expect_exit(1 --watchdog-factor=0)
 expect_exit(1 --watchdog-factor=2)                     # needs --deadline-ms
 expect_exit(1 --checkpoint=/tmp/a --resume=/tmp/b)     # mutually exclusive

@@ -1,6 +1,6 @@
 // Tests for the observability subsystem (obs/): counter/gauge/histogram
-// semantics incl. merge, concurrent increments, registry behavior, trace
-// serialization, and exporter golden output.
+// semantics, concurrent increments, registry behavior, trace
+// serialization and its retention bound, and exporter golden output.
 
 #include <algorithm>
 #include <cstdio>
@@ -39,16 +39,6 @@ TEST(Counter, ConcurrentIncrementsAreLossless) {
   EXPECT_EQ(c.Value(), static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(Counter, MergeAdds) {
-  Counter a;
-  Counter b;
-  a.Increment(10);
-  b.Increment(32);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.Value(), 42u);
-  EXPECT_EQ(b.Value(), 32u);  // source unchanged
-}
-
 TEST(Gauge, SetAddSubAndMax) {
   Gauge g;
   g.Set(5);
@@ -59,18 +49,6 @@ TEST(Gauge, SetAddSubAndMax) {
   EXPECT_EQ(g.Value(), 12);
   g.SetMax(100);
   EXPECT_EQ(g.Value(), 100);
-}
-
-TEST(Gauge, MergeTakesMax) {
-  Gauge a;
-  Gauge b;
-  a.Set(10);
-  b.Set(3);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.Value(), 10);
-  b.Set(99);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.Value(), 99);
 }
 
 TEST(Histogram, BucketBoundariesAreFixedPowersOfTwo) {
@@ -110,32 +88,6 @@ TEST(Histogram, ApproxPercentileIsBucketBoundClampedToMax) {
   // Top percentile lands in the wide bucket; clamped to observed max.
   EXPECT_EQ(h.ApproxPercentile(0.99), 5000u);
   EXPECT_EQ(h.ApproxPercentile(1.0), 5000u);
-}
-
-TEST(Histogram, MergeAddsBucketwiseAndFoldsMinMax) {
-  Histogram a;
-  Histogram b;
-  a.Record(10);
-  a.Record(20);
-  b.Record(1);
-  b.Record(100000);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.Count(), 4u);
-  EXPECT_EQ(a.Sum(), 100031u);
-  EXPECT_EQ(a.Min(), 1u);
-  EXPECT_EQ(a.Max(), 100000u);
-  EXPECT_EQ(a.BucketCount(Histogram::BucketIndex(10)), 1u);
-  EXPECT_EQ(a.BucketCount(Histogram::BucketIndex(1)), 1u);
-}
-
-TEST(Histogram, MergeFromEmptyLeavesMinMaxIntact) {
-  Histogram a;
-  Histogram empty;
-  a.Record(7);
-  a.MergeFrom(empty);
-  EXPECT_EQ(a.Count(), 1u);
-  EXPECT_EQ(a.Min(), 7u);
-  EXPECT_EQ(a.Max(), 7u);
 }
 
 TEST(Histogram, ConcurrentRecordsAreLossless) {
@@ -235,48 +187,6 @@ TEST(MetricsRegistry, LabelCardinalityBoundCollapsesToOther) {
   // The overflow series is shared by all further novel label sets.
   EXPECT_EQ(registry.GetCounter("c", {{"id", "zzz"}}),
             registry.GetCounter("c", {{"id", "other"}}));
-}
-
-TEST(MetricsRegistry, MergePreservesLabeledSeries) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.GetCounter("c", {{"q", "0"}})->Increment(1);
-  b.GetCounter("c", {{"q", "0"}})->Increment(2);
-  b.GetCounter("c", {{"q", "1"}})->Increment(7);
-  b.GetHistogram("h", {{"q", "0"}})->Record(16);
-  b.SetHelp("c", "a counter");
-  a.MergeFrom(b);
-  EXPECT_EQ(a.GetCounter("c", {{"q", "0"}})->Value(), 3u);
-  EXPECT_EQ(a.GetCounter("c", {{"q", "1"}})->Value(), 7u);
-  EXPECT_EQ(a.GetHistogram("h", {{"q", "0"}})->Count(), 1u);
-  EXPECT_EQ(a.HelpTexts()["c"], "a counter");
-}
-
-TEST(MetricsRegistry, MergeFoldsAllFamilies) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.GetCounter("c")->Increment(1);
-  b.GetCounter("c")->Increment(2);
-  b.GetCounter("only_b")->Increment(5);
-  a.GetGauge("peak")->Set(10);
-  b.GetGauge("peak")->Set(99);
-  a.GetHistogram("h")->Record(8);
-  b.GetHistogram("h")->Record(16);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.GetCounter("c")->Value(), 3u);
-  EXPECT_EQ(a.GetCounter("only_b")->Value(), 5u);
-  EXPECT_EQ(a.GetGauge("peak")->Value(), 99);
-  EXPECT_EQ(a.GetHistogram("h")->Count(), 2u);
-  // Self-merge is a documented no-op, not a deadlock.
-  a.MergeFrom(a);
-  EXPECT_EQ(a.GetCounter("c")->Value(), 3u);
-}
-
-TEST(ScopedLatencyTimer, RecordsOneSampleAndNullIsNoop) {
-  Histogram h;
-  { ScopedLatencyTimer timer(&h); }
-  EXPECT_EQ(h.Count(), 1u);
-  { ScopedLatencyTimer timer(nullptr); }  // must not crash
 }
 
 // --- Exporters ---------------------------------------------------------------
@@ -445,8 +355,7 @@ TEST(Trace, EventsSerializeToChromeFormat) {
   uint64_t t0 = MonotonicNowNs();
   trace.AddCompleteEvent("parse", "stage", t0, 1500,
                          {{"task", 7}});
-  trace.AddCounterEvent("queue depth", t0, 3);
-  EXPECT_EQ(trace.event_count(), 2u);
+  EXPECT_EQ(trace.event_count(), 1u);
   std::string json;
   trace.AppendChromeTraceJson(&json);
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
@@ -455,8 +364,6 @@ TEST(Trace, EventsSerializeToChromeFormat) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\":1.500"), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"task\":7}"), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"value\":3}"), std::string::npos);
   // Braces/brackets balance: the output parses as JSON.
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
@@ -500,6 +407,75 @@ TEST(Trace, AppendRecentSpansJsonKeepsTailAndCountsDropped) {
   EXPECT_NE(json.find("\"name\":\"third\""), std::string::npos) << json;
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
+}
+
+// The collector keeps the most recent kMaxEvents events. /tracez counts
+// evicted events as dropped, and the OTLP cursor counts appends, so an
+// export after eviction ships each retained span exactly once and the
+// next export ships only newer ones.
+TEST(Trace, EvictsTheOldestPastTheCapAndExportsEachSpanOnce) {
+  constexpr size_t kCap = TraceCollector::kMaxEvents;
+  constexpr size_t kExtra = 1000;
+  constexpr size_t kTotal = kCap + kExtra;
+  auto span_id = [](size_t i) {
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016zx", i + 1);
+    return std::string(buf);
+  };
+  TraceCollector trace;
+  SpanContext context;
+  context.trace_id = "4bf92f3577b34da6a3ce929d0e0e4736";
+  const uint64_t t0 = MonotonicNowNs();
+  auto append = [&](size_t i) {
+    context.span_id = span_id(i);
+    trace.AddSpanEvent("request", "http", t0, 1000, context);
+  };
+  for (size_t i = 0; i < kTotal; ++i) append(i);
+  EXPECT_EQ(trace.event_count(), kCap);
+
+  std::string tracez;
+  trace.AppendRecentSpansJson(10, &tracez);
+  // 66,526: the 1,000 evicted events plus the 65,526 retained ones the
+  // 10-span listing leaves out.
+  EXPECT_EQ(tracez.rfind("{\"dropped\":" + std::to_string(kTotal - 10) + ",",
+                         0),
+            0u)
+      << tracez.substr(0, 64);
+
+  // Every span id in an export, in order.
+  auto exported_ids = [](const std::string& otlp) {
+    std::vector<std::string> ids;
+    const std::string key = "\"spanId\":\"";
+    for (size_t at = otlp.find(key); at != std::string::npos;
+         at = otlp.find(key, at + 1)) {
+      ids.push_back(otlp.substr(at + key.size(), 16));
+    }
+    return ids;
+  };
+
+  // An exporter that never ran is more than kCap events behind: it gets
+  // the retained window, each span once, and loses the evicted ones.
+  size_t cursor = 0;
+  std::string otlp;
+  ASSERT_TRUE(trace.AppendOtlpSpansJson(&cursor, &otlp));
+  EXPECT_EQ(cursor, kTotal);
+  std::vector<std::string> ids = exported_ids(otlp);
+  ASSERT_EQ(ids.size(), kCap);
+  for (size_t k = 0; k < kCap; ++k) {
+    ASSERT_EQ(ids[k], span_id(kExtra + k)) << "export position " << k;
+  }
+  std::string unchanged = "untouched";
+  EXPECT_FALSE(trace.AppendOtlpSpansJson(&cursor, &unchanged));
+  EXPECT_EQ(unchanged, "untouched");
+
+  // The next export ships only what was appended since.
+  for (size_t i = kTotal; i < kTotal + 3; ++i) append(i);
+  std::string newer;
+  ASSERT_TRUE(trace.AppendOtlpSpansJson(&cursor, &newer));
+  EXPECT_EQ(exported_ids(newer),
+            (std::vector<std::string>{span_id(kTotal), span_id(kTotal + 1),
+                                      span_id(kTotal + 2)}));
+  EXPECT_EQ(trace.event_count(), kCap);
 }
 
 TEST(Trace, TimestampsRebaseOntoCollectorEpoch) {

@@ -10,7 +10,9 @@
 #include "projection/pipeline.h"
 
 #include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -345,16 +347,17 @@ TEST(PipelineTest, MetricsRegistryMatchesSummary) {
                     name == "xmlproj_stage_queue_wait_ns")
             << name;
       });
-  // Pool telemetry: every task ran on a worker, and its queue wait is
-  // timed once, by the pipeline; the pool keeps no latency series.
-  EXPECT_EQ(registry.GetCounter("xmlproj_pool_tasks_total")->Value(),
-            summary.tasks);
+  // Every task's queue wait is timed once, by the pipeline; the thread
+  // pool publishes no series of its own.
   EXPECT_EQ(registry.GetHistogram("xmlproj_stage_queue_wait_ns")->Count(),
             summary.tasks);
-  registry.ForEachHistogram(
-      [](const std::string& name, const std::string&, const Histogram&) {
-        EXPECT_NE(name.rfind("xmlproj_pool_task_", 0), 0u) << name;
-      });
+  auto not_pool = [](const std::string& name, const std::string&,
+                     const auto&) {
+    EXPECT_NE(name.rfind("xmlproj_pool_", 0), 0u) << name;
+  };
+  registry.ForEachCounter(not_pool);
+  registry.ForEachGauge(not_pool);
+  registry.ForEachHistogram(not_pool);
 
   // Instrumentation must not perturb the output.
   for (size_t i = 0; i < corpus.size(); ++i) {
@@ -364,9 +367,9 @@ TEST(PipelineTest, MetricsRegistryMatchesSummary) {
   }
 }
 
-// Tracing emits a queue-wait span and exactly one prune span per task
-// (no parse or serialize split), and the chrome trace serialization is
-// well-formed JSON.
+// Tracing emits exactly one queue-wait span and one prune span per task
+// (no parse or serialize split, no counter events), and the chrome trace
+// serialization is well-formed JSON.
 TEST(PipelineTest, TraceCollectorRecordsStageSpans) {
   XMarkCorpusOptions corpus_options;
   corpus_options.documents = 3;
@@ -382,15 +385,15 @@ TEST(PipelineTest, TraceCollectorRecordsStageSpans) {
   auto run = PruneCorpus(corpus, XmarkDtd(), *projector, parallel);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
 
-  // Per task: queue-wait + prune, plus pool queue depth counter events.
-  EXPECT_GE(trace.event_count(), corpus.size() * 2);
+  // Per task: one queue-wait span and one prune span, nothing else.
+  EXPECT_EQ(trace.event_count(), corpus.size() * 2);
   std::string json;
   trace.AppendChromeTraceJson(&json);
   for (const char* needle :
-       {"\"traceEvents\"", "\"queue-wait\"", "\"queue depth\"",
-        "\"ph\":\"X\"", "\"ph\":\"C\""}) {
+       {"\"traceEvents\"", "\"queue-wait\"", "\"ph\":\"X\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   }
+  EXPECT_EQ(json.find("\"ph\":\"C\""), std::string::npos);
   size_t prune_spans = 0;
   for (size_t at = json.find("\"name\":\"prune\""); at != std::string::npos;
        at = json.find("\"name\":\"prune\"", at + 1)) {
@@ -403,6 +406,48 @@ TEST(PipelineTest, TraceCollectorRecordsStageSpans) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+}
+
+// The service runs one PruneDocument per request on a shared registry,
+// several at a time. The progress gauges only add, so overlapping runs
+// never zero each other's counts: once every run is done they read one
+// task and one completion per run, nothing failed, nothing in flight.
+TEST(PipelineTest, ConcurrentRunsKeepProgressGaugesConsistent) {
+  XMarkCorpusOptions corpus_options;
+  corpus_options.documents = 1;
+  corpus_options.scale = 0.0005;
+  std::vector<std::string> corpus = GenerateXMarkCorpus(corpus_options);
+  auto projector = WorkloadProjector(XmarkDtd(), XMarkDashboardWorkload());
+  ASSERT_TRUE(projector.ok()) << projector.status().ToString();
+
+  // A 1 ms stall in every task makes the runs overlap.
+  FaultInjector fault;
+  ASSERT_TRUE(fault.ArmFromSpec("pipeline.task:delay:1:-1:1").ok());
+  MetricsRegistry registry;
+  PipelineOptions options;
+  options.metrics = &registry;
+  options.fault = &fault;
+  constexpr int kThreads = 4;
+  constexpr int kRunsPerThread = 50;
+  std::atomic<int> ok_runs{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int r = 0; r < kRunsPerThread; ++r) {
+        if (PruneDocument(corpus[0], XmarkDtd(), *projector, options).ok()) {
+          ok_runs.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const int64_t runs = kThreads * kRunsPerThread;
+  EXPECT_EQ(ok_runs.load(), runs);
+  EXPECT_EQ(registry.GetGauge("xmlproj_progress_tasks")->Value(), runs);
+  EXPECT_EQ(registry.GetGauge("xmlproj_progress_completed")->Value(), runs);
+  EXPECT_EQ(registry.GetGauge("xmlproj_progress_failed")->Value(), 0);
+  EXPECT_EQ(registry.GetGauge("xmlproj_progress_inflight")->Value(), 0);
 }
 
 #ifdef NDEBUG

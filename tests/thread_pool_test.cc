@@ -176,74 +176,7 @@ TEST(ThreadPoolTest, DefaultThreadCountUsesHardwareConcurrency) {
   EXPECT_GE(pool.num_threads(), 1);
 }
 
-TEST(ThreadPoolTest, DeadlineShutdownCancelsQueuedTasksCleanly) {
-  std::atomic<int> executed{0};
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<bool> shutdown_called{false};
-  ThreadPool pool(1, /*queue_capacity=*/64);
-  // One worker parked in a gated task; everything behind it is queued and
-  // cannot start until the gate opens — which happens only after Shutdown
-  // has set the drain deadline, however loaded the machine is.
-  std::future<Status> slow = pool.Submit([&started, &release] {
-    started.store(true);
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return Status::Ok();
-  });
-  std::vector<std::future<Status>> queued;
-  for (int i = 0; i < 16; ++i) {
-    queued.push_back(pool.Submit([&executed] {
-      executed.fetch_add(1);
-      return Status::Ok();
-    }));
-  }
-  std::thread opener([&] {
-    while (!shutdown_called.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    // Shutdown records the deadline before blocking in Join; by now it has.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    release.store(true);
-  });
-  // Wait until the worker has actually popped the gated task: the deadline
-  // applies at pop time, so an unstarted task would be cancelled too.
-  while (!started.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Zero drain budget: the in-flight task still finishes (tasks are never
-  // interrupted), but nothing queued may start.
-  shutdown_called.store(true);
-  EXPECT_FALSE(pool.Shutdown(std::chrono::milliseconds(0)));
-  opener.join();
-  EXPECT_TRUE(slow.get().ok());
-  for (std::future<Status>& f : queued) {
-    Status status = f.get();
-    EXPECT_EQ(status.code(), StatusCode::kCancelled);
-    EXPECT_NE(status.message().find("drain deadline"), std::string::npos);
-  }
-  EXPECT_EQ(executed.load(), 0);
-  EXPECT_EQ(pool.cancelled_tasks(), 16u);
-}
-
-TEST(ThreadPoolTest, DeadlineShutdownDrainsWhenTheBudgetIsGenerous) {
-  std::atomic<int> executed{0};
-  ThreadPool pool(2, /*queue_capacity=*/64);
-  std::vector<std::future<Status>> done;
-  for (int i = 0; i < 24; ++i) {
-    done.push_back(pool.Submit([&executed] {
-      executed.fetch_add(1);
-      return Status::Ok();
-    }));
-  }
-  EXPECT_TRUE(pool.Shutdown(std::chrono::seconds(30)));
-  for (std::future<Status>& f : done) EXPECT_TRUE(f.get().ok());
-  EXPECT_EQ(executed.load(), 24);
-  EXPECT_EQ(pool.cancelled_tasks(), 0u);
-}
-
-TEST(ThreadPoolTest, SubmitDuringDeadlineShutdownResolvesCancelledNotHang) {
+TEST(ThreadPoolTest, SubmitDuringShutdownResolvesCancelledNotHang) {
   ThreadPool pool(1);
   std::atomic<bool> started{false};
   std::future<Status> slow = pool.Submit([&started] {
@@ -251,8 +184,8 @@ TEST(ThreadPoolTest, SubmitDuringDeadlineShutdownResolvesCancelledNotHang) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     return Status::Ok();
   });
-  // The deadline applies at pop time; wait for the worker to pick up the
-  // slow task so it runs to completion rather than being cancelled.
+  // Wait for the worker to pick up the slow task, so Shutdown is still
+  // joining when the late submission lands.
   while (!started.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -263,18 +196,10 @@ TEST(ThreadPoolTest, SubmitDuringDeadlineShutdownResolvesCancelledNotHang) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     late = pool.Submit([] { return Status::Ok(); });
   });
-  (void)pool.Shutdown(std::chrono::milliseconds(0));  // liveness is the test
+  pool.Shutdown();  // liveness is the test
   submitter.join();
   EXPECT_TRUE(slow.get().ok());
   EXPECT_EQ(late.get().code(), StatusCode::kCancelled);
-}
-
-TEST(ThreadPoolTest, DeadlineShutdownIsIdempotentWithPlainShutdown) {
-  ThreadPool pool(2);
-  EXPECT_TRUE(pool.Submit([] { return Status::Ok(); }).get().ok());
-  EXPECT_TRUE(pool.Shutdown(std::chrono::seconds(1)));
-  pool.Shutdown();  // plain shutdown after deadline shutdown is a no-op
-  EXPECT_TRUE(pool.Shutdown(std::chrono::seconds(1)));
 }
 
 }  // namespace
