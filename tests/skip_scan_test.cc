@@ -265,6 +265,11 @@ struct GalleryCase {
   const char* repaired;  // the same content, well-formed
 };
 
+// gtest_discover_tests puts the printed parameter into the ctest name. The
+// default printer dumps the struct's pointer bytes, which change from run
+// to run under ASLR; print the case name so the test IDs stay stable.
+void PrintTo(const GalleryCase& c, std::ostream* os) { *os << c.name; }
+
 class SkipAcceptsTest : public ::testing::TestWithParam<GalleryCase> {};
 
 // The skip does not look at these defects: the document prunes to the
@@ -299,6 +304,8 @@ struct RejectCase {
   const char* name;
   const char* document;
 };
+
+void PrintTo(const RejectCase& c, std::ostream* os) { *os << c.name; }
 
 class SkipRejectsTest : public ::testing::TestWithParam<RejectCase> {};
 
