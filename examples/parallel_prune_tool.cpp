@@ -109,6 +109,7 @@
 
 #include "common/circuit.h"
 #include "common/fault.h"
+#include "common/strings.h"
 #include "obs/export.h"
 #include "obs/journal.h"
 #include "obs/json.h"
@@ -172,22 +173,13 @@ void PrintUsage() {
 }
 
 // Strict numeric flag parsing: the whole value must consume, no silent
-// atoi-style truncation of "4x" to 4.
+// atoi-style truncation of "4x" to 4. Fractions go through ParseDouble
+// (common/strings.h), which xmlprojd shares.
 bool ParseLong(const char* text, long* out) {
   if (*text == '\0') return false;
   errno = 0;
   char* end = nullptr;
   long value = std::strtol(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-bool ParseDouble(const char* text, double* out) {
-  if (*text == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  double value = std::strtod(text, &end);
   if (errno != 0 || end == text || *end != '\0') return false;
   *out = value;
   return true;
@@ -601,9 +593,6 @@ int main(int argc, char** argv) {
     options.metrics = &registry;
     if (!trace_out.empty() || serve) options.trace = &trace;
     options.corpus_label = corpus_label;
-    // The multi-query fan-out slices its counters per query_id whenever
-    // a live scrape or metric dump could observe them.
-    options.label_queries = per_query;
     RegisterBuildInfo(&registry);
   }
 

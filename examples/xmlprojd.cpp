@@ -35,18 +35,27 @@
 //                     250 ms); burn-rate gauges + the /statusz "slo"
 //                     block follow from it
 //
+// Numeric flags are strict: a malformed, negative or out-of-range value
+// (a port above 65535; a zero --workers, --cache-capacity,
+// --breaker-window or --max-document-bytes; a --breaker-threshold
+// outside (0, 1]) exits 1 naming the flag, before anything listens.
+//
 // Lifecycle: runs until SIGINT/SIGTERM, then drains in-flight requests,
 // flushes pending journal batches, and exits 0. Exit codes: 0 clean
 // shutdown, 1 bad usage, 2 startup failure (port in use, journal
 // unopenable, DTD registration failure).
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "common/circuit.h"
+#include "common/http/http.h"
+#include "common/strings.h"
 #include "obs/journal.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -59,6 +68,9 @@
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
+
+// The breaker's window is one bit per outcome, allocated at startup.
+constexpr uint64_t kMaxBreakerWindow = uint64_t{1} << 20;
 
 void HandleSignal(int) { g_stop = 1; }
 
@@ -84,34 +96,68 @@ int main(int argc, char** argv) {
   SloOptions slo_options;
   ServiceLimits limits;
 
+  // Integer flags: ParseDecimalU64 (digits only: no sign, no overflow) and
+  // then the flag's range; anything else exits 1 naming the flag.
+  struct UintFlag {
+    const char* name;
+    uint64_t min, max;
+    std::function<void(uint64_t)> set;
+  };
+  const UintFlag uint_flags[] = {
+      {"--port", 0, 65535,
+       [&](uint64_t v) { port = static_cast<uint16_t>(v); }},
+      {"--cache-capacity", 1, SIZE_MAX,
+       [&](uint64_t v) { limits.projector_cache_capacity = v; }},
+      {"--workers", 1, INT_MAX,
+       [&](uint64_t v) { limits.worker_threads = static_cast<int>(v); }},
+      {"--max-document-bytes", 1, SIZE_MAX,
+       [&](uint64_t v) { limits.max_document_bytes = v; }},
+      {"--default-max-bytes", 0, SIZE_MAX,
+       [&](uint64_t v) { limits.default_max_bytes = v; }},
+      {"--default-deadline-ms", 0, UINT64_MAX,
+       [&](uint64_t v) { limits.default_deadline_ms = v; }},
+      {"--breaker-window", 1, kMaxBreakerWindow,
+       [&](uint64_t v) { breaker_options.window = v; }},
+      {"--breaker-cooldown-ms", 0, UINT64_MAX,
+       [&](uint64_t v) { breaker_options.cooldown_ms = v; }},
+      {"--slo-latency-ms", 0, UINT64_MAX,
+       [&](uint64_t v) { slo_options.latency_threshold_ms = v; }},
+  };
+
   for (int i = 1; i < argc; ++i) {
     std::string value;
-    if (ParseFlag(argv[i], "--port", &value)) {
-      port = static_cast<uint16_t>(std::atoi(value.c_str()));
+    const UintFlag* uint_flag = nullptr;
+    for (const UintFlag& flag : uint_flags) {
+      if (ParseFlag(argv[i], flag.name, &value)) uint_flag = &flag;
+    }
+    if (uint_flag != nullptr) {
+      uint64_t parsed = 0;
+      if (!ParseDecimalU64(value, &parsed) || parsed < uint_flag->min ||
+          parsed > uint_flag->max) {
+        std::fprintf(stderr,
+                     "xmlprojd: bad value '%s' for %s (expected an integer "
+                     "from %llu to %llu)\n",
+                     value.c_str(), uint_flag->name,
+                     static_cast<unsigned long long>(uint_flag->min),
+                     static_cast<unsigned long long>(uint_flag->max));
+        return 1;
+      }
+      uint_flag->set(parsed);
     } else if (ParseFlag(argv[i], "--journal", &value)) {
       journal_dir = value;
-    } else if (ParseFlag(argv[i], "--cache-capacity", &value)) {
-      limits.projector_cache_capacity =
-          static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (ParseFlag(argv[i], "--workers", &value)) {
-      limits.worker_threads = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--max-document-bytes", &value)) {
-      limits.max_document_bytes =
-          static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (ParseFlag(argv[i], "--default-max-bytes", &value)) {
-      limits.default_max_bytes = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (ParseFlag(argv[i], "--default-deadline-ms", &value)) {
-      limits.default_deadline_ms =
-          static_cast<uint64_t>(std::atoll(value.c_str()));
     } else if (std::strcmp(argv[i], "--breaker") == 0) {
       breaker_enabled = true;
-    } else if (ParseFlag(argv[i], "--breaker-window", &value)) {
-      breaker_options.window = static_cast<size_t>(std::atoll(value.c_str()));
     } else if (ParseFlag(argv[i], "--breaker-threshold", &value)) {
-      breaker_options.failure_threshold = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "--breaker-cooldown-ms", &value)) {
-      breaker_options.cooldown_ms =
-          static_cast<uint64_t>(std::atoll(value.c_str()));
+      double threshold = 0;
+      if (!ParseDouble(value, &threshold) || threshold <= 0 ||
+          threshold > 1) {
+        std::fprintf(stderr,
+                     "xmlprojd: bad value '%s' for --breaker-threshold "
+                     "(expected a ratio in (0, 1])\n",
+                     value.c_str());
+        return 1;
+      }
+      breaker_options.failure_threshold = threshold;
     } else if (ParseFlag(argv[i], "--log", &value)) {
       log_dest = value;
     } else if (ParseFlag(argv[i], "--log-level", &value)) {
@@ -123,9 +169,6 @@ int main(int argc, char** argv) {
       }
     } else if (ParseFlag(argv[i], "--trace-export", &value)) {
       trace_export = value;
-    } else if (ParseFlag(argv[i], "--slo-latency-ms", &value)) {
-      slo_options.latency_threshold_ms =
-          static_cast<uint64_t>(std::atoll(value.c_str()));
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 1;

@@ -91,15 +91,12 @@ Status FaultInjector::ArmFromSpec(std::string_view spec_text) {
                           "' has unknown status code '" +
                           std::string(fields[1]) + "'");
     }
-    if (fields.size() > 2) {
-      char* end = nullptr;
-      std::string text(fields[2]);
-      spec.probability = std::strtod(text.c_str(), &end);
-      if (end == text.c_str() || *end != '\0' || spec.probability < 0.0 ||
-          spec.probability > 1.0) {
-        return InvalidError("failpoint spec '" + std::string(entry) +
-                            "' has bad probability '" + text + "'");
-      }
+    if (fields.size() > 2 &&
+        (!ParseDouble(fields[2], &spec.probability) ||
+         spec.probability < 0.0 || spec.probability > 1.0)) {
+      return InvalidError("failpoint spec '" + std::string(entry) +
+                          "' has bad probability '" + std::string(fields[2]) +
+                          "'");
     }
     if (fields.size() > 3) {
       char* end = nullptr;

@@ -1,5 +1,7 @@
 #include "common/strings.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -55,6 +57,15 @@ bool IsAllXmlWhitespace(std::string_view text) {
   for (char c : text) {
     if (c != ' ' && c != '\t' && c != '\n' && c != '\r') return false;
   }
+  return true;
+}
+
+bool ParseDouble(std::string_view text, double* out) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !std::isfinite(value)) return false;
+  *out = value;
   return true;
 }
 

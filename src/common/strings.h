@@ -24,6 +24,11 @@ std::string Join(const std::vector<std::string>& pieces,
 // True if the string consists only of XML whitespace (space, tab, CR, LF).
 bool IsAllXmlWhitespace(std::string_view text);
 
+// Strict parse of a whole decimal number (flag values, failpoint specs):
+// no leading whitespace or '+', nothing after the number, and a finite
+// result. Returns false, leaving `*out` untouched, on anything else.
+bool ParseDouble(std::string_view text, double* out);
+
 // printf-style formatting into a std::string.
 std::string StringPrintf(const char* format, ...)
     __attribute__((format(printf, 1, 2)));

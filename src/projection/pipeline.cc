@@ -344,11 +344,10 @@ class CountingPassthrough : public SaxHandler {
 class TaskWatchdog {
  public:
   TaskWatchdog(uint64_t limit_ns, RunCheckpoint* checkpoint,
-               Counter* fired_total, StructuredLogger* logger)
+               Counter* fired_total)
       : limit_ns_(limit_ns),
         checkpoint_(checkpoint),
         fired_total_(fired_total),
-        logger_(logger),
         thread_([this] { Loop(); }) {}
 
   ~TaskWatchdog() {
@@ -405,11 +404,6 @@ class TaskWatchdog {
       lock.unlock();
       for (size_t task : fired_now) {
         CounterAdd(fired_total_);
-        if (logger_ != nullptr) {
-          logger_->Log(LogLevel::kWarn, "pipeline.watchdog",
-                       {{"task", static_cast<uint64_t>(task)},
-                        {"limit_ms", limit_ns_ / 1000000}});
-        }
         if (checkpoint_ != nullptr) {
           CheckpointTaskRecord record;
           record.task = task;
@@ -428,7 +422,6 @@ class TaskWatchdog {
   const uint64_t limit_ns_;
   RunCheckpoint* const checkpoint_;
   Counter* const fired_total_;
-  StructuredLogger* const logger_;
   std::mutex mutex_;
   std::condition_variable cv_;
   std::map<size_t, Slot> slots_;
@@ -875,8 +868,7 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
         limit >= static_cast<double>(UINT64_MAX)
             ? UINT64_MAX
             : static_cast<uint64_t>(limit);
-    watchdog.emplace(limit_ns, env.checkpoint, env.metrics.watchdog_total,
-                     options.logger);
+    watchdog.emplace(limit_ns, env.checkpoint, env.metrics.watchdog_total);
     env.watchdog = &*watchdog;
   }
 
@@ -1039,11 +1031,6 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
     run.results[i] = PipelineResult{};
     CounterAdd(env.metrics.drained_total);
   }
-  if (run.summary.drained > 0 && options.logger != nullptr) {
-    options.logger->Log(LogLevel::kInfo, "pipeline.drain",
-                        {{"drained", static_cast<uint64_t>(run.summary.drained)},
-                         {"tasks", static_cast<uint64_t>(tasks.size())}});
-  }
 
   if (resume != nullptr) {
     // Fold the interrupted run's settled work into this run's totals so
@@ -1109,7 +1096,7 @@ Result<PipelineRun> PruneCorpusPerQuery(std::span<const std::string> corpus,
   // One label set per query, shared by that query's tasks across the
   // corpus; built up front so the borrowed pointers outlive the run.
   std::vector<MetricLabels> query_labels;
-  if (options.metrics != nullptr && options.label_queries) {
+  if (options.metrics != nullptr) {
     query_labels.resize(projectors.size());
     for (size_t q = 0; q < projectors.size(); ++q) {
       query_labels[q].push_back({"query_id", std::to_string(q)});

@@ -74,7 +74,6 @@
 #include "common/status.h"
 #include "dtd/dtd.h"
 #include "dtd/name_set.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "projection/pruner.h"
@@ -151,10 +150,6 @@ struct PipelineOptions {
   // SAX event; both null (the default) reads no clocks at all.
   MetricsRegistry* metrics = nullptr;
   TraceCollector* trace = nullptr;
-  // Optional structured log (obs/log.h): drain summaries and watchdog
-  // firings emit one line each — run-level events only, never per-task
-  // or per-event. Borrowed; may be null (the default).
-  StructuredLogger* logger = nullptr;
   // Fault tolerance (see file comment and README "Fault tolerance").
   ErrorPolicy policy = ErrorPolicy::kFailFast;
   RetryOptions retry;
@@ -168,16 +163,14 @@ struct PipelineOptions {
   // ("pipeline.task"). Null — the default — leaves one pointer compare
   // per checkpoint on the hot path.
   FaultInjector* fault = nullptr;
-  // Metric labels for the multi-query deployment (requires `metrics`).
-  // With label_queries set, PruneCorpusPerQuery additionally publishes
-  // each task's Table-1 counters into `query_id`-labeled series (one per
-  // projector), so one scrape shows per-query pruning ratios; the
-  // unlabeled totals remain the sum over queries. A non-empty
-  // corpus_label adds a `corpus` label to every labeled series (and, for
-  // PruneCorpus, labels tasks with just the corpus). Labeled publication
-  // costs one registry lookup per counter per *task* — nothing on the
-  // per-event hot path — and zero when both fields are defaulted.
-  bool label_queries = false;
+  // Metric labels (require `metrics`). With metrics attached,
+  // PruneCorpusPerQuery additionally publishes each task's Table-1
+  // counters into `query_id`-labeled series (one per projector), so one
+  // scrape shows per-query pruning ratios; the unlabeled totals remain the
+  // sum over queries. A non-empty corpus_label adds a `corpus` label to
+  // every labeled series (and, for PruneCorpus, labels tasks with just the
+  // corpus). Labeled publication costs one registry lookup per counter per
+  // *task* — nothing on the per-event hot path.
   std::string corpus_label;
   // Optional circuit breaker (common/circuit.h), consulted at task
   // admission under kIsolate / kRetry: while the breaker is open, tasks

@@ -441,7 +441,6 @@ HttpResponse ProjectionService::HandlePrune(const HttpRequest& request) {
   popts.budget = budget;
   popts.metrics = options_.metrics;
   popts.trace = options_.trace;
-  popts.logger = options_.logger;
   popts.corpus_label = entry->id;
 
   // The pipeline runs inline on this worker thread, so a thread-scoped

@@ -367,7 +367,6 @@ TEST(ObsServer, ConcurrentScrapeDuringPipeline) {
   PipelineOptions options;
   options.num_threads = 8;
   options.metrics = &registry;
-  options.label_queries = true;
   options.corpus_label = "test";
   auto run = PruneCorpusPerQuery(corpus, *dtd, *projectors, options);
   done.store(true);

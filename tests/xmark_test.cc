@@ -16,6 +16,16 @@
 #include "xml/serializer.h"
 
 namespace xmlproj {
+
+// gtest_discover_tests puts the printed parameter into the ctest name. The
+// default printer dumps the struct's bytes, pointers included, which move
+// with the binary's layout; print the query id so the test IDs stay stable.
+// It sits outside the anonymous namespace so that argument-dependent lookup
+// finds it next to BenchmarkQuery.
+void PrintTo(const BenchmarkQuery& query, std::ostream* os) {
+  *os << query.id;
+}
+
 namespace {
 
 struct SharedFixture {
