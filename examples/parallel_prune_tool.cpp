@@ -1,5 +1,5 @@
-// parallel_prune_tool: fan a multi-document pruning workload across a
-// thread pool (projection/pipeline.h).
+// parallel_prune_tool: fan a multi-document pruning workload across
+// worker threads that claim its tasks in order (projection/pipeline.h).
 //
 // Usage:
 //   parallel_prune_tool [--docs=N] [--scale=S] [--threads=T] [--validate]

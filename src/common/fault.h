@@ -2,7 +2,7 @@
 // drills against the pruning pipeline.
 //
 // A *failpoint* is a named checkpoint compiled into production code
-// (parser, pruner, thread pool, pipeline). Disarmed — the universal
+// (parser, pruner, pipeline). Disarmed — the universal
 // default — a checkpoint costs one null-pointer compare; armed, it can
 // return an injected Status (parse errors, allocation failures, transient
 // I/O faults, …) and/or sleep to simulate a slow task. Firing is driven
@@ -16,7 +16,8 @@
 //   prune.element  — projection/pruner.cc, both pruners, per StartElement
 //                    that reaches the pruner (never inside a skipped
 //                    element)
-//   pool.task      — common/thread_pool.cc, before a worker runs a task
+//   pool.task      — projection/pipeline.cc, once per task a worker claims,
+//                    before it runs (every thread count)
 //   pipeline.task  — projection/pipeline.cc, at the start of each attempt
 //   pipeline.commit — projection/pipeline.cc, before the atomic output
 //                     commit of a checkpointed task
@@ -58,7 +59,7 @@ struct FaultSpec {
 
 // A registry of armed failpoints. Thread-safe; one injector is typically
 // shared by a whole pipeline run (PipelineOptions::fault). Hit order across
-// pool workers is scheduling-dependent, so probabilistic chaos runs are
+// pipeline workers is scheduling-dependent, so probabilistic chaos runs are
 // deterministic in distribution, not in which exact task fails; arm with
 // probability 1 (or max_fires) for bit-reproducible scenarios.
 class FaultInjector {

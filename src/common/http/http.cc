@@ -406,7 +406,7 @@ bool HttpServer::Start(const HttpServerOptions& options, std::string* error) {
   addr.sin_port = htons(options.port);
   socklen_t len = sizeof(addr);
   if (bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      listen(fd, options.listen_backlog) < 0 ||
+      listen(fd, kHttpListenBacklog) < 0 ||
       getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) < 0) {
     if (error != nullptr) {
       *error = std::string("bind/listen: ") + strerror(errno);
@@ -445,7 +445,7 @@ void HttpServer::Stop() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  for (int fd : pending_) close(fd);
+  for (const PendingConnection& pending : pending_) close(pending.fd);
   pending_.clear();
   close(listen_fd_);
   listen_fd_ = -1;
@@ -489,6 +489,7 @@ void HttpServer::AcceptLoop() {
     if (!WaitReadable(listen_fd_, /*deadline_ms=*/0)) continue;
     int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) continue;
+    const uint64_t accepted_ns = SteadyNowNs();
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       // Backstop only: the listen backlog bounds what can land here.
@@ -496,7 +497,7 @@ void HttpServer::AcceptLoop() {
         close(fd);
         continue;
       }
-      pending_.push_back(fd);
+      pending_.push_back({fd, accepted_ns});
     }
     queue_cv_.notify_one();
   }
@@ -504,23 +505,24 @@ void HttpServer::AcceptLoop() {
 
 void HttpServer::WorkerLoop() {
   for (;;) {
-    int fd = -1;
+    PendingConnection connection;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock, [this] {
         return stop_.load(std::memory_order_acquire) || !pending_.empty();
       });
       if (stop_.load(std::memory_order_acquire)) return;
-      fd = pending_.front();
+      connection = pending_.front();
       pending_.pop_front();
     }
-    HandleConnection(fd);
-    close(fd);
+    HandleConnection(connection.fd, connection.accepted_ns);
+    close(connection.fd);
   }
 }
 
-void HttpServer::HandleConnection(int fd) {
-  uint64_t start_ns = SteadyNowNs();
+void HttpServer::HandleConnection(int fd, uint64_t accepted_ns) {
+  // The request's clock runs from accept, the read deadline from pickup:
+  // a request that queued for a worker is not cut off for it.
   int64_t deadline = SteadyNowMs() + options_.connection_deadline_ms;
   auto remaining_ms = [deadline]() -> int {
     int64_t remaining = deadline - SteadyNowMs();
@@ -532,7 +534,7 @@ void HttpServer::HandleConnection(int fd) {
   char chunk[4096];
   size_t head_end;
   while ((head_end = buffer.find("\r\n\r\n")) == std::string::npos) {
-    if (buffer.size() >= options_.max_header_bytes) {
+    if (buffer.size() >= kHttpMaxHeaderBytes) {
       SendAll(fd, SerializeResponse(
                       TextResponse(400, "request head too large\n")));
       return;
@@ -562,7 +564,7 @@ void HttpServer::HandleConnection(int fd) {
   auto respond = [&](HttpResponse response) {
     EchoTraceHeaders(request, &response);
     if (observer_) {
-      observer_(request, response, start_ns, SteadyNowNs() - start_ns);
+      observer_(request, response, accepted_ns, SteadyNowNs() - accepted_ns);
     }
     SendAll(fd, SerializeResponse(response));
   };

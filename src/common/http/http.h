@@ -16,9 +16,11 @@
 // Threading: Start() launches one accept thread plus
 // `options.worker_threads` handler threads fed from a bounded queue, so
 // a slow handler (a large /prune) does not stall scrapes. Handlers may
-// therefore run concurrently and must be thread-safe. Stop() wakes
-// every blocked socket wait immediately through a self-pipe — shutdown
-// latency is bounded by the running handlers, not by a poll interval.
+// therefore run concurrently and must be thread-safe. A request's clock
+// starts when its connection is accepted, so time spent queued for a
+// worker counts in its observed duration. Stop() wakes every blocked
+// socket wait immediately through a self-pipe — shutdown latency is
+// bounded by the running handlers, not by a poll interval.
 //
 // This library sits below obs/ in the link order (xmlproj_obs links
 // xmlproj_http): standard library + POSIX only, no other xmlproj
@@ -130,10 +132,12 @@ using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
 // Observation hook called once per parsed request, after the response
 // is computed and before it is written: (request, response, start_ns,
-// duration_ns), both times from a monotonic clock. Runs on the worker
-// thread that served the request; must be thread-safe. Requests that
-// die before parsing (garbage request line, oversized head) are not
-// observed — there is nothing to attribute them to.
+// duration_ns), both times from a monotonic clock. `start_ns` is when
+// the connection was accepted, so the duration includes the wait for a
+// free worker. Runs on the worker thread that served the request; must
+// be thread-safe. Requests that die before parsing (garbage request
+// line, oversized head) are not observed — there is nothing to
+// attribute them to.
 using HttpObserver = std::function<void(
     const HttpRequest&, const HttpResponse&, uint64_t start_ns,
     uint64_t duration_ns)>;
@@ -145,18 +149,22 @@ struct HttpServerOptions {
   // Handler threads. 1 serializes all requests (the old ObsServer
   // behavior); the service runs several so prunes overlap with scrapes.
   int worker_threads = 2;
-  // Request-head cap (request line + headers). A scrape or service
-  // request head fits in a line or two; anything larger is not ours.
-  size_t max_header_bytes = 8192;
   // POST/PUT body cap; a declared Content-Length beyond it is refused
   // with 413 before any body byte is read.
   size_t max_body_bytes = 1 << 20;
-  // Per-connection wall budget for reading the full request: a client
-  // that dribbles bytes or never finishes gets cut off rather than
-  // pinning a handler thread. The service raises it for big documents.
+  // Per-connection wall budget for reading the full request, from the
+  // moment a worker picks the connection up: a client that dribbles
+  // bytes or never finishes gets cut off rather than pinning a handler
+  // thread. The service raises it for big documents.
   int connection_deadline_ms = 2000;
-  int listen_backlog = 16;
 };
+
+// Request-head cap (request line + headers), answered with 400 beyond
+// it. A scrape or service request head fits in a line or two; anything
+// larger is not ours.
+inline constexpr size_t kHttpMaxHeaderBytes = 8192;
+// Connections the kernel queues for the accept thread.
+inline constexpr int kHttpListenBacklog = 16;
 
 class HttpServer {
  public:
@@ -202,9 +210,15 @@ class HttpServer {
     HttpHandler handler;
   };
 
+  // An accepted connection awaiting a worker, stamped at accept.
+  struct PendingConnection {
+    int fd = -1;
+    uint64_t accepted_ns = 0;
+  };
+
   void AcceptLoop();
   void WorkerLoop();
-  void HandleConnection(int fd);
+  void HandleConnection(int fd, uint64_t accepted_ns);
   HttpResponse Dispatch(const HttpRequest& request) const;
   // Waits for readability of `fd`, also waking on the stop pipe and
   // giving up after `deadline_ms` (<= 0: no deadline). False on stop,
@@ -225,7 +239,7 @@ class HttpServer {
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
-  std::deque<int> pending_;  // accepted fds awaiting a worker
+  std::deque<PendingConnection> pending_;
 };
 
 // ---------------------------------------------------------------------

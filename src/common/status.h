@@ -28,8 +28,7 @@ enum class StatusCode {
   // A lookup failed (unknown element name, unknown variable).
   kNotFound,
   // The operation was abandoned before it ran (e.g. a pipeline task
-  // skipped after an earlier document failed, a task submitted to a
-  // shut-down thread pool).
+  // skipped after an earlier document failed).
   kCancelled,
   // A per-task resource budget was exhausted (e.g. the pruning pass hit
   // its byte cap). Retrying without raising the budget will fail again.

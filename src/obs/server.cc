@@ -176,7 +176,6 @@ void AppendStatusz(const MetricsRegistry& registry, uint64_t uptime_ns,
 void MountObsEndpoints(HttpServer* server, const ObsServerOptions& options) {
   const MetricsRegistry* registry = options.registry;
   const TraceCollector* trace = options.trace;
-  const size_t tracez_max_spans = options.tracez_max_spans;
   const std::function<int()> circuit_state = options.circuit_state;
   const uint64_t start_ns = MonotonicNowNs();
 
@@ -215,10 +214,10 @@ void MountObsEndpoints(HttpServer* server, const ObsServerOptions& options) {
                  });
   server->Handle(
       "GET", "/tracez",
-      [trace, tracez_max_spans](const HttpRequest& request) {
+      [trace](const HttpRequest& request) {
         std::string body;
         if (trace != nullptr) {
-          trace->AppendRecentSpansJson(tracez_max_spans,
+          trace->AppendRecentSpansJson(kTracezMaxSpans,
                                        request.QueryParam("trace_id"),
                                        request.QueryParam("workload"), &body);
         } else {

@@ -39,6 +39,10 @@
 
 namespace xmlproj {
 
+// Upper bound on the spans one /tracez response returns (the most recent
+// ones; the payload reports how many were dropped).
+inline constexpr size_t kTracezMaxSpans = 256;
+
 struct ObsServerOptions {
   // TCP port on 127.0.0.1; 0 picks an ephemeral port (read it back from
   // ObsServer::port() after Start).
@@ -47,14 +51,11 @@ struct ObsServerOptions {
   const MetricsRegistry* registry = nullptr;
   // Span source for /tracez; optional (null serves an empty span list).
   // /tracez accepts ?trace_id=<32 hex> and ?workload=<id> filters,
-  // applied before the max_spans cut.
+  // applied before the kTracezMaxSpans cut.
   const TraceCollector* trace = nullptr;
   // Per-workload SLO burn rates; optional. When set, /statusz gains an
   // "slo" block (objectives plus 5m/1h burn per workload).
   const SloTracker* slo = nullptr;
-  // Upper bound on spans returned by /tracez (most recent first dropped
-  // counts reported in the payload).
-  size_t tracez_max_spans = 256;
   // Live circuit-breaker state for /healthz, as the CircuitState integer
   // (0=closed, 1=half-open, 2=open). A callback rather than a breaker
   // pointer because obs/ sits below common/ (where common/circuit.h

@@ -186,8 +186,8 @@ CheckpointBinding ComputeCorpusBinding(std::span<const std::string> corpus,
   binding.projector_hash = h;
 
   // Only fields that change which bytes a task produces or whether it
-  // reaches a terminal outcome. Threads, telemetry, queue capacity and
-  // drain settings are free to differ between the runs.
+  // reaches a terminal outcome. Threads, telemetry and drain settings
+  // are free to differ between the runs.
   h = HashU64(options.validate ? 1 : 0, kFnv1aOffset);
   h = HashU64(static_cast<uint64_t>(options.policy), h);
   h = HashU64(options.degrade_on_invalid ? 1 : 0, h);

@@ -22,7 +22,7 @@
 //   quarantined  stage + status code + attempts, mirroring TaskFailure
 //
 // Appends are journal-style: one line, fflush + fsync, written under a
-// mutex (pool workers and the watchdog thread both append). A crash can
+// mutex (pipeline workers and the watchdog thread both append). A crash can
 // at worst tear the final line; LoadCheckpoint() tolerates and counts
 // torn/corrupt lines, and the resume planner simply re-runs tasks whose
 // record (or committed output) did not survive. Output commits are

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <future>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -14,7 +13,6 @@
 #include "common/circuit.h"
 #include "projection/checkpoint.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xml/splice.h"
@@ -454,10 +452,19 @@ struct TaskEnv {
   TaskWatchdog* watchdog = nullptr;
 };
 
+// How a task left the run.
+enum class TaskExit : uint8_t {
+  kFinished,  // has a terminal status: executed, or failed at its claim
+  kSettled,   // settled by the resume plan; not re-run
+  kDrained,   // claimed after a stop request; no terminal outcome
+};
+
+// What one claim leaves behind, index-aligned with the tasks: the only
+// record the run-end fold reads.
 struct TaskOutcome {
+  TaskExit exit = TaskExit::kFinished;
   Status status;
   int attempts = 1;
-  bool degraded = false;
   size_t peak_bytes = 0;
   // Quarantine stage when the status code alone would misattribute the
   // failure: "circuit" (denied at admission by an open breaker; never
@@ -467,13 +474,11 @@ struct TaskOutcome {
   const char* stage = nullptr;
 };
 
-// Quarantine stage attribution for one task outcome. `code` is the
-// authoritative final status code (the pool future's, which can differ
-// from the outcome's when the worker never ran the task body).
-const char* FailureStage(const TaskOutcome& outcome, StatusCode code,
-                         bool validate) {
-  return outcome.stage != nullptr ? outcome.stage
-                                  : StageForStatus(code, validate);
+// Quarantine stage attribution for one task outcome.
+const char* FailureStage(const TaskOutcome& outcome, bool validate) {
+  return outcome.stage != nullptr
+             ? outcome.stage
+             : StageForStatus(outcome.status.code(), validate);
 }
 
 // One attempt of the fused per-document pass: SAX events from the parser
@@ -540,9 +545,11 @@ Status RunAttempt(const TaskEnv& env, const PipelineTask& task, bool identity,
 
 // Runs one task to its final outcome: the retry loop (kRetry only), the
 // degraded identity fallback, and the per-task metric publication. On a
-// non-OK outcome `out` is left cleared.
+// non-OK outcome `out` is left cleared. `ready_ns` (0: not measured) is
+// when the task became ready to run; its queue wait ends at the start of
+// the task's clock.
 TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
-                        size_t index, uint64_t submit_ns,
+                        size_t index, uint64_t ready_ns,
                         PipelineResult* out) {
   TaskOutcome outcome;
   // Admission control: while the breaker is open the task is quarantined
@@ -553,9 +560,7 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     outcome.stage = "circuit";
     outcome.status = UnavailableError(
         "circuit breaker open: task fast-failed at admission");
-    out->output.clear();
-    out->stats = PruneStats{};
-    out->degraded = false;
+    *out = PipelineResult{};
     GaugeAdd(env.metrics.progress_failed, 1);
     return outcome;
   }
@@ -572,7 +577,7 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
   const int max_attempts = env.policy == ErrorPolicy::kRetry
                                ? std::max(1, env.retry.max_attempts)
                                : 1;
-  double backoff_ms = static_cast<double>(env.retry.backoff_ms);
+  uint64_t backoff_ms = kRetryBackoffMs;
   // The task's peak is the largest over all of its passes: every retry
   // and the degraded fallback.
   size_t pass_peak = 0;
@@ -588,11 +593,8 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
       break;
     }
     CounterAdd(env.metrics.retries_total);
-    if (backoff_ms >= 1.0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(static_cast<int64_t>(backoff_ms)));
-    }
-    backoff_ms *= env.retry.multiplier;
+    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+    backoff_ms *= 2;
   }
 
   if (!outcome.status.ok() && env.degrade &&
@@ -608,23 +610,21 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     if (fallback_status.ok()) {
       *out = std::move(fallback);
       out->degraded = true;
-      outcome.degraded = true;
       outcome.status = Status::Ok();
       CounterAdd(env.metrics.degraded_total);
     }
   }
 
   const uint64_t task_ns = env.instrumented ? MonotonicNowNs() - start_ns : 0;
-  const uint64_t wait_ns =
-      submit_ns != 0 && start_ns > submit_ns ? start_ns - submit_ns : 0;
+  const uint64_t wait_ns = start_ns > ready_ns ? start_ns - ready_ns : 0;
   if (env.metrics.task_ns != nullptr) env.metrics.task_ns->Record(task_ns);
-  if (wait_ns != 0 && env.metrics.queue_wait_ns != nullptr) {
+  if (ready_ns != 0 && env.metrics.queue_wait_ns != nullptr) {
     env.metrics.queue_wait_ns->Record(wait_ns);
   }
   if (env.trace != nullptr) {
     const std::vector<TraceArg> args = {{"task", static_cast<int64_t>(index)}};
-    if (wait_ns != 0) {
-      env.trace->AddCompleteEvent("queue-wait", "pool", submit_ns, wait_ns,
+    if (ready_ns != 0) {
+      env.trace->AddCompleteEvent("queue-wait", "pool", ready_ns, wait_ns,
                                   args);
     }
     env.trace->AddCompleteEvent(env.validate ? "validate+prune" : "prune",
@@ -677,11 +677,7 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     }
   }
 
-  if (!outcome.status.ok()) {
-    out->output.clear();
-    out->stats = PruneStats{};
-    out->degraded = false;
-  }
+  if (!outcome.status.ok()) *out = PipelineResult{};
 
   CounterAdd(env.metrics.tasks_total);
   CounterAdd(env.metrics.input_bytes_total, task.xml_text->size());
@@ -747,7 +743,7 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     CheckpointTaskRecord record;
     record.task = index;
     record.completed = false;
-    record.stage = FailureStage(outcome, outcome.status.code(), env.validate);
+    record.stage = FailureStage(outcome, env.validate);
     record.code = StatusCodeName(outcome.status.code());
     record.attempts = outcome.attempts;
     if (env.checkpoint->AppendTask(record).ok()) {
@@ -872,11 +868,6 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
     env.watchdog = &*watchdog;
   }
 
-  const std::atomic<bool>* stop = options.stop;
-  auto stop_requested = [stop] {
-    return stop != nullptr && stop->load(std::memory_order_relaxed);
-  };
-
   auto wall_start = std::chrono::steady_clock::now();
 
   int threads = options.num_threads;
@@ -884,20 +875,11 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
     threads = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
   }
-  GaugeSet(env.metrics.threads, threads);
+  const size_t workers = std::min(static_cast<size_t>(threads), tasks.size());
+  GaugeSet(env.metrics.threads, static_cast<int64_t>(workers));
   // Progress gauges only add (see PipelineMetrics): the service runs
   // several one-document pipelines on one registry at a time.
   GaugeAdd(env.metrics.progress_tasks, static_cast<int64_t>(tasks.size()));
-
-  // Per-task final status and outcome detail, index-aligned with `tasks`
-  // (workers write disjoint slots).
-  std::vector<Status> finals(tasks.size());
-  std::vector<TaskOutcome> outcomes(tasks.size());
-  // skipped[i] — settled by the resume plan, never submitted;
-  // drained[i] — abandoned un-run after a stop request (no terminal
-  // outcome: not checkpointed, not a failure, re-run on resume).
-  std::vector<char> skipped(tasks.size(), 0);
-  std::vector<char> drained(tasks.size(), 0);
 
   if (resume != nullptr) {
     CounterAdd(env.metrics.checkpoint_resume_total);
@@ -907,7 +889,6 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
     }
     for (size_t i = 0; i < tasks.size(); ++i) {
       if (!resume->done[i]) continue;
-      skipped[i] = 1;
       CounterAdd(env.metrics.checkpoint_tasks_skipped);
       // Settled tasks count into progress immediately: a /statusz scrape
       // of a resumed run shows the corpus position, not just this
@@ -918,119 +899,99 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
     }
   }
 
-  // kFailFast: set by the first failing task; tasks claimed after it
-  // return kCancelled without running.
+  // The parallel-for. Workers claim task indices in ascending order, so
+  // one worker runs the tasks in index order. Each claim writes only its
+  // own slots of `outcomes` and `run.results`, so the writes are
+  // race-free, and the join publishes them to the fold below.
+  std::vector<TaskOutcome> outcomes(tasks.size());
+  std::atomic<size_t> next_task{0};
+  // kFailFast: set by the first executed task that fails; tasks claimed
+  // after it are cancelled without running.
   std::atomic<bool> cancelled{false};
-  // One task from claim to final status. A task claimed after the stop
-  // request never starts (graceful drain, worker side). Tasks write
-  // disjoint slots of `drained`, `outcomes` and `run.results`, so the
-  // writes are race-free.
-  auto run_task = [&](size_t i, uint64_t submit_ns) -> Status {
-    if (cancelled.load(std::memory_order_relaxed)) {
-      return CancelledError("skipped after an earlier task failed");
-    }
-    if (stop_requested()) {
-      drained[i] = 1;
-      return CancelledError("drained: stop requested before start");
-    }
-    outcomes[i] = ExecuteTask(env, tasks[i], i, submit_ns, &run.results[i]);
-    if (!outcomes[i].status.ok() && env.policy == ErrorPolicy::kFailFast) {
-      cancelled.store(true, std::memory_order_relaxed);
-    }
-    return outcomes[i].status;
-  };
-
-  // One admission loop. With one thread every task runs inline on the
-  // calling thread and no pool exists — the reference sequential path.
-  // With more, tasks queue on a bounded pool (submission blocks past
-  // queue_capacity), whose futures are authoritative: they carry
-  // pool-level outcomes (injected worker faults) the task never saw.
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads, options.queue_capacity, options.fault);
-  std::vector<std::future<Status>> done(pool ? tasks.size() : 0);
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    if (skipped[i]) continue;
-    if (stop_requested()) {
-      // Graceful drain, admission side: everything not yet admitted is
-      // abandoned without a terminal outcome.
-      for (size_t j = i; j < tasks.size(); ++j) {
-        if (!skipped[j]) drained[j] = 1;
-      }
-      break;
-    }
-    if (!pool) {
-      finals[i] = run_task(i, /*submit_ns=*/0);
-      continue;
-    }
-    const uint64_t submit_ns = instrumented ? MonotonicNowNs() : 0;
-    done[i] = pool->Submit(
-        [&run_task, i, submit_ns] { return run_task(i, submit_ns); });
-  }
-  // Destroying the pool runs every queued task and joins the workers.
-  pool.reset();
-  for (size_t i = 0; i < done.size(); ++i) {
-    if (done[i].valid()) finals[i] = done[i].get();
-  }
-
-  if (options.policy == ErrorPolicy::kFailFast) {
-    // Report the lowest-indexed real failure. Cancellations lose to the
-    // error that triggered them, but an injected pool-level cancellation
-    // with no other failure still fails the run.
-    Status first_error;
-    Status first_cancelled;
-    for (size_t i = 0; i < finals.size(); ++i) {
-      if (skipped[i] || drained[i]) continue;
-      const Status& status = finals[i];
-      if (status.ok()) continue;
-      if (status.code() == StatusCode::kCancelled) {
-        if (first_cancelled.ok()) {
-          first_cancelled = AnnotateTaskError(i, status);
-        }
+  // Every task is ready when the workers start claiming; one worker has
+  // no queue to wait in.
+  const uint64_t ready_ns = instrumented && workers > 1 ? MonotonicNowNs() : 0;
+  auto claim_tasks = [&] {
+    for (size_t i = next_task.fetch_add(1, std::memory_order_relaxed);
+         i < tasks.size();
+         i = next_task.fetch_add(1, std::memory_order_relaxed)) {
+      TaskOutcome& outcome = outcomes[i];
+      if (resume != nullptr && resume->done[i]) {
+        outcome.exit = TaskExit::kSettled;
         continue;
       }
-      if (first_error.ok()) first_error = AnnotateTaskError(i, status);
+      // A worker-level fault: delay-only fires run the task late (a slow
+      // worker); failing fires settle it with the injected status.
+      outcome.status = XMLPROJ_FAULT_HIT(options.fault, "pool.task");
+      if (!outcome.status.ok()) {
+        GaugeAdd(env.metrics.progress_failed, 1);
+        continue;
+      }
+      if (cancelled.load(std::memory_order_relaxed)) {
+        outcome.status = CancelledError("skipped after an earlier task failed");
+        continue;
+      }
+      if (options.stop != nullptr &&
+          options.stop->load(std::memory_order_relaxed)) {
+        outcome.exit = TaskExit::kDrained;
+        continue;
+      }
+      outcome = ExecuteTask(env, tasks[i], i, ready_ns, &run.results[i]);
+      if (!outcome.status.ok() && env.policy == ErrorPolicy::kFailFast) {
+        cancelled.store(true, std::memory_order_relaxed);
+      }
     }
-    if (!first_error.ok()) return first_error;
-    if (!first_cancelled.ok()) return first_cancelled;
+  };
+  {
+    // Joined at the end of this scope, however it is left.
+    std::vector<std::jthread> helpers;
+    helpers.reserve(workers - 1);
+    for (size_t w = 1; w < workers; ++w) helpers.emplace_back(claim_tasks);
+    claim_tasks();
   }
 
-  // kIsolate / kRetry: quarantine failures into structured reports; the
-  // run itself succeeds with the surviving results.
-  if (options.policy != ErrorPolicy::kFailFast) {
-    for (size_t i = 0; i < finals.size(); ++i) {
-      if (skipped[i] || drained[i]) continue;
-      if (finals[i].ok()) continue;
+  // One fold over the outcomes. kFailFast reports the lowest-indexed real
+  // failure: cancellations lose to the error that triggered them, but an
+  // injected pool-level cancellation with no other failure still fails
+  // the run. Peaks from failed tasks count too: a budget blowout is
+  // exactly the observation auto-tuning must not lose.
+  const bool fail_fast = options.policy == ErrorPolicy::kFailFast;
+  Status first_error;
+  Status first_cancelled;
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    const TaskOutcome& outcome = outcomes[i];
+    run.summary.max_task_peak_bytes =
+        std::max(run.summary.max_task_peak_bytes, outcome.peak_bytes);
+    if (outcome.exit == TaskExit::kSettled) continue;
+    if (outcome.exit == TaskExit::kDrained) {
+      ++run.summary.drained;
+      continue;
+    }
+    run.summary.retries += static_cast<size_t>(outcome.attempts - 1);
+    if (outcome.status.ok()) {
+      run.summary.AddTask(tasks[i].xml_text->size(), run.results[i]);
+      if (run.results[i].degraded) ++run.summary.degraded;
+    } else if (fail_fast) {
+      Status& first = outcome.status.code() == StatusCode::kCancelled
+                          ? first_cancelled
+                          : first_error;
+      if (first.ok()) first = AnnotateTaskError(i, outcome.status);
+    } else {
+      // kIsolate / kRetry: quarantine into a structured report; the run
+      // itself succeeds with the surviving results.
       TaskFailure failure;
       failure.task = i;
-      failure.stage =
-          FailureStage(outcomes[i], finals[i].code(), options.validate);
-      failure.status = finals[i];
-      failure.attempts = outcomes[i].attempts;
-      failure.peak_bytes = outcomes[i].peak_bytes;
+      failure.stage = FailureStage(outcome, options.validate);
+      failure.status = outcome.status;
+      failure.attempts = outcome.attempts;
+      failure.peak_bytes = outcome.peak_bytes;
       run.failures.push_back(std::move(failure));
-      run.results[i] = PipelineResult{};
-      CounterAdd(env.metrics.isolated_total);
     }
   }
-
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    // Peaks from failed tasks count too: a budget blowout is exactly the
-    // observation auto-tuning must not lose.
-    run.summary.max_task_peak_bytes =
-        std::max(run.summary.max_task_peak_bytes, outcomes[i].peak_bytes);
-    if (skipped[i] || drained[i]) continue;
-    if (!finals[i].ok()) continue;
-    run.summary.AddTask(tasks[i].xml_text->size(), run.results[i]);
-    if (run.results[i].degraded) ++run.summary.degraded;
-    run.summary.retries += static_cast<size_t>(outcomes[i].attempts - 1);
-  }
-
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    if (!drained[i]) continue;
-    ++run.summary.drained;
-    run.results[i] = PipelineResult{};
-    CounterAdd(env.metrics.drained_total);
-  }
+  if (!first_error.ok()) return first_error;
+  if (!first_cancelled.ok()) return first_cancelled;
+  CounterAdd(env.metrics.isolated_total, run.failures.size());
+  CounterAdd(env.metrics.drained_total, run.summary.drained);
 
   if (resume != nullptr) {
     // Fold the interrupted run's settled work into this run's totals so
@@ -1083,7 +1044,6 @@ Result<PipelineRun> PruneDocument(const std::string& xml_text, const Dtd& dtd,
                                   const NameSet& projector,
                                   const PipelineOptions& options) {
   PipelineOptions doc_options = options;
-  doc_options.num_threads = 1;  // inline: one task, no pool
   doc_options.policy = ErrorPolicy::kFailFast;
   return PruneCorpus({&xml_text, 1}, dtd, projector, doc_options);
 }

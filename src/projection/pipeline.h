@@ -1,5 +1,5 @@
 // Parallel pruning pipeline: parse → [validate+]prune → serialize as one
-// fused SAX pass per document, fanned across a thread pool.
+// fused SAX pass per document, run as a parallel-for over the tasks.
 //
 // The paper's pruner is a single bufferless one-pass traversal whose cost
 // disappears into parsing (§6) — a per-document property this pipeline
@@ -13,10 +13,19 @@
 // byte-for-byte the sequential output, in the same order
 // (tests/pipeline_test.cc diffs the two), and soundness is untouched.
 //
+// Every task exists before the run starts, so there is no queue: the
+// workers, the calling thread among them, claim task indices in
+// ascending order from one atomic counter, each claim writes one
+// index-aligned outcome, and after the join one pass over the outcomes
+// builds the verdict, the quarantine list and the summary. A run starts
+// min(num_threads, tasks) - 1 helper threads; with one worker every task
+// runs inline on the calling thread, the reference sequential path.
+//
 // Error handling is policy-driven (PipelineOptions::policy):
 //   kFailFast (default) — the first failing document cancels the tasks
-//     still queued (running passes finish their document); the pipeline
-//     returns the lowest-indexed task error, annotated with the index.
+//     not yet claimed (running passes finish their document); the
+//     pipeline returns the lowest-indexed task error that is not a
+//     cancellation, annotated with the index.
 //   kIsolate — a failing document is quarantined: its result slot stays
 //     empty, a structured TaskFailure{task, stage, status} lands in
 //     PipelineRun::failures, and the rest of the corpus proceeds
@@ -57,9 +66,11 @@
 // queue-wait histograms, pruning counters, progress gauges) and a
 // TraceCollector (per-task queue-wait and prune spans for Perfetto). A
 // task is timed once, from outside the fused pass: parse, prune and
-// splice interleave per SAX event, so no per-stage split is published,
-// and the thread pool keeps no numbers of its own. Both are opt-in; with
-// neither attached the pipeline reads no clocks.
+// splice interleave per SAX event, so no per-stage split is published.
+// Queue wait exists only with more than one worker: every task is ready
+// when the workers start claiming, so a task's wait runs from that
+// instant to its start. Both are opt-in; with neither attached the
+// pipeline reads no clocks.
 
 #ifndef XMLPROJ_PROJECTION_PIPELINE_H_
 #define XMLPROJ_PROJECTION_PIPELINE_H_
@@ -91,13 +102,13 @@ enum class ErrorPolicy {
   kRetry,     // bounded retries for transient faults, then isolate
 };
 
-// Bounded deterministic backoff for ErrorPolicy::kRetry. Attempt n sleeps
-// backoff_ms * multiplier^(n-1) before re-running; no jitter, so a chaos
-// run replays identically.
+// Bounded deterministic backoff for ErrorPolicy::kRetry: the sleep before
+// the second attempt, doubling before each later one (1, 2, 4, ... ms).
+// No jitter, so a chaos run replays identically.
+inline constexpr uint64_t kRetryBackoffMs = 1;
+
 struct RetryOptions {
-  int max_attempts = 3;     // total attempts per task (>= 1)
-  uint64_t backoff_ms = 1;  // sleep before the second attempt
-  double multiplier = 2.0;
+  int max_attempts = 3;  // total attempts per task (>= 1)
 };
 
 // Per-task resource budget. Zero fields are unlimited; with both zero the
@@ -133,21 +144,22 @@ struct TaskFailure {
 };
 
 struct PipelineOptions {
-  // Worker threads; <= 0 selects hardware concurrency. 1 runs inline on
-  // the calling thread (no pool), which is the reference sequential path.
+  // Workers, the calling thread among them; <= 0 selects hardware
+  // concurrency. A run never uses more workers than it has tasks. 1 runs
+  // every task inline on the calling thread, the reference sequential
+  // path.
   int num_threads = 0;
   // Fuse DTD validation of the *input* into the pruning pass
   // (ValidatingPruner instead of StreamingPruner).
   bool validate = false;
-  // Bound on queued-but-unclaimed tasks; submission blocks beyond it.
-  size_t queue_capacity = 256;
   // Optional telemetry. When `metrics` is set the pipeline publishes the
   // xmlproj_pipeline_* / xmlproj_progress_* /
   // xmlproj_stage_{task,queue_wait}_ns metrics (see README
   // "Observability") into it; when `trace` is set every task emits a
-  // queue-wait span (pool runs) and one [validate+]prune span covering
-  // the whole task. Either costs a few clock reads per task and none per
-  // SAX event; both null (the default) reads no clocks at all.
+  // queue-wait span (runs with more than one worker) and one
+  // [validate+]prune span covering the whole task. Either costs a few
+  // clock reads per task and none per SAX event; both null (the default)
+  // reads no clocks at all.
   MetricsRegistry* metrics = nullptr;
   TraceCollector* trace = nullptr;
   // Fault tolerance (see file comment and README "Fault tolerance").
@@ -159,7 +171,7 @@ struct PipelineOptions {
   // query still answers on the unprojected document.
   bool degrade_on_invalid = false;
   // Optional fault injector threaded through parser ("xml.parse"), pruner
-  // ("prune.element"), thread pool ("pool.task") and the pipeline itself
+  // ("prune.element"), the claim loop ("pool.task") and the task itself
   // ("pipeline.task"). Null — the default — leaves one pointer compare
   // per checkpoint on the hot path.
   FaultInjector* fault = nullptr;
@@ -204,12 +216,12 @@ struct PipelineOptions {
   // `resume->resumable` and done.size() == task count. Borrowed.
   const ResumePlan* resume = nullptr;
   // Graceful drain: when `stop` flips true (a signal handler's atomic),
-  // the pipeline stops admitting tasks, and a queued task a worker claims
-  // after the stop returns without running. Both kinds are abandoned
-  // without a terminal outcome (counted in PipelineSummary::drained,
-  // absent from failures and the checkpoint, so a resume re-runs them).
-  // In-flight tasks always finish; only their budget deadline and the
-  // watchdog bound how long that takes. Borrowed; may be null.
+  // every task a worker claims after the stop returns without running.
+  // Those tasks are abandoned without a terminal outcome (counted in
+  // PipelineSummary::drained, absent from failures and the checkpoint, so
+  // a resume re-runs them). In-flight tasks always finish; only their
+  // budget deadline and the watchdog bound how long that takes.
+  // Borrowed; may be null.
   const std::atomic<bool>* stop = nullptr;
   // Per-task watchdog (requires budget.deadline_ms > 0): a monitor
   // thread flags any task still running past watchdog_factor × the
@@ -257,7 +269,7 @@ struct PipelineSummary {
   // failures are counted here and detailed in PipelineRun::failures.
   size_t failed = 0;    // tasks quarantined under kIsolate / kRetry
   size_t degraded = 0;  // tasks that fell back to the identity pass
-  size_t retries = 0;   // extra attempts consumed under kRetry
+  size_t retries = 0;   // extra attempts under kRetry, every executed task
   // Checkpoint/resume and drain accounting. Skipped tasks *are* counted
   // in `tasks` and the byte/node totals (their recorded stats fold in),
   // so a resumed run's summary matches an uninterrupted one; drained
@@ -311,8 +323,8 @@ Result<PipelineRun> PruneCorpus(std::span<const std::string> corpus,
 // document per request). By construction this is a one-document corpus
 // through the exact same fused pass as the batch pipeline — byte
 // parity between the service and batch planes is structural, not
-// re-implemented. Pool-shaped options (num_threads, queue_capacity) are
-// ignored; budgets, validation, metrics and fault injection all apply.
+// re-implemented. One task never starts a helper thread, so num_threads
+// is moot; budgets, validation, metrics and fault injection all apply.
 // Returns the failing task's Status on error (kFailFast semantics): no
 // corpus to quarantine into.
 Result<PipelineRun> PruneDocument(const std::string& xml_text, const Dtd& dtd,

@@ -284,7 +284,7 @@ ProjectionService::FindWorkload(const std::string& id) const {
 }
 
 HttpResponse ProjectionService::HandleRegisterDtd(const HttpRequest& request) {
-  if (request.body.size() > options_.limits.max_spec_bytes) {
+  if (request.body.size() > kServiceMaxSpecBytes) {
     return ErrorJson(413, "DTD text exceeds the spec cap");
   }
   std::string name = request.QueryParam("name");
@@ -314,7 +314,7 @@ HttpResponse ProjectionService::HandleRegisterDtd(const HttpRequest& request) {
 
 HttpResponse ProjectionService::HandleRegisterWorkload(
     const HttpRequest& request) {
-  if (request.body.size() > options_.limits.max_spec_bytes) {
+  if (request.body.size() > kServiceMaxSpecBytes) {
     return ErrorJson(413, "workload spec exceeds the spec cap");
   }
   std::shared_ptr<const DtdEntry> dtd = FindDtd(request.QueryParam("dtd"));
@@ -773,8 +773,7 @@ bool ProjectionService::Start(const ProjectionServiceOptions& options,
   http_options.port = options_.port;
   http_options.worker_threads = options_.limits.worker_threads;
   http_options.max_body_bytes = options_.limits.max_document_bytes;
-  http_options.connection_deadline_ms =
-      static_cast<int>(options_.limits.connection_deadline_ms);
+  http_options.connection_deadline_ms = kServiceConnectionDeadlineMs;
   return http_.Start(http_options, error);
 }
 

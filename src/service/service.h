@@ -90,16 +90,18 @@ uint64_t WorkloadFingerprint(const std::vector<WorkloadQuery>& queries);
 Result<NameSet> CompileWorkloadProjector(
     const Dtd& dtd, const std::vector<WorkloadQuery>& queries);
 
+// Cap on a POST /workloads or /dtds body (413 beyond it).
+inline constexpr size_t kServiceMaxSpecBytes = 1u << 20;
+// Per-connection read deadline (header + body), milliseconds: the HTTP
+// server's 2 s default is raised for large documents.
+inline constexpr int kServiceConnectionDeadlineMs = 10000;
+
 struct ServiceLimits {
   // Cap on a POSTed document (the HTTP server's body cap; larger
   // documents get 413 before the body is read).
   size_t max_document_bytes = 64u << 20;
-  // Cap on a POST /workloads or /dtds body.
-  size_t max_spec_bytes = 1u << 20;
   // HTTP worker threads (concurrent in-flight requests).
   int worker_threads = 4;
-  // Per-connection read deadline (header + body), milliseconds.
-  uint64_t connection_deadline_ms = 10000;
   // Compiled projectors kept by the LRU cache.
   size_t projector_cache_capacity = 64;
   // Completed prunes per workload folded into one journal RunRecord.

@@ -16,7 +16,6 @@
 
 #include "common/memory_meter.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "dtd/dataguide.h"
 #include "dtd/dtd.h"
 #include "dtd/dtd_parser.h"

@@ -289,7 +289,6 @@ TEST_F(PipelineChaosTest, RetryRecoversFromTransientFaults) {
   options.num_threads = 4;
   options.policy = ErrorPolicy::kRetry;
   options.retry.max_attempts = 3;
-  options.retry.backoff_ms = 1;
   options.fault = &fault;
   options.metrics = &registry;
   options.corpus_label = "chaos";
@@ -315,12 +314,13 @@ TEST_F(PipelineChaosTest, RetryExhaustionQuarantinesWithAttemptCount) {
   spec.code = StatusCode::kUnavailable;  // permanent "transient" fault
   fault.Arm("pipeline.task", spec);
 
+  MetricsRegistry registry;
   PipelineOptions options;
   options.num_threads = 2;
   options.policy = ErrorPolicy::kRetry;
   options.retry.max_attempts = 2;
-  options.retry.backoff_ms = 0;
   options.fault = &fault;
+  options.metrics = &registry;
   auto run = PruneCorpus(corpus_, *dtd_, projector_, options);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_EQ(run->failures.size(), corpus_.size());
@@ -331,6 +331,11 @@ TEST_F(PipelineChaosTest, RetryExhaustionQuarantinesWithAttemptCount) {
   }
   EXPECT_EQ(run->summary.tasks, 0u);
   EXPECT_EQ(run->summary.failed, corpus_.size());
+  // A quarantined task's retries count like a completed task's: the
+  // summary and the counter agree, one extra attempt per task.
+  EXPECT_EQ(run->summary.retries, corpus_.size());
+  EXPECT_EQ(registry.GetCounter("xmlproj_pipeline_retries_total")->Value(),
+            corpus_.size());
 }
 
 TEST_F(PipelineChaosTest, RetryDoesNotRetryNonTransientFaults) {
@@ -493,12 +498,14 @@ TEST_F(PipelineChaosTest, PoolLevelFaultsAreQuarantinedUnderIsolate) {
   FaultSpec spec;
   spec.code = StatusCode::kUnavailable;
   spec.max_fires = 1;
-  fault.Arm("pool.task", spec);  // task never runs; future carries the fault
+  fault.Arm("pool.task", spec);  // the task never runs; its outcome fails
 
+  MetricsRegistry registry;
   PipelineOptions options;
   options.num_threads = 4;
   options.policy = ErrorPolicy::kIsolate;
   options.fault = &fault;
+  options.metrics = &registry;
   auto run = PruneCorpus(corpus_, *dtd_, projector_, options);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_EQ(run->failures.size(), 1u);
@@ -508,12 +515,40 @@ TEST_F(PipelineChaosTest, PoolLevelFaultsAreQuarantinedUnderIsolate) {
     if (i == run->failures[0].task) continue;
     EXPECT_EQ(run->results[i].output, Reference(i)) << "survivor " << i;
   }
+  // The quarantined task counts into progress like any other failure.
+  EXPECT_EQ(registry.GetGauge("xmlproj_progress_failed")->Value(), 1);
+  EXPECT_EQ(registry.GetGauge("xmlproj_progress_completed")->Value() +
+                registry.GetGauge("xmlproj_progress_failed")->Value(),
+            registry.GetGauge("xmlproj_progress_tasks")->Value());
+}
+
+// The claim loop fires pool.task at every thread count, so a chaos drill
+// reaches the one-worker reference path too.
+TEST_F(PipelineChaosTest, PoolLevelFaultFiresOnTheSequentialPath) {
+  FaultInjector fault;
+  ASSERT_TRUE(fault.ArmFromSpec("pool.task:unavailable:1:1").ok());
+
+  PipelineOptions options;
+  options.num_threads = 1;
+  options.policy = ErrorPolicy::kIsolate;
+  options.fault = &fault;
+  auto run = PruneCorpus(corpus_, *dtd_, projector_, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->failures.size(), 1u);
+  EXPECT_EQ(run->failures[0].task, 0u);  // one worker claims in order
+  EXPECT_EQ(run->failures[0].status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(run->failures[0].stage, "io");
+  EXPECT_EQ(run->summary.tasks, corpus_.size() - 1);
+  EXPECT_EQ(fault.HitCount("pool.task"), corpus_.size());
+  for (size_t i = 1; i < corpus_.size(); ++i) {
+    EXPECT_EQ(run->results[i].output, Reference(i)) << "survivor " << i;
+  }
 }
 
 // kFailFast reports the lowest-indexed error that is not a cancellation,
 // but a run whose only failure is an injected pool-level cancellation
-// still fails with it: the admission loop must not mistake that task for
-// a drained one and return OK with an empty result slot.
+// still fails with it: the fold must not mistake that task for a drained
+// one and return OK with an empty result slot.
 TEST_F(PipelineChaosTest, InjectedPoolCancellationFailsAFailFastRun) {
   FaultInjector fault;
   ASSERT_TRUE(fault.ArmFromSpec("pool.task:cancelled:1:1").ok());

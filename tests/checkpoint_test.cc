@@ -694,9 +694,8 @@ TEST(DrainTest, StopBeforeRunDrainsEverythingWithNoTerminalOutcome) {
             corpus.size());
 }
 
-// One admission loop drains both ways: inline on the calling thread (1
-// thread, no pool) and on the pool, where a queued task claimed after the
-// stop returns without running.
+// The claim loop drains the same way on one worker (the calling thread)
+// and on two: a task claimed after the stop returns without running.
 TEST(DrainTest, MidRunStopFinishesInFlightAndDrainsTheRest) {
   for (int threads : {1, 2}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));

@@ -6,7 +6,7 @@
 // the capped blocking client, and W3C trace context: strict traceparent
 // parsing (hostile headers mint fresh, never 500, never propagate),
 // request/response trace echo, request-id hygiene, and the per-request
-// observer hook.
+// observer hook, whose latency includes the wait for a worker.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -16,6 +16,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -452,6 +455,45 @@ TEST_F(HttpTest, ObserverSeesEveryRequestWithItsTrace) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], "/hello 200 4bf92f3577b34da6a3ce929d0e0e4736");
   EXPECT_EQ(seen[1].substr(0, 13), "/missing 404 ");
+}
+
+// A request's clock starts when its connection is accepted, so the time
+// it waits for a busy worker is part of its observed latency. The read
+// deadline still starts when a worker picks the connection up: a short
+// one does not cut off a request that only queued.
+TEST_F(HttpTest, ObservedLatencyIncludesTheWaitForAWorker) {
+  std::promise<void> slow_started;
+  server_.Handle("GET", "/slow", [&slow_started](const HttpRequest&) {
+    slow_started.set_value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    return TextResponse(200, "slow");
+  });
+  std::mutex mu;
+  std::map<std::string, uint64_t> duration_ns;
+  server_.SetObserver([&](const HttpRequest& request, const HttpResponse&,
+                          uint64_t, uint64_t duration) {
+    std::lock_guard<std::mutex> lock(mu);
+    duration_ns[request.path] = duration;
+  });
+  HttpServerOptions options;
+  options.worker_threads = 1;
+  options.connection_deadline_ms = 200;
+  StartServer(options);
+
+  std::thread slow([this] {
+    HttpClientResult result;
+    EXPECT_TRUE(HttpCall(server_.port(), "GET", "/slow", {}, {}, &result));
+    EXPECT_EQ(result.status, 200);
+  });
+  slow_started.get_future().wait();
+  HttpClientResult result;
+  ASSERT_TRUE(HttpCall(server_.port(), "GET", "/hello", {}, {}, &result));
+  EXPECT_EQ(result.status, 200);
+  slow.join();
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(duration_ns.count("/hello"), 1u);
+  EXPECT_GE(duration_ns["/hello"], uint64_t{150} * 1000 * 1000);
 }
 
 TEST_F(HttpTest, StartIsRetriableAfterPortConflict) {

@@ -123,7 +123,6 @@ TEST(PipelineTest, ParallelMatchesSequentialOnRandomCorpora) {
 
     PipelineOptions parallel;
     parallel.num_threads = 4;
-    parallel.queue_capacity = 2;  // force submission back-pressure
     auto results = PruneCorpus(corpus, dtd, projector, parallel);
     ASSERT_TRUE(results.ok()) << results.status().ToString();
     ASSERT_EQ(results->results.size(), corpus.size());
@@ -173,7 +172,6 @@ TEST(PipelineTest, MalformedDocumentCancelsWithoutDeadlock) {
 
   PipelineOptions parallel;
   parallel.num_threads = 4;
-  parallel.queue_capacity = 2;
   auto results = PruneCorpus(corpus, XmarkDtd(), *projector, parallel);
   ASSERT_FALSE(results.ok());
   EXPECT_EQ(results.status().code(), StatusCode::kParseError)
@@ -347,8 +345,8 @@ TEST(PipelineTest, MetricsRegistryMatchesSummary) {
                     name == "xmlproj_stage_queue_wait_ns")
             << name;
       });
-  // Every task's queue wait is timed once, by the pipeline; the thread
-  // pool publishes no series of its own.
+  // Every task's queue wait is timed once, by the pipeline; there are no
+  // xmlproj_pool_* series.
   EXPECT_EQ(registry.GetHistogram("xmlproj_stage_queue_wait_ns")->Count(),
             summary.tasks);
   auto not_pool = [](const std::string& name, const std::string&,
@@ -365,6 +363,40 @@ TEST(PipelineTest, MetricsRegistryMatchesSummary) {
               ReferencePrune(corpus[i], XmarkDtd(), *projector))
         << "document " << i;
   }
+}
+
+// A run never starts more workers than it has tasks, and the threads
+// gauge reports the workers the run used, not the ones it asked for.
+// num_threads <= 0 asks for one per hardware thread.
+TEST(PipelineTest, WorkersAreCappedAtTheTaskCount) {
+  XMarkCorpusOptions corpus_options;
+  corpus_options.documents = 2;
+  corpus_options.scale = 0.0005;
+  std::vector<std::string> corpus = GenerateXMarkCorpus(corpus_options);
+  auto projector = WorkloadProjector(XmarkDtd(), XMarkDashboardWorkload());
+  ASSERT_TRUE(projector.ok()) << projector.status().ToString();
+
+  MetricsRegistry registry;
+  PipelineOptions parallel;
+  parallel.num_threads = 8;
+  parallel.metrics = &registry;
+  auto run = PruneCorpus(corpus, XmarkDtd(), *projector, parallel);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(registry.GetGauge("xmlproj_pipeline_threads")->Value(), 2);
+  EXPECT_EQ(registry.GetHistogram("xmlproj_stage_queue_wait_ns")->Count(),
+            corpus.size());
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    EXPECT_EQ(run->results[i].output,
+              ReferencePrune(corpus[i], XmarkDtd(), *projector))
+        << "document " << i;
+  }
+
+  parallel.num_threads = 0;
+  ASSERT_TRUE(PruneCorpus(corpus, XmarkDtd(), *projector, parallel).ok());
+  const int64_t hardware =
+      std::max<int64_t>(1, std::thread::hardware_concurrency());
+  EXPECT_EQ(registry.GetGauge("xmlproj_pipeline_threads")->Value(),
+            std::min<int64_t>(hardware, 2));
 }
 
 // Tracing emits exactly one queue-wait span and one prune span per task
