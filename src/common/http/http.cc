@@ -5,11 +5,15 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
+#include <exception>
 #include <random>
 
 namespace xmlproj {
@@ -95,17 +99,127 @@ bool FindQueryValue(std::string_view query, std::string_view key,
   return false;
 }
 
-bool SendAll(int fd, std::string_view data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
+// Waits until `fd` is ready for `events` (POLLIN or POLLOUT), hung up or
+// in error. Also wakes when `wake_fd` (-1: none) turns readable, and
+// gives up at `deadline_ms` on the steady clock (0: no deadline). False
+// on wake, timeout or a poll error.
+bool PollReady(int fd, short events, int wake_fd, int64_t deadline_ms) {
+  for (;;) {
+    struct pollfd pfds[2];
+    pfds[0].fd = fd;
+    pfds[0].events = events;
+    pfds[0].revents = 0;
+    pfds[1].fd = wake_fd;  // poll skips a negative fd
+    pfds[1].events = POLLIN;
+    pfds[1].revents = 0;
+    int wait_ms = -1;
+    if (deadline_ms != 0) {
+      int64_t remaining = deadline_ms - SteadyNowMs();
+      if (remaining <= 0) return false;
+      wait_ms = static_cast<int>(std::min<int64_t>(remaining, INT_MAX));
+    }
+    int rc = poll(pfds, 2, wait_ms);
+    if (rc < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    sent += static_cast<size_t>(n);
+    if (pfds[1].revents != 0) return false;
+    if ((pfds[0].revents & (events | POLLHUP | POLLERR)) != 0) return true;
+  }
+}
+
+// Writes `head` then `body` with gathered sendmsg calls, resuming after a
+// partial write, so a body is never copied behind its head in user space.
+// Each sendmsg is non-blocking and a poll waits only while the socket
+// buffer is full, so a peer that stops reading fails the write once
+// `deadline_ms` (steady clock) passes instead of holding it forever.
+// MSG_NOSIGNAL: a peer that hung up fails the write instead of raising
+// SIGPIPE.
+bool SendAll(int fd, std::string_view head, std::string_view body,
+             int64_t deadline_ms) {
+  struct iovec iov[2];
+  iov[0].iov_base = const_cast<char*>(head.data());
+  iov[0].iov_len = head.size();
+  iov[1].iov_base = const_cast<char*>(body.data());
+  iov[1].iov_len = body.size();
+  for (size_t i = 0; i < 2;) {
+    if (iov[i].iov_len == 0) {
+      ++i;
+      continue;
+    }
+    struct msghdr message = {};
+    message.msg_iov = iov + i;
+    message.msg_iovlen = 2 - i;
+    ssize_t n = sendmsg(fd, &message, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+      if (!PollReady(fd, POLLOUT, /*wake_fd=*/-1, deadline_ms)) return false;
+      continue;
+    }
+    // Step past what went out: whole iovecs, then into a partial one.
+    for (size_t sent = static_cast<size_t>(n); sent > 0 && i < 2; ++i) {
+      size_t step = std::min(sent, iov[i].iov_len);
+      iov[i].iov_base = static_cast<char*>(iov[i].iov_base) + step;
+      iov[i].iov_len -= step;
+      sent -= step;
+      if (iov[i].iov_len > 0) break;
+    }
   }
   return true;
+}
+
+// What RecvSome returns when the deadline passed or a stop fired.
+constexpr ssize_t kRecvTimedOut = -2;
+
+// How far a sized body is grown ahead of the bytes that arrived. Its
+// full length is reserved up front, so growing never moves it; writing
+// only this far ahead keeps a peer that declares a length and then
+// stalls from committing the memory it declared.
+constexpr size_t kBodyGrowthBytes = 1 << 20;
+
+// Reserves a body of the `length` its peer declared. That takes address
+// space, not memory: pages are written only as bytes arrive. False for
+// a length past the machine's physical memory, which could never be
+// buffered and is refused before any allocation is tried, or for one
+// the allocator refuses.
+bool ReserveDeclaredBody(std::string* body, uint64_t length) {
+  static const uint64_t physical_bytes = [] {
+    long pages = sysconf(_SC_PHYS_PAGES);
+    long page_size = sysconf(_SC_PAGESIZE);
+    if (pages <= 0 || page_size <= 0) return UINT64_MAX;
+    return static_cast<uint64_t>(pages) * static_cast<uint64_t>(page_size);
+  }();
+  if (length > physical_bytes) return false;
+  try {
+    body->reserve(length);
+  } catch (const std::exception&) {  // std::bad_alloc, std::length_error
+    return false;
+  }
+  return true;
+}
+
+// One read of up to `len` bytes into `data`. The recv comes first and a
+// poll only when nothing is buffered, so bytes already in flight cost one
+// syscall per read, not a poll+recv pair. Returns the byte count, 0 at
+// EOF, -1 on a socket error, or kRecvTimedOut once `deadline_ms` (steady
+// clock) passes, `stopping` (nullable) is set or `wake_fd` (-1: none)
+// turns readable. The deadline and the stop flag are checked on every
+// turn, so a peer that keeps sending outruns neither.
+ssize_t RecvSome(int fd, char* data, size_t len, int64_t deadline_ms,
+                 const std::atomic<bool>* stopping = nullptr,
+                 int wake_fd = -1) {
+  for (;;) {
+    if (stopping != nullptr && stopping->load(std::memory_order_acquire)) {
+      return kRecvTimedOut;
+    }
+    if (SteadyNowMs() >= deadline_ms) return kRecvTimedOut;
+    ssize_t n = recv(fd, data, len, MSG_DONTWAIT);
+    if (n >= 0) return n;
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return -1;
+    if (!PollReady(fd, POLLIN, wake_fd, deadline_ms)) return kRecvTimedOut;
+  }
 }
 
 // Parses the request head (request line + headers, no body). Returns 0
@@ -146,7 +260,9 @@ int ParseRequestHead(std::string_view head, HttpRequest* request) {
   return 0;
 }
 
-std::string SerializeResponse(const HttpResponse& response) {
+// The status line and headers, through the blank line. The body goes
+// out behind it in SendAll's gathered write; it is never appended here.
+std::string SerializeResponseHead(const HttpResponse& response) {
   std::string out("HTTP/1.1 ");
   out.append(std::to_string(response.status));
   out.push_back(' ');
@@ -162,8 +278,12 @@ std::string SerializeResponse(const HttpResponse& response) {
     out.append(value);
   }
   out.append("\r\nConnection: close\r\n\r\n");
-  out.append(response.body);
   return out;
+}
+
+bool SendResponse(int fd, const HttpResponse& response, int64_t deadline_ms) {
+  return SendAll(fd, SerializeResponseHead(response), response.body,
+                 deadline_ms);
 }
 
 // Lowercase-hex-only check for traceparent fields (the spec mandates
@@ -455,38 +575,11 @@ void HttpServer::Stop() {
   running_.store(false, std::memory_order_release);
 }
 
-bool HttpServer::WaitReadable(int fd, int deadline_ms) const {
-  int64_t deadline =
-      deadline_ms > 0 ? SteadyNowMs() + deadline_ms : 0;
-  while (!stop_.load(std::memory_order_acquire)) {
-    struct pollfd pfds[2];
-    pfds[0].fd = fd;
-    pfds[0].events = POLLIN;
-    pfds[0].revents = 0;
-    pfds[1].fd = wake_fds_[0];
-    pfds[1].events = POLLIN;
-    pfds[1].revents = 0;
-    int wait_ms = -1;
-    if (deadline != 0) {
-      int64_t remaining = deadline - SteadyNowMs();
-      if (remaining <= 0) return false;
-      wait_ms = static_cast<int>(remaining);
-    }
-    int rc = poll(pfds, 2, wait_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (pfds[1].revents != 0) return false;  // stop pipe fired
-    if (rc > 0 && (pfds[0].revents & (POLLIN | POLLHUP)) != 0) return true;
-    if (rc == 0 && deadline != 0) return false;  // timed out
-  }
-  return false;
-}
-
 void HttpServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
-    if (!WaitReadable(listen_fd_, /*deadline_ms=*/0)) continue;
+    if (!PollReady(listen_fd_, POLLIN, wake_fds_[0], /*deadline_ms=*/0)) {
+      continue;
+    }
     int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) continue;
     const uint64_t accepted_ns = SteadyNowNs();
@@ -523,38 +616,44 @@ void HttpServer::WorkerLoop() {
 void HttpServer::HandleConnection(int fd, uint64_t accepted_ns) {
   // The request's clock runs from accept, the read deadline from pickup:
   // a request that queued for a worker is not cut off for it.
-  int64_t deadline = SteadyNowMs() + options_.connection_deadline_ms;
-  auto remaining_ms = [deadline]() -> int {
-    int64_t remaining = deadline - SteadyNowMs();
-    return remaining > 0 ? static_cast<int>(remaining) : -1;
+  const int64_t deadline = SteadyNowMs() + options_.connection_deadline_ms;
+  auto receive = [&](char* data, size_t len) {
+    return RecvSome(fd, data, len, deadline, &stop_, wake_fds_[0]);
+  };
+  // A response write gets a window of its own, from the moment the
+  // response is ready: a handler that ran long does not cut it short,
+  // and a client that stops reading frees the worker when the window
+  // ends. Stop() does not cut it either, so a drain still delivers what
+  // the running handlers computed.
+  auto write_response = [&](const HttpResponse& response) {
+    SendResponse(fd, response,
+                 SteadyNowMs() + options_.connection_deadline_ms);
   };
 
   // Request head: read until the blank line, bounded in bytes and time.
-  std::string buffer;
-  char chunk[4096];
-  size_t head_end;
-  while ((head_end = buffer.find("\r\n\r\n")) == std::string::npos) {
-    if (buffer.size() >= kHttpMaxHeaderBytes) {
-      SendAll(fd, SerializeResponse(
-                      TextResponse(400, "request head too large\n")));
+  // The buffer is the cap, so a head that arrives in one large write is
+  // refused all the same.
+  char head[kHttpMaxHeaderBytes];
+  size_t filled = 0;
+  size_t head_end = std::string_view::npos;
+  while (head_end == std::string_view::npos) {
+    if (filled == sizeof(head)) {
+      write_response(TextResponse(400, "request head too large\n"));
       return;
     }
-    int wait = remaining_ms();
-    if (wait < 0 || !WaitReadable(fd, wait)) return;
-    ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return;  // peer closed or error before a full request
-    }
-    buffer.append(chunk, static_cast<size_t>(n));
+    ssize_t n = receive(head + filled, sizeof(head) - filled);
+    if (n <= 0) return;  // peer closed, error or timeout before a request
+    const size_t scan_from = filled < 3 ? 0 : filled - 3;
+    filled += static_cast<size_t>(n);
+    head_end = std::string_view(head, filled).find("\r\n\r\n", scan_from);
   }
   requests_.fetch_add(1, std::memory_order_relaxed);
 
   HttpRequest request;
-  int parse_status = ParseRequestHead(buffer.substr(0, head_end + 2), &request);
+  int parse_status =
+      ParseRequestHead(std::string_view(head, head_end + 2), &request);
   if (parse_status != 0) {
-    SendAll(fd, SerializeResponse(
-                    TextResponse(parse_status, "malformed request line\n")));
+    write_response(TextResponse(parse_status, "malformed request line\n"));
     return;
   }
   // From here on the request is attributable: it carries a trace
@@ -563,10 +662,13 @@ void HttpServer::HandleConnection(int fd, uint64_t accepted_ns) {
   StampRequestTrace(&request);
   auto respond = [&](HttpResponse response) {
     EchoTraceHeaders(request, &response);
+    write_response(response);
+    // The clock stops once the write ended, whole, failed or timed out:
+    // a client slow to read its response counts that wait in the
+    // request's latency.
     if (observer_) {
       observer_(request, response, accepted_ns, SteadyNowNs() - accepted_ns);
     }
-    SendAll(fd, SerializeResponse(response));
   };
 
   // Body, when declared. No streaming transfer encodings here.
@@ -586,29 +688,41 @@ void HttpServer::HandleConnection(int fd, uint64_t accepted_ns) {
     return;
   }
   if (content_length > 0) {
+    // The declared length passed the cap but is still only the client's
+    // claim, so the body is reserved, not sized: a head alone commits
+    // next to nothing. A length that cannot be reserved is refused like
+    // one over the cap, before the client is asked to continue.
+    if (!ReserveDeclaredBody(&request.body, content_length)) {
+      respond(TextResponse(413, "request body too large to buffer\n"));
+      return;
+    }
     // curl sends Expect: 100-continue for large bodies and stalls ~1s
     // waiting for the interim response; answer it so uploads stream
     // immediately.
     std::string expect(request.Header("expect"));
     LowerInPlace(&expect);
     if (expect.find("100-continue") != std::string::npos) {
-      if (!SendAll(fd, "HTTP/1.1 100 Continue\r\n\r\n")) return;
+      if (!SendAll(fd, "HTTP/1.1 100 Continue\r\n\r\n", {}, deadline)) {
+        return;
+      }
     }
-    request.body = buffer.substr(head_end + 4);
-    while (request.body.size() < content_length) {
-      int wait = remaining_ms();
-      if (wait < 0 || !WaitReadable(fd, wait)) {
+    // Bytes that came in with the head are copied over and the rest is
+    // read straight into place, the body growing a step ahead of what
+    // arrived; bytes past the length are no part of it.
+    const size_t arrived = filled - (head_end + 4);
+    size_t got = std::min<size_t>(arrived, content_length);
+    request.body.assign(head + head_end + 4, got);
+    while (got < content_length) {
+      request.body.resize(
+          std::min<size_t>(content_length, got + kBodyGrowthBytes));
+      ssize_t n = receive(request.body.data() + got, request.body.size() - got);
+      if (n == kRecvTimedOut) {
         respond(TextResponse(408, "request body timed out\n"));
         return;
       }
-      ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return;
-      }
-      request.body.append(chunk, static_cast<size_t>(n));
+      if (n <= 0) return;
+      got += static_cast<size_t>(n);
     }
-    request.body.resize(content_length);  // ignore pipelined trailing bytes
   }
 
   respond(Dispatch(request));
@@ -645,21 +759,14 @@ std::string_view HttpClientResult::Header(std::string_view name) const {
 
 namespace {
 
-// Poll-based single-fd wait for the client side (no stop pipe).
-bool ClientWaitReadable(int fd, int timeout_ms) {
-  for (;;) {
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int rc = poll(&pfd, 1, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (rc == 0) return false;
-    return (pfd.revents & (POLLIN | POLLHUP)) != 0;
-  }
+// The client's read size for the response head and for bodies without a
+// Content-Length; a sized body is read straight into its own buffer.
+constexpr size_t kClientReadBytes = 64 << 10;
+
+// What a read that returned no bytes fails the call with.
+const char* ReadFailure(ssize_t n) {
+  if (n == kRecvTimedOut) return "response timed out";
+  return n < 0 ? "recv failed" : "truncated response";
 }
 
 }  // namespace
@@ -668,12 +775,16 @@ bool HttpCall(uint16_t port, const std::string& method,
               const std::string& target, std::string_view body,
               const std::string& content_type, HttpClientResult* result,
               const HttpClientOptions& options, std::string* error) {
-  auto fail = [error](const char* what) {
+  int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    if (error != nullptr) *error = "socket failed";
+    return false;
+  }
+  auto fail = [fd, error](const char* what) {
+    close(fd);
     if (error != nullptr) *error = what;
     return false;
   };
-  int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return fail("socket failed");
   struct sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
@@ -681,104 +792,125 @@ bool HttpCall(uint16_t port, const std::string& method,
   addr.sin_port = htons(port);
   if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
       0) {
-    close(fd);
     return fail("connect failed");
   }
-  std::string request(method);
-  request.push_back(' ');
-  request.append(target);
-  request.append(" HTTP/1.1\r\nHost: 127.0.0.1\r\n");
+  std::string head(method);
+  head.push_back(' ');
+  head.append(target);
+  head.append(" HTTP/1.1\r\nHost: 127.0.0.1\r\n");
   if (!options.traceparent.empty()) {
-    request.append("traceparent: ");
-    request.append(options.traceparent);
-    request.append("\r\n");
+    head.append("traceparent: ");
+    head.append(options.traceparent);
+    head.append("\r\n");
   }
   if (!body.empty() || method == "POST" || method == "PUT") {
     if (!content_type.empty()) {
-      request.append("Content-Type: ");
-      request.append(content_type);
-      request.append("\r\n");
+      head.append("Content-Type: ");
+      head.append(content_type);
+      head.append("\r\n");
     }
-    request.append("Content-Length: ");
-    request.append(std::to_string(body.size()));
-    request.append("\r\n");
+    head.append("Content-Length: ");
+    head.append(std::to_string(body.size()));
+    head.append("\r\n");
   }
-  request.append("Connection: close\r\n\r\n");
-  request.append(body);
-  if (!SendAll(fd, request)) {
-    close(fd);
-    return fail("send failed");
+  head.append("Connection: close\r\n\r\n");
+  const int64_t deadline = SteadyNowMs() + options.timeout_ms;
+  if (!SendAll(fd, head, body, deadline)) return fail("send failed");
+
+  std::string buffer;
+  ssize_t last = 0;
+  const char* over_cap = nullptr;
+  // Appends one large read to `buffer`; false at EOF, on a read failure
+  // (`last` says which) or past the cap (`over_cap` is set).
+  auto read_more = [&]() {
+    const size_t filled = buffer.size();
+    buffer.resize(filled + kClientReadBytes);
+    last = RecvSome(fd, buffer.data() + filled, kClientReadBytes, deadline);
+    buffer.resize(filled + static_cast<size_t>(std::max<ssize_t>(last, 0)));
+    if (buffer.size() > options.max_response_bytes) {
+      over_cap = "response exceeds max_response_bytes";
+    }
+    return last > 0 && over_cap == nullptr;
+  };
+
+  // Head: read until the blank line. An interim 100 Continue can precede
+  // the real response; drop it.
+  size_t header_end = std::string::npos;
+  while (header_end == std::string::npos) {
+    if (!read_more()) return fail(over_cap ? over_cap : ReadFailure(last));
+    header_end = buffer.find("\r\n\r\n");
+    while (header_end != std::string::npos &&
+           buffer.rfind("HTTP/1.1 100", 0) == 0) {
+      buffer.erase(0, header_end + 4);
+      header_end = buffer.find("\r\n\r\n");
+    }
   }
 
-  int64_t deadline = SteadyNowMs() + options.timeout_ms;
-  std::string response;
-  char buf[8192];
-  for (;;) {
-    int64_t remaining = deadline - SteadyNowMs();
-    if (remaining <= 0) {
-      close(fd);
-      return fail("response timed out");
+  HttpClientResult parsed;
+  size_t line_end = buffer.find("\r\n");
+  parsed.status_line = buffer.substr(0, line_end);
+  // The status code's three digits; more from a hostile peer would
+  // overflow the int.
+  size_t sp = parsed.status_line.find(' ');
+  if (sp != std::string::npos) {
+    const size_t digits_end = std::min(sp + 4, parsed.status_line.size());
+    for (size_t i = sp + 1; i < digits_end && parsed.status_line[i] >= '0' &&
+                            parsed.status_line[i] <= '9';
+         ++i) {
+      parsed.status = parsed.status * 10 + (parsed.status_line[i] - '0');
     }
-    if (!ClientWaitReadable(fd, static_cast<int>(remaining))) {
-      close(fd);
-      return fail("response timed out");
-    }
-    ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      close(fd);
-      return fail("recv failed");
-    }
-    if (n == 0) break;
-    // An interim 100 Continue can precede the real response; drop it.
-    response.append(buf, static_cast<size_t>(n));
-    if (response.rfind("HTTP/1.1 100", 0) == 0) {
-      size_t interim_end = response.find("\r\n\r\n");
-      if (interim_end != std::string::npos) {
-        response.erase(0, interim_end + 4);
-      }
-    }
-    if (response.size() > options.max_response_bytes) {
-      close(fd);
+  }
+  size_t pos = line_end + 2;
+  while (pos < header_end) {
+    size_t end = buffer.find("\r\n", pos);
+    std::string_view header(buffer.data() + pos, end - pos);
+    pos = end + 2;
+    size_t colon = header.find(':');
+    if (colon == std::string_view::npos) continue;
+    std::string name(StripSpaces(header.substr(0, colon)));
+    LowerInPlace(&name);
+    parsed.headers.emplace_back(
+        std::move(name), std::string(StripSpaces(header.substr(colon + 1))));
+  }
+
+  const size_t body_start = header_end + 4;
+  uint64_t content_length = 0;
+  const bool sized =
+      ParseDecimalU64(parsed.Header("content-length"), &content_length);
+  if (sized) {
+    // Checked against the cap before any body byte is read, reserved,
+    // and read straight into place as it arrives, as the server reads a
+    // request body. A body cut short of its declared length fails the
+    // call.
+    if (content_length > options.max_response_bytes - body_start) {
       return fail("response exceeds max_response_bytes");
     }
+    if (!ReserveDeclaredBody(&parsed.body, content_length)) {
+      return fail("response too large to buffer");
+    }
+    size_t got = std::min<size_t>(buffer.size() - body_start, content_length);
+    parsed.body.assign(buffer, body_start, got);
+    while (got < content_length) {
+      parsed.body.resize(
+          std::min<size_t>(content_length, got + kBodyGrowthBytes));
+      ssize_t n = RecvSome(fd, parsed.body.data() + got,
+                           parsed.body.size() - got, deadline);
+      if (n <= 0) return fail(ReadFailure(n));
+      got += static_cast<size_t>(n);
+    }
+    buffer.clear();  // from here on it holds only bytes past the length
   }
+  // Read on to the close: the body itself when no Content-Length sized
+  // it, otherwise only bytes past the length, which are dropped. The
+  // server closes after its observer has run, so a call that returned
+  // has been accounted for on the server's side.
+  while (read_more()) {
+  }
+  if (over_cap != nullptr) return fail(over_cap);
+  if (last < 0) return fail(ReadFailure(last));
+  if (!sized) parsed.body.assign(buffer, body_start);
   close(fd);
-
-  size_t line_end = response.find("\r\n");
-  size_t header_end = response.find("\r\n\r\n");
-  if (line_end == std::string::npos || header_end == std::string::npos) {
-    return fail("truncated response");
-  }
-  if (result != nullptr) {
-    result->status_line = response.substr(0, line_end);
-    result->status = 0;
-    size_t sp = result->status_line.find(' ');
-    if (sp != std::string::npos) {
-      int code = 0;
-      for (size_t i = sp + 1;
-           i < result->status_line.size() && result->status_line[i] >= '0' &&
-           result->status_line[i] <= '9';
-           ++i) {
-        code = code * 10 + (result->status_line[i] - '0');
-      }
-      result->status = code;
-    }
-    result->headers.clear();
-    size_t pos = line_end + 2;
-    while (pos < header_end) {
-      size_t end = response.find("\r\n", pos);
-      std::string_view header(response.data() + pos, end - pos);
-      pos = end + 2;
-      size_t colon = header.find(':');
-      if (colon == std::string_view::npos) continue;
-      std::string name(StripSpaces(header.substr(0, colon)));
-      LowerInPlace(&name);
-      result->headers.emplace_back(
-          std::move(name), std::string(StripSpaces(header.substr(colon + 1))));
-    }
-    result->body = response.substr(header_end + 4);
-  }
+  if (result != nullptr) *result = std::move(parsed);
   return true;
 }
 

@@ -13,14 +13,28 @@
 // `Expect: 100-continue` is honored so curl can stream large POST
 // bodies without its 1s continue-timeout stall.
 //
+// I/O path: no body is copied in user space, bar the few bytes that
+// arrive together with a head. The server reserves a request body from
+// its Content-Length (after the 413 check) and recvs straight into it,
+// growing it only as bytes arrive; a response goes out as its
+// serialized head plus the handler's body in one gathered sendmsg. The
+// client writes its head and the caller's body the same way and recvs
+// a sized response body straight into the result. Reads try recv first
+// and poll only when nothing is buffered; writes poll only when the
+// socket buffer is full, and give up at a deadline.
+//
 // Threading: Start() launches one accept thread plus
 // `options.worker_threads` handler threads fed from a bounded queue, so
 // a slow handler (a large /prune) does not stall scrapes. Handlers may
 // therefore run concurrently and must be thread-safe. A request's clock
-// starts when its connection is accepted, so time spent queued for a
-// worker counts in its observed duration. Stop() wakes every blocked
-// socket wait immediately through a self-pipe — shutdown latency is
-// bounded by the running handlers, not by a poll interval.
+// starts when its connection is accepted and stops when the write of
+// its response ends, so the wait for a worker and the write both count
+// in its observed duration. Stop() wakes every blocked socket read
+// immediately through a self-pipe, and a read that is still receiving
+// checks the stop flag on every turn. It lets a response write run on,
+// so a drain delivers what the running handlers computed: shutdown
+// latency is bounded by the running handlers and their writes' deadlines,
+// not by a poll interval.
 //
 // This library sits below obs/ in the link order (xmlproj_obs links
 // xmlproj_http): standard library + POSIX only, no other xmlproj
@@ -130,14 +144,19 @@ HttpResponse JsonResponse(int status, std::string body);
 
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
-// Observation hook called once per parsed request, after the response
-// is computed and before it is written: (request, response, start_ns,
+// Observation hook called once per parsed request, after the write of
+// its response ended — whole, failed, or cut off at the write deadline
+// by a client that stopped reading: (request, response, start_ns,
 // duration_ns), both times from a monotonic clock. `start_ns` is when
-// the connection was accepted, so the duration includes the wait for a
-// free worker. Runs on the worker thread that served the request; must
-// be thread-safe. Requests that die before parsing (garbage request
-// line, oversized head) are not observed — there is nothing to
-// attribute them to.
+// the connection was accepted, so the duration runs from there to the
+// end of the write: the wait for a free worker, the body read, the
+// handler and a client slow to read its response all count. Runs on the
+// worker thread that served the request, before the connection is
+// closed, so only a client that reads to the close (as HttpCall does)
+// is ordered after it; one that stops at Content-Length (curl) may
+// return first. Must be thread-safe. Requests that die before parsing
+// (garbage request line, oversized head) are not observed — there is
+// nothing to attribute them to.
 using HttpObserver = std::function<void(
     const HttpRequest&, const HttpResponse&, uint64_t start_ns,
     uint64_t duration_ns)>;
@@ -153,9 +172,10 @@ struct HttpServerOptions {
   // with 413 before any body byte is read.
   size_t max_body_bytes = 1 << 20;
   // Per-connection wall budget for reading the full request, from the
-  // moment a worker picks the connection up: a client that dribbles
-  // bytes or never finishes gets cut off rather than pinning a handler
-  // thread. The service raises it for big documents.
+  // moment a worker picks the connection up, and again for writing the
+  // response, from the moment it is ready: a client that dribbles bytes,
+  // never finishes or stops reading gets cut off rather than pinning a
+  // handler thread. The service raises it for big documents.
   int connection_deadline_ms = 2000;
 };
 
@@ -220,10 +240,6 @@ class HttpServer {
   void WorkerLoop();
   void HandleConnection(int fd, uint64_t accepted_ns);
   HttpResponse Dispatch(const HttpRequest& request) const;
-  // Waits for readability of `fd`, also waking on the stop pipe and
-  // giving up after `deadline_ms` (<= 0: no deadline). False on stop,
-  // timeout, or error.
-  bool WaitReadable(int fd, int deadline_ms) const;
 
   std::vector<Route> routes_;
   HttpObserver observer_;
@@ -246,6 +262,8 @@ class HttpServer {
 // Blocking client (127.0.0.1 only).
 
 struct HttpClientOptions {
+  // Wall budget for the whole exchange, from before the request is sent
+  // until the server closes.
   int timeout_ms = 5000;
   // Cap on the bytes read off the socket (headers + body): a misbehaving
   // server cannot OOM the caller. Exceeding it fails the call.
@@ -267,9 +285,13 @@ struct HttpClientResult {
 
 // One blocking HTTP/1.1 exchange against 127.0.0.1:<port>. `body` is
 // sent with a Content-Length (and `content_type` when non-empty) for
-// POST/PUT; pass "" for GET. False on connect/send/recv failure,
-// timeout, response-size overflow, or an unparseable response —
-// `*error` (nullable) says which.
+// POST/PUT; pass "" for GET. A response with a Content-Length gets
+// exactly that many body bytes (bytes past it are dropped); one without
+// is read to EOF. Either way the call returns only once the server has
+// closed the connection. False on connect/send/recv failure, timeout,
+// response-size overflow, a body cut short of its Content-Length
+// ("truncated response"), or an unparseable response — `*error`
+// (nullable) says which.
 bool HttpCall(uint16_t port, const std::string& method,
               const std::string& target, std::string_view body,
               const std::string& content_type, HttpClientResult* result,

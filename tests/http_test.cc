@@ -1,12 +1,17 @@
 // Tests for the reusable loopback HTTP core (common/http/http.h):
 // routing (exact match, 404, 405 + Allow), query-param decoding, POST
-// bodies (round-trip, 413 over the cap, Expect: 100-continue), protocol
-// errors (malformed request line, chunked transfer → 501), concurrent
-// requests across worker threads, prompt stop with an open connection,
-// the capped blocking client, and W3C trace context: strict traceparent
-// parsing (hostile headers mint fresh, never 500, never propagate),
-// request/response trace echo, request-id hygiene, and the per-request
-// observer hook, whose latency includes the wait for a worker.
+// bodies (round-trip, 413 over the cap or past what can be reserved,
+// Expect: 100-continue, bytes past Content-Length ignored, a stalled
+// body cut off with 408), protocol errors (malformed request line, a
+// head over the cap, chunked transfer → 501), concurrent requests across
+// worker threads, prompt stop with an open connection, a response write
+// cut off when the client stops reading, the capped blocking client
+// against fake servers (a body cut short of its Content-Length fails,
+// one without a length runs to EOF), and W3C trace context: strict
+// traceparent parsing (hostile headers mint fresh, never 500, never
+// propagate), request/response trace echo, request-id hygiene, and the
+// per-request observer hook, whose latency runs from accept (the wait
+// for a worker counts) to the end of the response write.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -15,6 +20,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <cstring>
 #include <future>
 #include <map>
@@ -63,6 +70,58 @@ std::string RawRequest(uint16_t port, const std::string& request) {
   ::close(fd);
   return response;
 }
+
+// A fake server on an ephemeral port for one exchange: it accepts one
+// connection, reads the request head, writes `reply` verbatim and closes.
+class OneShotServer {
+ public:
+  explicit OneShotServer(std::string reply) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) == 0 &&
+        ::listen(listen_fd_, 1) == 0 &&
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
+            0) {
+      port_ = ntohs(addr.sin_port);
+    }
+    thread_ = std::thread([this, reply = std::move(reply)] {
+      int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      std::string request;
+      char buf[4096];
+      while (request.find("\r\n\r\n") == std::string::npos) {
+        ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0) break;
+        request.append(buf, static_cast<size_t>(n));
+      }
+      size_t sent = 0;
+      while (sent < reply.size()) {
+        ssize_t n = ::send(fd, reply.data() + sent, reply.size() - sent,
+                           MSG_NOSIGNAL);
+        if (n <= 0) break;
+        sent += static_cast<size_t>(n);
+      }
+      ::close(fd);
+    });
+  }
+  ~OneShotServer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes an accept nobody answered
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  OneShotServer(const OneShotServer&) = delete;
+  OneShotServer& operator=(const OneShotServer&) = delete;
+
+  uint16_t port() const { return port_; }
+
+ private:
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::thread thread_;
+};
 
 // A server with an echo route and a greeting route, started on an
 // ephemeral port.
@@ -150,6 +209,62 @@ TEST_F(HttpTest, BodyOverCapIs413BeforeBodyRead) {
       server_.port(),
       "POST /echo HTTP/1.1\r\nContent-Length: 1048576\r\n\r\n");
   EXPECT_NE(response.find("413"), std::string::npos);
+}
+
+// The head cap holds even when one read could return more than it: a
+// 9,000-byte head sent in one write is refused, not parsed.
+TEST_F(HttpTest, HeadOverTheCapInOneWriteIs400) {
+  StartServer();
+  std::string head = "GET /hello HTTP/1.1\r\nX-Pad: " +
+                     std::string(9000 - 32, 'a') + "\r\n\r\n";
+  ASSERT_GT(head.size(), kHttpMaxHeaderBytes);
+  std::string response = RawRequest(server_.port(), head);
+  EXPECT_EQ(response.rfind("HTTP/1.1 400", 0), 0u) << response.substr(0, 64);
+}
+
+// A body that stalls is cut off with 408 once connection_deadline_ms
+// passes, however few of its bytes arrived.
+TEST_F(HttpTest, StalledBodyIs408AtTheConnectionDeadline) {
+  HttpServerOptions options;
+  options.connection_deadline_ms = 300;
+  StartServer(options);
+  auto start = std::chrono::steady_clock::now();
+  std::string response = RawRequest(
+      server_.port(), "POST /echo HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc");
+  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_EQ(response.rfind("HTTP/1.1 408", 0), 0u) << response;
+  EXPECT_GE(elapsed.count(), 250);
+  EXPECT_LT(elapsed.count(), 5000);
+}
+
+// Bytes past the declared Content-Length are not part of the body.
+TEST_F(HttpTest, BytesPastContentLengthAreIgnored) {
+  StartServer();
+  std::string response =
+      RawRequest(server_.port(),
+                 "POST /echo HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiEXTRA");
+  EXPECT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
+  EXPECT_NE(response.find("Content-Length: 2\r\n"), std::string::npos);
+  ASSERT_GE(response.size(), 6u);
+  EXPECT_EQ(response.substr(response.size() - 6), "\r\n\r\nhi") << response;
+}
+
+// Content-Length is the client's claim, and the cap may allow more than
+// the allocator can give: a length that cannot be reserved is refused
+// with 413 instead of throwing out of the worker, and serving goes on.
+TEST_F(HttpTest, UnbufferableContentLengthIs413AndServingGoesOn) {
+  HttpServerOptions options;
+  options.max_body_bytes = SIZE_MAX;
+  options.connection_deadline_ms = 300;
+  StartServer(options);
+  std::string response = RawRequest(
+      server_.port(),
+      "POST /echo HTTP/1.1\r\nContent-Length: 9223372036854775807\r\n\r\n");
+  EXPECT_EQ(response.rfind("HTTP/1.1 413", 0), 0u) << response;
+  HttpClientResult result;
+  ASSERT_TRUE(HttpCall(server_.port(), "GET", "/hello", {}, {}, &result));
+  EXPECT_EQ(result.status, 200);
 }
 
 TEST_F(HttpTest, ExpectContinueIsHonored) {
@@ -260,6 +375,32 @@ TEST_F(HttpTest, ClientTimesOutOnSilentServer) {
       std::chrono::steady_clock::now() - start);
   EXPECT_LT(elapsed.count(), 2000);
   ::close(fd);
+}
+
+// A response that ends before its declared Content-Length is a failed
+// call, not a short body: a cut-off document must never pass for a
+// whole one.
+TEST(HttpClientTest, BodyCutShortOfItsContentLengthFails) {
+  OneShotServer fake(
+      "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n0123456789");
+  ASSERT_NE(fake.port(), 0);
+  HttpClientResult result;
+  std::string error;
+  EXPECT_FALSE(HttpCall(fake.port(), "GET", "/", {}, {}, &result, {}, &error));
+  EXPECT_EQ(error, "truncated response");
+}
+
+// Without a Content-Length the body runs to the server's close.
+TEST(HttpClientTest, ResponseWithoutContentLengthIsReadToEof) {
+  OneShotServer fake(
+      "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nno length, read to EOF");
+  ASSERT_NE(fake.port(), 0);
+  HttpClientResult result;
+  std::string error;
+  ASSERT_TRUE(HttpCall(fake.port(), "GET", "/", {}, {}, &result, {}, &error))
+      << error;
+  EXPECT_EQ(result.status, 200);
+  EXPECT_EQ(result.body, "no length, read to EOF");
 }
 
 // --------------------------------------------------------------------
@@ -494,6 +635,87 @@ TEST_F(HttpTest, ObservedLatencyIncludesTheWaitForAWorker) {
   std::lock_guard<std::mutex> lock(mu);
   ASSERT_EQ(duration_ns.count("/hello"), 1u);
   EXPECT_GE(duration_ns["/hello"], uint64_t{150} * 1000 * 1000);
+}
+
+// A request's clock stops after the last byte of its response is
+// written: a client that waits before reading a response too large for
+// the socket buffers holds the write open, and that wait is latency.
+TEST_F(HttpTest, ObservedLatencyIncludesTheResponseWrite) {
+  constexpr size_t kResponseBytes = 32u << 20;
+  server_.Handle("GET", "/big", [](const HttpRequest&) {
+    return TextResponse(200, std::string(kResponseBytes, 'b'));
+  });
+  std::mutex mu;
+  uint64_t observed_ns = 0;
+  server_.SetObserver([&](const HttpRequest& request, const HttpResponse&,
+                          uint64_t, uint64_t duration) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (request.path == "/big") observed_ns = duration;
+  });
+  StartServer();
+
+  int fd = ConnectTo(server_.port());
+  ASSERT_GE(fd, 0);
+  const std::string request = "GET /big HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  size_t received = 0;
+  char buf[1 << 16];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    received += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  EXPECT_GT(received, kResponseBytes);
+
+  // The server closes after its observer ran, so the EOF above orders it.
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_GE(observed_ns, uint64_t{250} * 1000 * 1000);
+}
+
+// The write has a deadline of its own: a client that never reads a
+// response too large for the socket buffers frees the worker once
+// connection_deadline_ms passes, and the request is still observed.
+TEST_F(HttpTest, ClientThatStopsReadingFreesTheWorkerAtTheWriteDeadline) {
+  constexpr size_t kResponseBytes = 32u << 20;
+  server_.Handle("GET", "/big", [](const HttpRequest&) {
+    return TextResponse(200, std::string(kResponseBytes, 'b'));
+  });
+  std::mutex mu;
+  std::condition_variable observed_cv;
+  bool observed = false;
+  uint64_t observed_ns = 0;
+  server_.SetObserver([&](const HttpRequest& request, const HttpResponse&,
+                          uint64_t, uint64_t duration) {
+    if (request.path != "/big") return;
+    std::lock_guard<std::mutex> lock(mu);
+    observed = true;
+    observed_ns = duration;
+    observed_cv.notify_all();
+  });
+  HttpServerOptions options;
+  options.worker_threads = 1;
+  options.connection_deadline_ms = 300;
+  StartServer(options);
+
+  int fd = ConnectTo(server_.port());
+  ASSERT_GE(fd, 0);
+  const std::string request = "GET /big HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  // The client never reads, so the write stalls once the buffers fill.
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    EXPECT_TRUE(observed_cv.wait_for(lock, std::chrono::seconds(5),
+                                     [&] { return observed; }));
+    EXPECT_GE(observed_ns, uint64_t{250} * 1000 * 1000);
+  }
+  // The server's one worker is free again.
+  HttpClientResult result;
+  EXPECT_TRUE(HttpCall(server_.port(), "GET", "/hello", {}, {}, &result));
+  EXPECT_EQ(result.status, 200);
+  ::close(fd);
 }
 
 TEST_F(HttpTest, StartIsRetriableAfterPortConflict) {
