@@ -60,10 +60,11 @@
 // flush cadence (default 1000). --journal=DIR appends one JSONL run
 // record (summary, peak memory, quarantine digest) to DIR/journal.jsonl
 // at run end, loads prior records at startup, and seeds the circuit
-// breaker from the most recent matching record; --auto-budget (requires
-// --journal) sets the per-task byte budget from the p99 of prior runs'
-// peak memory unless --max-bytes was given explicitly. Journal runs
-// meter per-task memory even without a budget, so history accumulates.
+// breaker from the server faults of the most recent matching record;
+// --auto-budget (requires --journal) sets the per-task byte budget from
+// the p99 of prior runs' peak memory unless --max-bytes was given
+// explicitly. Journal runs meter per-task memory even without a budget,
+// so history accumulates.
 // Under isolate/retry policies an open breaker fast-fails admission and
 // is reported truthfully (incl. HTTP 503) by /healthz.
 //
@@ -637,22 +638,17 @@ int main(int argc, char** argv) {
   }
 
   // Circuit breaker: admission control for kIsolate runs, seeded from
-  // the most recent journal record for this corpus so a crash-looping
-  // deployment restarts open instead of re-melting.
+  // the most recent journal record for this corpus so a deployment whose
+  // server faults were melting it restarts open instead of re-melting.
   CircuitBreakerOptions breaker_options;
   if (instrument) breaker_options.metrics = &registry;
   CircuitBreaker breaker(breaker_options);
-  for (auto it = history.rbegin(); it != history.rend(); ++it) {
-    if (!corpus_label.empty() && it->corpus != corpus_label) continue;
-    // RunRecord::tasks counts completed tasks; failures live in `failed`.
-    breaker.Seed(it->tasks, it->failed);
-    if (breaker.state() != CircuitState::kClosed) {
-      std::printf("circuit: seeded %s from run %s (%llu failed of %llu)\n",
-                  CircuitStateName(breaker.state()), it->run_id.c_str(),
-                  static_cast<unsigned long long>(it->failed),
-                  static_cast<unsigned long long>(it->tasks + it->failed));
-    }
-    break;
+  const BreakerSeed seed =
+      SeedBreakerFromJournal(history, corpus_label, &breaker);
+  if (breaker.state() != CircuitState::kClosed) {
+    std::printf("circuit: seeded open from run %s (%llu server faults)\n",
+                seed.record->run_id.c_str(),
+                static_cast<unsigned long long>(seed.failures));
   }
   options.breaker = &breaker;
 
@@ -864,11 +860,7 @@ int main(int argc, char** argv) {
     for (const TaskFailure& failure : run.failures) {
       ++stage_counts[failure.stage];
     }
-    for (const char* stage : {"budget", "deadline"}) {
-      auto it = stage_counts.find(stage);
-      if (it != stage_counts.end()) record.budget_trips += it->second;
-    }
-    record.quarantine.assign(stage_counts.begin(), stage_counts.end());
+    SetQuarantineDigest(stage_counts, &record);
     RunJournal journal;
     // A checkpoint-bearing run's journal line must be as durable as the
     // checkpoint it describes.

@@ -21,10 +21,11 @@
 //   --journal=DIR     append one RunRecord per prune batch to
 //                     DIR/journal.jsonl (obs/journal.h); the breaker,
 //                     when enabled, seeds its window from the most
-//                     recent record for this service
+//                     recent record (server faults seed failures)
 //   --breaker         enable the admission circuit breaker: /prune
 //                     fast-fails 503 (+Retry-After) while open and
-//                     /healthz reports open/503 in agreement
+//                     /healthz reports open/503 in agreement; only
+//                     server faults (504, 500) count against it
 //   --log=DEST        structured one-line-JSON logs (obs/log.h) to a
 //                     file path or the literal "stderr": access lines,
 //                     prune errors, breaker transitions
@@ -62,6 +63,7 @@
 #include "obs/push.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
+#include "projection/pipeline.h"
 #include "service/service.h"
 #include "xmark/xmark_dtd.h"
 
@@ -202,13 +204,9 @@ int main(int argc, char** argv) {
                       "startup load.");
       metrics.GetCounter("xmlproj_journal_corrupt_lines_total")
           ->Increment(skipped);
-      if (breaker_enabled && !records.empty()) {
-        // Seed the breaker window from the most recent prior run: a
-        // service that was failing when the last process died starts
-        // degraded.
-        const RunRecord& last = records.back();
-        breaker.Seed(last.tasks, last.failed);
-      }
+      // A service whose server faults were failing it when the last
+      // process died starts degraded.
+      if (breaker_enabled) SeedBreakerFromJournal(records, "", &breaker);
     }
   }
 

@@ -94,8 +94,9 @@ bool CircuitBreaker::ShouldTrip() const {
 bool CircuitBreaker::Allow() {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t now = NowNs();
+  // Saturating: a cooldown too long to represent never elapses.
   if (state_ == CircuitState::kOpen &&
-      now - opened_at_ns_ >= options_.cooldown_ms * 1000000ull) {
+      now >= SaturatingDeadlineNs(opened_at_ns_, options_.cooldown_ms)) {
     TransitionTo(CircuitState::kHalfOpen, now);
   }
   switch (state_) {

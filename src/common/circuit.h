@@ -1,9 +1,6 @@
 // Circuit breaker: the admission-control state machine behind /healthz.
 //
-// Until now /healthz derived its `circuit` field by eyeballing raw
-// failure counters — a heuristic with no hysteresis, no recovery story,
-// and no effect on the pipeline. This is the real thing, the classic
-// three-state breaker:
+// The classic three-state breaker:
 //
 //        failure ratio over a sliding window >= threshold
 //   CLOSED ────────────────────────────────────────────────> OPEN
@@ -20,7 +17,9 @@
 // bounded number of probe tasks; their outcomes decide between re-close
 // and re-open. The window can be seeded from the run journal
 // (obs/journal.h), so a corpus that was failing when the previous
-// process died starts degraded instead of naively healthy.
+// process died starts degraded instead of naively healthy. What counts
+// as a failure is decided by the stage table in projection/pipeline.h
+// (RecordBreakerOutcome, SeedBreakerFromJournal): only server faults.
 //
 // Outcomes are recorded at *task* granularity (never per SAX event), so
 // a plain mutex is the right concurrency tool here. The injectable clock
@@ -59,6 +58,7 @@ struct CircuitBreakerOptions {
   // Trip when failures/outcomes in the window reaches this ratio.
   double failure_threshold = 0.5;
   // OPEN holds for this long before the next Allow() moves to HALF-OPEN.
+  // A cooldown past UINT64_MAX nanoseconds never elapses.
   uint64_t cooldown_ms = 5000;
   // Probe tasks admitted in HALF-OPEN; all must succeed to re-close.
   int half_open_probes = 3;
@@ -87,10 +87,9 @@ class CircuitBreaker {
   // verdict). A false return is counted as a fast-fail.
   bool Allow();
 
-  // Task outcome reports. Degraded completions count as successes — the
-  // document was served, which is the paper's graceful-degradation
-  // stance. Outcomes arriving while OPEN (tasks admitted before the
-  // trip) are dropped: they describe the pre-trip world and must not
+  // Task outcome reports, one per admitted task (RecordBreakerOutcome
+  // picks which). Outcomes arriving while OPEN (tasks admitted before
+  // the trip) are dropped: they describe the pre-trip world and must not
   // perturb the probe accounting.
   void RecordSuccess();
   void RecordFailure();

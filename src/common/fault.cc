@@ -11,17 +11,6 @@
 namespace xmlproj {
 namespace {
 
-// FNV-1a: stable across platforms (std::hash is not), so a seeded chaos
-// run reproduces everywhere.
-uint64_t Fnv1a(std::string_view text) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 bool ParseCode(std::string_view token, StatusCode* code) {
   if (token == "delay" || token == "ok") {
     *code = StatusCode::kOk;
@@ -72,7 +61,7 @@ void FaultInjector::DisarmAll() {
 }
 
 uint64_t FaultInjector::SeedFor(std::string_view failpoint) const {
-  uint64_t h = Fnv1a(failpoint);
+  uint64_t h = Fnv1a64(failpoint);
   return seed_ ^ (h == 0 ? 1 : h);
 }
 

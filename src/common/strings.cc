@@ -69,6 +69,15 @@ bool ParseDouble(std::string_view text, double* out) {
   return true;
 }
 
+uint64_t Fnv1a64(std::string_view data, uint64_t seed) {
+  uint64_t h = seed;
+  for (char c : data) {
+    h ^= static_cast<unsigned char>(c);
+    h *= kFnv1aPrime;
+  }
+  return h;
+}
+
 std::string StringPrintf(const char* format, ...) {
   va_list args;
   va_start(args, format);

@@ -3,6 +3,7 @@
 #ifndef XMLPROJ_COMMON_STRINGS_H_
 #define XMLPROJ_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,13 @@ bool IsAllXmlWhitespace(std::string_view text);
 // no leading whitespace or '+', nothing after the number, and a finite
 // result. Returns false, leaving `*out` untouched, on anything else.
 bool ParseDouble(std::string_view text, double* out);
+
+// 64-bit FNV-1a over `data`, continuing from `seed` (chain calls to hash
+// a sequence of fields). Unlike std::hash it is the same on every
+// platform, so failpoint seeds, workload ids and checkpoints reproduce.
+inline constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
+inline constexpr uint64_t kFnv1aPrime = 0x100000001b3ull;
+uint64_t Fnv1a64(std::string_view data, uint64_t seed = kFnv1aOffset);
 
 // printf-style formatting into a std::string.
 std::string StringPrintf(const char* format, ...)

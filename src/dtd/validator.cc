@@ -5,10 +5,8 @@
 #include "common/strings.h"
 
 namespace xmlproj {
-namespace {
 
-Result<Interpretation> ValidateImpl(const Document& doc, const Dtd& dtd,
-                                    const ValidationOptions& options) {
+Result<Interpretation> Interpret(const Document& doc, const Dtd& dtd) {
   Interpretation interp;
   interp.name_of_node.assign(doc.size(), kNoName);
   interp.name_of_node[doc.document_node()] = dtd.document_name();
@@ -20,7 +18,6 @@ Result<Interpretation> ValidateImpl(const Document& doc, const Dtd& dtd,
   NodeId root = doc.root();
   if (root == kNullNode) return InvalidError("document has no root element");
 
-  std::vector<NameId> child_names;  // reused per element
   const NodeId total = static_cast<NodeId>(doc.size());
   for (NodeId id = 1; id < total; ++id) {
     const Node& n = doc.node(id);
@@ -58,52 +55,40 @@ Result<Interpretation> ValidateImpl(const Document& doc, const Dtd& dtd,
                         dtd.production(dtd.root()).tag + "'");
   }
 
-  if (!options.check_content && !options.check_attributes) return interp;
-
-  for (NodeId id = 1; id < total; ++id) {
-    const Node& n = doc.node(id);
-    if (n.kind != NodeKind::kElement) continue;
-    NameId name = interp.name_of_node[id];
-    if (options.check_attributes) {
-      for (const AttributeDecl& decl : dtd.production(name).attributes) {
-        if (decl.required && doc.FindAttribute(id, decl.name) == nullptr) {
-          return InvalidError("element '" + doc.tag_name(id) +
-                              "' is missing required attribute '" +
-                              decl.name + "'");
-        }
-      }
-    }
-    if (options.check_content) {
-      child_names.clear();
-      for (NodeId c = n.first_child; c != kNullNode;
-           c = doc.node(c).next_sibling) {
-        child_names.push_back(interp.name_of_node[c]);
-      }
-      if (!dtd.MatcherOf(name).Matches(child_names)) {
-        return InvalidError(StringPrintf(
-            "children of element '%s' (node %u) do not match its content "
-            "model %s",
-            doc.tag_name(id).c_str(), id,
-            dtd.production(name).content.ToString(dtd.NameStrings())
-                .c_str()));
-      }
-    }
-  }
   return interp;
 }
 
-}  // namespace
-
-Result<Interpretation> Validate(const Document& doc, const Dtd& dtd,
-                                const ValidationOptions& options) {
-  return ValidateImpl(doc, dtd, options);
-}
-
-Result<Interpretation> Interpret(const Document& doc, const Dtd& dtd) {
-  ValidationOptions options;
-  options.check_content = false;
-  options.check_attributes = false;
-  return ValidateImpl(doc, dtd, options);
+Result<Interpretation> Validate(const Document& doc, const Dtd& dtd) {
+  Result<Interpretation> interp = Interpret(doc, dtd);
+  if (!interp.ok()) return interp;
+  std::vector<NameId> child_names;  // reused per element
+  const NodeId total = static_cast<NodeId>(doc.size());
+  for (NodeId id = 1; id < total; ++id) {
+    const Node& n = doc.node(id);
+    if (n.kind != NodeKind::kElement) continue;
+    NameId name = (*interp)[id];
+    for (const AttributeDecl& decl : dtd.production(name).attributes) {
+      if (decl.required && doc.FindAttribute(id, decl.name) == nullptr) {
+        return InvalidError("element '" + doc.tag_name(id) +
+                            "' is missing required attribute '" +
+                            decl.name + "'");
+      }
+    }
+    child_names.clear();
+    for (NodeId c = n.first_child; c != kNullNode;
+         c = doc.node(c).next_sibling) {
+      child_names.push_back((*interp)[c]);
+    }
+    if (!dtd.MatcherOf(name).Matches(child_names)) {
+      return InvalidError(StringPrintf(
+          "children of element '%s' (node %u) do not match its content "
+          "model %s",
+          doc.tag_name(id).c_str(), id,
+          dtd.production(name).content.ToString(dtd.NameStrings())
+              .c_str()));
+    }
+  }
+  return interp;
 }
 
 }  // namespace xmlproj

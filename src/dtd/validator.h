@@ -24,18 +24,9 @@ struct Interpretation {
   }
 };
 
-struct ValidationOptions {
-  // Check content models (child sequences). When false only the
-  // tag->name mapping is computed — used when a document is known valid
-  // and only ℑ is needed (e.g. generated XMark documents).
-  bool check_content = true;
-  // Check #REQUIRED attributes are present.
-  bool check_attributes = true;
-};
-
-// Validates `doc` against `dtd`; on success returns the interpretation.
-Result<Interpretation> Validate(const Document& doc, const Dtd& dtd,
-                                const ValidationOptions& options = {});
+// Validates `doc` against `dtd` (content models and #REQUIRED
+// attributes); on success returns the interpretation.
+Result<Interpretation> Validate(const Document& doc, const Dtd& dtd);
 
 // Computes ℑ without validating (fails only if a tag is undeclared or a
 // text node occurs under an element with no PCDATA in its content model).

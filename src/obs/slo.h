@@ -55,9 +55,9 @@ class SloTracker {
   SloTracker& operator=(const SloTracker&) = delete;
 
   // Folds one finished request into its workload's current minute
-  // bucket. `error` means a server-side failure (5xx) — client errors
-  // do not burn availability budget, mirroring the circuit breaker's
-  // admission rule.
+  // bucket. `error` means a 5xx: a server fault in the pipeline's stage
+  // table (the rows the circuit breaker counts as failures), a failed
+  // projector compile, or the breaker's own 503. 4xx burn no budget.
   void Record(const std::string& workload, uint64_t duration_ns, bool error);
 
   // Burn rates for one workload over one window.

@@ -12,13 +12,12 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/strings.h"
 #include "obs/export.h"
 #include "obs/json.h"
 
 namespace xmlproj {
 namespace {
-
-constexpr uint64_t kFnv1aPrime = 0x100000001b3ull;
 
 void AppendKeyU64(const char* key, uint64_t value, std::string* out) {
   out->push_back('"');
@@ -94,15 +93,6 @@ bool MkdirOneLevel(const std::string& dir, std::string* error) {
 }
 
 }  // namespace
-
-uint64_t Fnv1a64(std::string_view data, uint64_t seed) {
-  uint64_t h = seed;
-  for (char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnv1aPrime;
-  }
-  return h;
-}
 
 uint64_t ContentHash64(std::string_view data) {
   uint64_t h = kFnv1aOffset ^ (data.size() * kFnv1aPrime);

@@ -52,11 +52,6 @@
 
 namespace xmlproj {
 
-// FNV-1a over `data`, continuing from `seed` (chain calls to hash a
-// sequence of fields). The default seed is the standard offset basis.
-inline constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
-uint64_t Fnv1a64(std::string_view data, uint64_t seed = kFnv1aOffset);
-
 // Fast 64-bit content hash for per-task output verification: an
 // 8-bytes-at-a-time FNV-1a variant (word loads + the 64-bit FNV prime,
 // byte-wise FNV over the tail). Byte-serial FNV tops out around the

@@ -11,8 +11,9 @@
 #include <utility>
 
 #include "common/circuit.h"
-#include "projection/checkpoint.h"
 #include "common/strings.h"
+#include "obs/journal.h"
+#include "projection/checkpoint.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xml/splice.h"
@@ -163,14 +164,6 @@ struct PipelineMetrics {
     return m;
   }
 };
-
-// Monotonic deadline `ms` milliseconds after `now_ns`, saturating: a
-// deadline too large to represent means "none", never "already past".
-uint64_t SaturatingDeadlineNs(uint64_t now_ns, uint64_t ms) {
-  constexpr uint64_t kNsPerMs = 1000000;
-  if (ms > (UINT64_MAX - now_ns) / kNsPerMs) return UINT64_MAX;
-  return now_ns + ms * kNsPerMs;
-}
 
 // SAX filter enforcing an active TaskBudget over the fused pass. Placed
 // outermost (right below the parser) so it sees every event the parser
@@ -360,9 +353,8 @@ class TaskWatchdog {
   // `cancel` must stay alive until the matching Unwatch.
   void Watch(size_t task, std::atomic<bool>* cancel) {
     std::lock_guard<std::mutex> lock(mutex_);
-    const uint64_t now = MonotonicNowNs();
     const uint64_t deadline =
-        limit_ns_ > UINT64_MAX - now ? UINT64_MAX : now + limit_ns_;
+        SaturatingDeadlineNs(MonotonicNowNs(), limit_ns_, /*unit_ns=*/1);
     slots_[task] = Slot{deadline, cancel, false};
   }
 
@@ -723,27 +715,21 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
         static_cast<int64_t>(outcome.peak_bytes));
   }
 
-  // Executed outcomes feed the breaker's sliding window; a degraded
-  // completion served the document, so it counts as a success.
-  if (env.breaker != nullptr) {
-    if (outcome.status.ok()) {
-      env.breaker->RecordSuccess();
-    } else {
-      env.breaker->RecordFailure();
-    }
-  }
+  const char* failure_stage =
+      outcome.status.ok() ? nullptr : FailureStage(outcome, env.validate);
+  RecordBreakerOutcome(env.breaker, failure_stage);
 
   // Quarantine-to-be tasks get their terminal outcome on disk *here*, in
   // the worker, not at run end: crash-safety is the point. Fast-failed
   // (circuit) tasks returned above without a record — a resume should
   // re-admit them. Under kFailFast the run aborts and nothing is
   // settled, so failures are likewise not recorded.
-  if (env.checkpoint != nullptr && !outcome.status.ok() &&
+  if (env.checkpoint != nullptr && failure_stage != nullptr &&
       env.policy != ErrorPolicy::kFailFast) {
     CheckpointTaskRecord record;
     record.task = index;
     record.completed = false;
-    record.stage = FailureStage(outcome, env.validate);
+    record.stage = failure_stage;
     record.code = StatusCodeName(outcome.status.code());
     record.attempts = outcome.attempts;
     if (env.checkpoint->AppendTask(record).ok()) {
@@ -782,6 +768,7 @@ const char* StageForStatus(StatusCode code, bool validate) {
     case StatusCode::kInvalid:
       return validate ? "validate" : "prune";
     case StatusCode::kNotFound:
+    case StatusCode::kUnsupported:
       return "prune";
     case StatusCode::kResourceExhausted:
       return "budget";
@@ -793,6 +780,70 @@ const char* StageForStatus(StatusCode code, bool validate) {
       return "pool";
     default:
       return "task";
+  }
+}
+
+const StagePolicy& PolicyForStage(std::string_view stage) {
+  // "task", the stage of every status code StageForStatus does not name,
+  // is also the row of every stage this table lacks.
+  static constexpr StagePolicy kTask = {"task", 500, StageFault::kServer};
+  static constexpr StagePolicy kPolicies[] = {
+      {"parse", 400, StageFault::kInput},
+      {"validate", 400, StageFault::kInput},
+      {"prune", 400, StageFault::kInput},
+      {"budget", 413, StageFault::kInput},
+      {"deadline", 504, StageFault::kServer},
+      {"watchdog", 504, StageFault::kServer},
+      {"io", 500, StageFault::kServer},
+      {"pool", 500, StageFault::kServer},
+      {"commit", 500, StageFault::kServer},
+      {"checkpoint", 500, StageFault::kServer},
+      {"circuit", 503, StageFault::kNone},
+  };
+  for (const StagePolicy& policy : kPolicies) {
+    if (stage == policy.stage) return policy;
+  }
+  return kTask;
+}
+
+void RecordBreakerOutcome(CircuitBreaker* breaker, const char* failure_stage) {
+  if (breaker == nullptr) return;
+  if (failure_stage != nullptr &&
+      PolicyForStage(failure_stage).fault == StageFault::kServer) {
+    breaker->RecordFailure();
+  } else {
+    breaker->RecordSuccess();
+  }
+}
+
+BreakerSeed SeedBreakerFromJournal(std::span<const RunRecord> history,
+                                   std::string_view corpus,
+                                   CircuitBreaker* breaker) {
+  BreakerSeed seed;
+  for (auto it = history.rbegin(); it != history.rend(); ++it) {
+    if (corpus.empty() || it->corpus == corpus) {
+      seed.record = &*it;
+      break;
+    }
+  }
+  if (seed.record == nullptr) return seed;
+  seed.successes = seed.record->tasks;
+  for (const auto& [stage, count] : seed.record->quarantine) {
+    const StageFault fault = PolicyForStage(stage).fault;
+    if (fault == StageFault::kInput) seed.successes += count;
+    if (fault == StageFault::kServer) seed.failures += count;
+  }
+  breaker->Seed(seed.successes, seed.failures);
+  return seed;
+}
+
+void SetQuarantineDigest(const std::map<std::string, uint64_t>& stage_counts,
+                         RunRecord* record) {
+  record->quarantine.assign(stage_counts.begin(), stage_counts.end());
+  record->budget_trips = 0;
+  for (const char* stage : {"budget", "deadline"}) {
+    auto it = stage_counts.find(stage);
+    if (it != stage_counts.end()) record->budget_trips += it->second;
   }
 }
 

@@ -77,8 +77,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/fault.h"
@@ -94,6 +96,7 @@ namespace xmlproj {
 class CircuitBreaker;  // common/circuit.h
 class RunCheckpoint;   // projection/checkpoint.h
 struct ResumePlan;     // projection/checkpoint.h
+struct RunRecord;      // obs/journal.h
 
 // How the pipeline reacts to a failing task (see file comment).
 enum class ErrorPolicy {
@@ -131,9 +134,8 @@ struct TaskBudget {
 // Structured report for one quarantined task (kIsolate / kRetry).
 struct TaskFailure {
   size_t task = 0;    // index into the submitted tasks
-  // Coarse stage attribution derived from the status code: "parse",
-  // "validate", "prune", "budget", "deadline", "io", "pool", or "task" —
-  // or "circuit" when the task was fast-failed at admission by an open
+  // Stage attribution (PolicyForStage lists them): StageForStatus, or
+  // "circuit" when the task was fast-failed at admission by an open
   // circuit breaker (PipelineOptions::breaker) and never executed.
   std::string stage;
   Status status;
@@ -187,10 +189,10 @@ struct PipelineOptions {
   // Optional circuit breaker (common/circuit.h), consulted at task
   // admission under kIsolate / kRetry: while the breaker is open, tasks
   // are quarantined immediately with stage "circuit" instead of running
-  // against a corpus that is currently failing; executed tasks report
-  // their outcome back (degraded completions count as successes).
-  // Ignored under kFailFast — that policy already stops at the first
-  // failure, and fast-failing it would only change *which* error wins.
+  // against a corpus that is currently failing; every executed task
+  // reports its outcome (RecordBreakerOutcome). Ignored under kFailFast
+  // — that policy already stops at the first failure, and fast-failing
+  // it would only change *which* error wins.
   // Borrowed; must outlive the run.
   CircuitBreaker* breaker = nullptr;
   // Ignored: every task reports its memory peak (see file comment) into
@@ -343,9 +345,48 @@ size_t TotalOutputBytes(std::span<const PipelineResult> results);
 
 // Coarse stage attribution for a failing task's status code, the one
 // mapping behind TaskFailure::stage and every quarantine digest:
-// "parse", "validate" (kInvalid with `validate`), "prune", "budget",
-// "deadline", "io", "pool", or "task".
+// "parse", "validate" (kInvalid with `validate`), "prune" (kNotFound,
+// kUnsupported, and kInvalid without `validate`), "budget", "deadline",
+// "io", "pool", or "task".
 const char* StageForStatus(StatusCode code, bool validate);
+
+// The failure policy, one row per quarantine stage (DESIGN.md "Circuit
+// breaker"). Projection is sound per document (Theorem 4.5), so only a
+// server fault is evidence that the system is failing.
+enum class StageFault : uint8_t {
+  kInput,   // the document's own defect: parse, validate, prune, budget
+  kServer,  // deadline, watchdog, io, pool, task, commit, checkpoint
+  kNone,    // circuit: the breaker's own answer, never an outcome
+};
+struct StagePolicy {
+  const char* stage;
+  int http_status;  // POST /prune's answer to a failure at this stage
+  StageFault fault;
+};
+// The row for `stage`; a stage the table lacks gets the "task" row.
+const StagePolicy& PolicyForStage(std::string_view stage);
+
+// Reports one admitted outcome to `breaker` (nullable): a failure when
+// `failure_stage` is a server fault, a success otherwise (null for a
+// completed or degraded task).
+void RecordBreakerOutcome(CircuitBreaker* breaker, const char* failure_stage);
+
+// Seeds `breaker` from the last record in `history` whose corpus is
+// `corpus` ("" matches any): completed tasks and input-fault quarantines
+// as successes, server-fault quarantines as failures.
+struct BreakerSeed {
+  const RunRecord* record = nullptr;  // null: no record matched
+  uint64_t successes = 0;
+  uint64_t failures = 0;
+};
+BreakerSeed SeedBreakerFromJournal(std::span<const RunRecord> history,
+                                   std::string_view corpus,
+                                   CircuitBreaker* breaker);
+
+// Sets `record`'s quarantine digest and budget_trips ("budget" plus
+// "deadline") from per-stage failure counts.
+void SetQuarantineDigest(const std::map<std::string, uint64_t>& stage_counts,
+                         RunRecord* record);
 
 }  // namespace xmlproj
 

@@ -44,7 +44,9 @@ Status StatusFromHttp(int status, const std::string& body) {
 
 bool ExtractJsonStringField(std::string_view json, std::string_view key,
                             std::string* out) {
-  std::string needle = "\"" + std::string(key) + "\":\"";
+  std::string needle = "\"";
+  needle.append(key);
+  needle.append("\":\"");
   size_t at = json.find(needle);
   if (at == std::string_view::npos) return false;
   // Re-read from the value's opening quote.
@@ -57,7 +59,9 @@ bool ExtractJsonStringField(std::string_view json, std::string_view key,
 
 bool ExtractJsonU64Field(std::string_view json, std::string_view key,
                          uint64_t* out) {
-  std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle.append(key);
+  needle.append("\":");
   size_t at = json.find(needle);
   if (at == std::string_view::npos) return false;
   return JsonReader(json.substr(at + needle.size())).ReadU64(out);

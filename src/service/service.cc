@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/strings.h"
 #include "dtd/dtd_parser.h"
 #include "obs/json.h"
 #include "obs/server.h"
-#include "projection/checkpoint.h"
 #include "projection/pipeline.h"
 #include "projection/projection.h"
 #include "xquery/parser.h"
@@ -42,29 +42,6 @@ bool ParseU64Param(const HttpRequest& request, std::string_view key,
   std::string value = request.QueryParam(key);
   if (value.empty()) return true;  // absent = keep default
   return ParseDecimalU64(value, out);
-}
-
-// HTTP status for a failed prune, and whether the failure is the
-// *server's* fault (feeds the circuit breaker) or the client's (a
-// malformed or oversized document must not open the breaker for
-// everyone).
-int PruneErrorHttpStatus(StatusCode code, bool* server_fault) {
-  *server_fault = false;
-  switch (code) {
-    case StatusCode::kParseError:
-    case StatusCode::kInvalid:
-    case StatusCode::kUnsupported:
-    case StatusCode::kNotFound:
-      return 400;
-    case StatusCode::kResourceExhausted:
-      return 413;  // document blew its byte budget
-    case StatusCode::kDeadlineExceeded:
-      *server_fault = true;
-      return 504;
-    default:
-      *server_fault = true;
-      return 500;
-  }
 }
 
 std::string_view TrimAscii(std::string_view s) {
@@ -392,15 +369,6 @@ HttpResponse ProjectionService::HandlePrune(const HttpRequest& request) {
   std::shared_ptr<WorkloadEntry> entry = FindWorkload(id);
   if (entry == nullptr) return ErrorJson(404, "unknown workload '" + id + "'");
 
-  // Admission: an open breaker fast-fails before any parsing work, and
-  // /healthz (same breaker) reports open/503 in agreement.
-  if (options_.breaker != nullptr && !options_.breaker->Allow()) {
-    HttpResponse response =
-        ErrorJson(503, "circuit breaker open; retry after cooldown");
-    response.headers.emplace_back("Retry-After", "1");
-    return response;
-  }
-
   TaskBudget budget;
   budget.max_bytes = options_.limits.default_max_bytes;
   budget.deadline_ms = options_.limits.default_deadline_ms;
@@ -434,6 +402,16 @@ HttpResponse ProjectionService::HandlePrune(const HttpRequest& request) {
     return ErrorJson(500, projector.status().message(),
                      StatusCodeName(projector.status().code()));
   }
+
+  // Admission comes last: a request the checks above answer never takes
+  // a probe slot. An open breaker fast-fails before any parsing work, and
+  // /healthz (same breaker) reports open/503 in agreement.
+  if (options_.breaker != nullptr && !options_.breaker->Allow()) {
+    HttpResponse response =
+        ErrorJson(503, "circuit breaker open; retry after cooldown");
+    response.headers.emplace_back("Retry-After", "1");
+    return response;
+  }
   if (hit) entry->cache_hits.fetch_add(1, std::memory_order_relaxed);
 
   PipelineOptions popts;
@@ -453,28 +431,28 @@ HttpResponse ProjectionService::HandlePrune(const HttpRequest& request) {
 
   Result<PipelineRun> run =
       PruneDocument(request.body, entry->dtd->dtd, **projector, popts);
+  const char* failure_stage =
+      run.ok() ? nullptr : StageForStatus(run.status().code(), popts.validate);
+  RecordBreakerOutcome(options_.breaker, failure_stage);
   if (!run.ok()) {
     entry->failures.fetch_add(1, std::memory_order_relaxed);
-    bool server_fault = false;
-    int status = PruneErrorHttpStatus(run.status().code(), &server_fault);
-    if (options_.breaker != nullptr && server_fault) {
-      options_.breaker->RecordFailure();
-    }
+    const StagePolicy& policy = PolicyForStage(failure_stage);
     if (options_.logger != nullptr) {
-      options_.logger->Log(server_fault ? LogLevel::kError : LogLevel::kWarn,
+      options_.logger->Log(policy.fault == StageFault::kServer
+                               ? LogLevel::kError
+                               : LogLevel::kWarn,
                            "prune.error",
                            {{"workload", entry->id},
                             {"trace_id", request.trace.trace_id},
                             {"request_id", request.request_id},
                             {"code", StatusCodeName(run.status().code())},
-                            {"http_status", status},
+                            {"http_status", policy.http_status},
                             {"input_bytes",
                              static_cast<uint64_t>(request.body.size())}});
     }
     JournalPrune(*entry, /*wall_us=*/0, request.body.size(),
-                 /*output_bytes=*/0, /*peak_bytes=*/0, /*failed=*/true,
-                 StageForStatus(run.status().code(), popts.validate));
-    return ErrorJson(status, run.status().message(),
+                 /*output_bytes=*/0, /*peak_bytes=*/0, failure_stage);
+    return ErrorJson(policy.http_status, run.status().message(),
                      StatusCodeName(run.status().code()));
   }
 
@@ -484,12 +462,10 @@ HttpResponse ProjectionService::HandlePrune(const HttpRequest& request) {
                                std::memory_order_relaxed);
   entry->output_bytes.fetch_add(result.output.size(),
                                 std::memory_order_relaxed);
-  if (options_.breaker != nullptr) options_.breaker->RecordSuccess();
   JournalPrune(*entry,
                static_cast<uint64_t>(run->summary.wall_seconds * 1e6),
                request.body.size(), result.output.size(),
-               run->summary.max_task_peak_bytes, /*failed=*/false,
-               /*stage=*/"");
+               run->summary.max_task_peak_bytes, /*failure_stage=*/nullptr);
 
   HttpResponse response;
   response.status = 200;
@@ -647,14 +623,14 @@ std::vector<WorkloadInfo> ProjectionService::ListWorkloads() const {
 void ProjectionService::JournalPrune(const WorkloadEntry& entry,
                                      uint64_t wall_us, size_t input_bytes,
                                      size_t output_bytes, size_t peak_bytes,
-                                     bool failed, const std::string& stage) {
+                                     const char* failure_stage) {
   std::lock_guard<std::mutex> lock(journal_mu_);
   if (journal_ == nullptr) return;
   PendingBatch& batch = pending_[entry.id];
   if (batch.prunes + batch.failed == 0) batch.start_unix_ms = UnixNowMs();
-  if (failed) {
+  if (failure_stage != nullptr) {
     ++batch.failed;
-    ++batch.quarantine[stage];
+    ++batch.quarantine[failure_stage];
   } else {
     ++batch.prunes;
     batch.input_bytes += input_bytes;
@@ -694,10 +670,7 @@ RunRecord ProjectionService::RecordForBatch(const std::string& workload_id,
   record.input_bytes = batch.input_bytes;
   record.output_bytes = batch.output_bytes;
   record.peak_memory_bytes = batch.peak_bytes;
-  for (const auto& [name, count] : batch.quarantine) {
-    if (name == "budget" || name == "deadline") record.budget_trips += count;
-    record.quarantine.emplace_back(name, count);
-  }
+  SetQuarantineDigest(batch.quarantine, &record);
   return record;
 }
 

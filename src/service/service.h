@@ -26,12 +26,13 @@
 // onto the PR 3 budgets (?max_bytes=, ?deadline_ms=, ?validate=1).
 //
 // Admission control: when a CircuitBreaker is attached, /prune consults
-// Allow() before doing any work — while the breaker is open the request
-// fast-fails with 503 + Retry-After, and /healthz (same process, same
-// breaker) truthfully reports "open"/503. Prune outcomes feed the
-// breaker: server-side failures (deadline, budget, internal) record
-// failures; client-input errors (malformed XML, invalid document) do
-// not — a client sending garbage must not open the breaker for everyone.
+// Allow() after its own checks and right before pruning — while the
+// breaker is open the request fast-fails with 503 + Retry-After, and
+// /healthz (same breaker) truthfully reports "open"/503. Every admitted
+// prune reports once through the stage table (RecordBreakerOutcome),
+// whose row also picks the HTTP status: only server faults (504, 500)
+// count as failures — a client sending garbage must not open the
+// breaker for everyone.
 //
 // Persistence: with a journal directory configured the daemon appends
 // one RunRecord per `journal_batch` completed prunes per workload (and
@@ -203,12 +204,13 @@ class ProjectionService {
   HttpResponse HandleListWorkloads(const HttpRequest& request);
   HttpResponse HandleListDtds(const HttpRequest& request);
 
-  // Folds one completed prune into the workload's pending journal batch,
-  // appending a RunRecord once the batch fills. FlushJournalLocked
-  // writes out whatever is pending for every workload.
+  // Folds one finished prune (`failure_stage` null when it completed)
+  // into the workload's pending journal batch, appending a RunRecord once
+  // the batch fills. FlushJournal writes out whatever is pending for
+  // every workload.
   void JournalPrune(const WorkloadEntry& entry, uint64_t wall_us,
                     size_t input_bytes, size_t output_bytes,
-                    size_t peak_bytes, bool failed, const std::string& stage);
+                    size_t peak_bytes, const char* failure_stage);
   void FlushJournal();
 
   ProjectionServiceOptions options_;

@@ -205,8 +205,11 @@ std::string ToString(const Expr& expr) {
       out += ")";
       return out;
     }
-    case ExprKind::kNegate:
-      return "-" + ToString(*expr.args[0]);
+    case ExprKind::kNegate: {
+      std::string out = "-";
+      out += ToString(*expr.args[0]);
+      return out;
+    }
     case ExprKind::kPath:
       return ToString(expr.path);
     case ExprKind::kFunction: {

@@ -34,7 +34,9 @@ std::string ToString(const XQueryExpr& q) {
         out += " " + a.name + "=\"";
         for (const AttrValuePart& part : a.parts) {
           if (part.expr != nullptr) {
-            out += "{" + ToString(*part.expr) + "}";
+            out += "{";
+            out += ToString(*part.expr);
+            out += "}";
           } else {
             out += part.text;
           }

@@ -669,6 +669,35 @@ TEST_F(PipelineChaosTest, HealthySuccessesFeedTheBreakerWindow) {
   EXPECT_EQ(breaker.state(), CircuitState::kOpen);
 }
 
+// Projection is sound per document (Theorem 4.5), so a malformed document
+// is the document's defect, not the system's: input-fault outcomes count
+// as breaker successes, and healthy documents after a run of malformed
+// ones still prune.
+TEST_F(PipelineChaosTest, MalformedDocumentsDoNotQuarantineHealthyOnes) {
+  std::vector<std::string> corpus(10, "<root><item>");
+  for (int i = 0; i < 10; ++i) corpus.push_back(corpus_[i % corpus_.size()]);
+
+  CircuitBreaker breaker;  // default window 32, 8 samples, 50%
+  PipelineOptions options;
+  options.num_threads = 1;  // deterministic admission order
+  options.policy = ErrorPolicy::kIsolate;
+  options.breaker = &breaker;
+  auto run = PruneCorpus(corpus, *dtd_, projector_, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->summary.tasks, 10u);
+  ASSERT_EQ(run->failures.size(), 10u);
+  for (const TaskFailure& failure : run->failures) {
+    EXPECT_LT(failure.task, 10u);
+    EXPECT_EQ(failure.stage, "parse") << failure.status.ToString();
+  }
+  for (size_t i = 10; i < corpus.size(); ++i) {
+    EXPECT_EQ(run->results[i].output, Reference((i - 10) % corpus_.size()))
+        << "document " << i;
+  }
+  EXPECT_EQ(breaker.state(), CircuitState::kClosed);
+  EXPECT_EQ(breaker.denied(), 0u);
+}
+
 TEST_F(PipelineChaosTest, MeterMemoryPopulatesPeakWithoutABudget) {
   MetricsRegistry registry;
   PipelineOptions options;

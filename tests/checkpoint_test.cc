@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
+#include "common/strings.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "projection/pipeline.h"

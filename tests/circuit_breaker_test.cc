@@ -206,6 +206,24 @@ TEST(CircuitBreakerTest, SeedWithNoHistoryIsANoOp) {
   EXPECT_TRUE(breaker.Allow());
 }
 
+// cooldown_ms × 10^6 passes UINT64_MAX for cooldowns over ~1.8 × 10^13 ms
+// (~584 years): a wrapped product would reopen the breaker within a
+// millisecond. The cooldown saturates instead and never elapses.
+TEST(CircuitBreakerTest, CooldownPastTheClockRangeNeverElapses) {
+  g_now_ns = 1000;
+  CircuitBreakerOptions options = TestOptions();
+  options.cooldown_ms = 18446744073710ull;
+  CircuitBreaker breaker(options);
+  breaker.Seed(0, 32);
+  ASSERT_EQ(breaker.state(), CircuitState::kOpen);
+  g_now_ns += 1000000;  // 1 ms later
+  EXPECT_FALSE(breaker.Allow());
+  EXPECT_EQ(breaker.state(), CircuitState::kOpen);
+  g_now_ns = UINT64_MAX - 1;
+  EXPECT_FALSE(breaker.Allow());
+  EXPECT_EQ(breaker.state(), CircuitState::kOpen);
+}
+
 TEST(CircuitBreakerTest, PublishesMetrics) {
   g_now_ns = 0;
   MetricsRegistry registry;

@@ -93,6 +93,21 @@ expect_output("auto-budget: --max-bytes=[0-9]+ set explicitly"
   --corpus-label=cli-test --auto-budget --max-bytes=100000000)
 file(REMOVE_RECURSE "${journal_dir}")
 
+# A tripped breaker does not lock out later runs. Run 1's injected server
+# faults ("io") open it; run 2 is seeded open from them and fast-fails
+# every task inside the cooldown; run 2's record holds only "circuit"
+# fast-fails, which are the breaker's own answer and seed nothing, so
+# run 3 starts closed and completes every task.
+set(breaker_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_test_breaker")
+file(REMOVE_RECURSE "${breaker_dir}")
+set(breaker_run --docs=40 --scale=0.001 --threads=2 --policy=isolate
+  --journal=${breaker_dir} --corpus-label=x)
+expect_output("tasks completed +0\n"
+  ${breaker_run} --failpoints=pipeline.task:unavailable)
+expect_output("circuit: seeded open" ${breaker_run})
+expect_output("tasks completed +40\n" ${breaker_run})
+file(REMOVE_RECURSE "${breaker_dir}")
+
 # Push flags accept well-formed values (a dead UDP target is fine by
 # design: fire-and-forget).
 expect_output("pushing metrics every 200 ms to 1 sink"

@@ -56,11 +56,15 @@ std::string RenderRegex(const Dtd& dtd, const ContentModel& model,
       return out + ")";
     }
     case RegexKind::kStar:
-      return "(" + RenderRegex(dtd, model, node.children[0]) + ")*";
     case RegexKind::kPlus:
-      return "(" + RenderRegex(dtd, model, node.children[0]) + ")+";
-    case RegexKind::kOpt:
-      return "(" + RenderRegex(dtd, model, node.children[0]) + ")?";
+    case RegexKind::kOpt: {
+      std::string out = "(";
+      out += RenderRegex(dtd, model, node.children[0]);
+      out += node.kind == RegexKind::kStar   ? ")*"
+             : node.kind == RegexKind::kPlus ? ")+"
+                                             : ")?";
+      return out;
+    }
   }
   return "";
 }

@@ -96,10 +96,6 @@ TEST(Validator, RequiredAttributeMissing) {
   auto result = Validate(doc, dtd);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("isbn"), std::string::npos);
-
-  ValidationOptions no_attr_check;
-  no_attr_check.check_attributes = false;
-  EXPECT_TRUE(Validate(doc, dtd, no_attr_check).ok());
 }
 
 TEST(Validator, InterpretSkipsContentChecks) {

@@ -303,7 +303,10 @@ TEST_F(HttpTest, ConcurrentRequestsAcrossWorkers) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([this, t, &ok] {
       for (int i = 0; i < kRequestsPerThread; ++i) {
-        std::string body = "t" + std::to_string(t) + "i" + std::to_string(i);
+        std::string body = "t";
+        body += std::to_string(t);
+        body += "i";
+        body += std::to_string(i);
         HttpClientResult result;
         if (HttpCall(server_.port(), "POST", "/echo", body, "text/plain",
                      &result) &&

@@ -230,6 +230,147 @@ TEST_F(ServiceTest, OpenBreakerFastFails503AndHealthzAgrees) {
       << raw.body;
 }
 
+// Injectable breaker clock: CircuitBreakerOptions takes a plain function
+// pointer.
+uint64_t g_now_ns = 0;
+uint64_t FakeNow() { return g_now_ns; }
+
+// A malformed document is the client's defect, not the server's: it
+// answers 400 and reports a breaker success, so half-open probes spent
+// on garbage still resolve and a healthy request gets through.
+TEST_F(ServiceTest, MalformedProbesResolveAHalfOpenBreaker) {
+  g_now_ns = 1;
+  CircuitBreakerOptions breaker_options;  // 3 half-open probes
+  breaker_options.now_ns = &FakeNow;
+  CircuitBreaker breaker(breaker_options);
+  ProjectionServiceOptions options;
+  options.breaker = &breaker;
+  StartService(options);
+  ProjectionClient client = Client();
+  auto registration =
+      client.RegisterWorkload(SpecFor({XMarkDashboardWorkload()[1]}));
+  ASSERT_TRUE(registration.ok());
+  const std::string target = "/prune?workload=" + registration->id;
+
+  breaker.Seed(0, 8);
+  ASSERT_EQ(breaker.state(), CircuitState::kOpen);
+  g_now_ns += (breaker_options.cooldown_ms + 1) * 1000000ull;
+
+  for (int i = 0; i < 3; ++i) {
+    HttpClientResult raw;
+    ASSERT_TRUE(HttpCall(service_.port(), "POST", target, "<site><oops",
+                         "application/xml", &raw));
+    EXPECT_EQ(raw.status, 400) << raw.body;
+  }
+  XMarkCorpusOptions corpus_options;
+  corpus_options.documents = 1;
+  corpus_options.scale = 0.001;
+  HttpClientResult valid;
+  ASSERT_TRUE(HttpCall(service_.port(), "POST", target,
+                       GenerateXMarkCorpus(corpus_options)[0],
+                       "application/xml", &valid));
+  EXPECT_EQ(valid.status, 200) << valid.body;
+  EXPECT_EQ(breaker.state(), CircuitState::kClosed);
+}
+
+// Journal seeding reads the same stage table as the recording rule:
+// input-fault quarantines seed successes, server faults seed failures,
+// "circuit" fast-fails seed nothing.
+TEST_F(ServiceTest, JournalSeedingCountsOnlyServerFaults) {
+  std::string dir = ::testing::TempDir() + "/service_seed_journal_test";
+  std::remove(RunJournal::PathFor(dir).c_str());  // stale prior-run journal
+  ProjectionServiceOptions options;
+  options.journal_dir = dir;
+  options.limits.journal_batch = 8;
+  StartService(options);
+  ProjectionClient client = Client();
+  auto registration =
+      client.RegisterWorkload(SpecFor({XMarkDashboardWorkload()[1]}));
+  ASSERT_TRUE(registration.ok());
+  for (int i = 0; i < 8; ++i) {
+    auto malformed = client.Prune(registration->id, "<site><oops");
+    ASSERT_EQ(malformed.status().code(), StatusCode::kInvalid);
+  }
+  std::vector<RunRecord> records;
+  std::string error;
+  ASSERT_TRUE(RunJournal::Load(dir, &records, nullptr, &error)) << error;
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].failed, 8u);
+  CircuitBreaker after_garbage;
+  BreakerSeed seed = SeedBreakerFromJournal(records, "", &after_garbage);
+  EXPECT_EQ(seed.record, &records[0]);
+  EXPECT_EQ(seed.successes, 8u);
+  EXPECT_EQ(seed.failures, 0u);
+  EXPECT_EQ(after_garbage.state(), CircuitState::kClosed);
+
+  // The last record whose corpus matches seeds; "" matches any record.
+  std::vector<RunRecord> history(2);
+  history[0].corpus = "melting";
+  history[0].failed = 8;
+  history[0].quarantine = {{"deadline", 8}};
+  history[1].corpus = "locked-out";
+  history[1].failed = 32;
+  history[1].quarantine = {{"circuit", 32}};
+  CircuitBreaker melting;
+  seed = SeedBreakerFromJournal(history, "melting", &melting);
+  EXPECT_EQ(seed.record, &history[0]);
+  EXPECT_EQ(seed.failures, 8u);
+  EXPECT_EQ(melting.state(), CircuitState::kOpen);
+  CircuitBreaker locked_out;
+  seed = SeedBreakerFromJournal(history, "", &locked_out);
+  EXPECT_EQ(seed.record, &history[1]);
+  EXPECT_EQ(seed.successes, 0u);
+  EXPECT_EQ(seed.failures, 0u);
+  EXPECT_EQ(locked_out.state(), CircuitState::kClosed);
+  EXPECT_EQ(SeedBreakerFromJournal(history, "unseen", &locked_out).record,
+            nullptr);
+}
+
+// Every status code a pruning pass can return keeps its POST /prune
+// status and quarantine stage; kUnsupported moved from "task" to "prune"
+// so that its row answers the 400 it always got.
+TEST(StagePolicyTest, EveryPassStatusKeepsItsPruneStatusAndStage) {
+  struct Row {
+    StatusCode code;
+    bool validate;
+    const char* stage;
+    int http_status;
+    StageFault fault;
+  };
+  const Row rows[] = {
+      {StatusCode::kParseError, false, "parse", 400, StageFault::kInput},
+      {StatusCode::kInvalid, false, "prune", 400, StageFault::kInput},
+      {StatusCode::kInvalid, true, "validate", 400, StageFault::kInput},
+      {StatusCode::kUnsupported, false, "prune", 400, StageFault::kInput},
+      {StatusCode::kNotFound, false, "prune", 400, StageFault::kInput},
+      {StatusCode::kResourceExhausted, false, "budget", 413,
+       StageFault::kInput},
+      {StatusCode::kDeadlineExceeded, false, "deadline", 504,
+       StageFault::kServer},
+      {StatusCode::kUnavailable, false, "io", 500, StageFault::kServer},
+      {StatusCode::kCancelled, false, "pool", 500, StageFault::kServer},
+      {StatusCode::kInternal, false, "task", 500, StageFault::kServer},
+  };
+  for (const Row& row : rows) {
+    const char* stage = StageForStatus(row.code, row.validate);
+    EXPECT_STREQ(stage, row.stage) << StatusCodeName(row.code);
+    const StagePolicy& policy = PolicyForStage(stage);
+    EXPECT_EQ(policy.http_status, row.http_status) << stage;
+    EXPECT_EQ(policy.fault, row.fault) << stage;
+  }
+  // Stages only the batch pipeline assigns, the breaker's own answer,
+  // and a stage the table lacks.
+  EXPECT_EQ(PolicyForStage("watchdog").http_status, 504);
+  for (const char* stage : {"watchdog", "commit", "checkpoint"}) {
+    EXPECT_EQ(PolicyForStage(stage).fault, StageFault::kServer) << stage;
+  }
+  EXPECT_EQ(PolicyForStage("circuit").http_status, 503);
+  EXPECT_EQ(PolicyForStage("circuit").fault, StageFault::kNone);
+  EXPECT_EQ(PolicyForStage("from-an-older-journal").http_status, 500);
+  EXPECT_EQ(PolicyForStage("from-an-older-journal").fault,
+            StageFault::kServer);
+}
+
 TEST_F(ServiceTest, ErrorPathsMapOntoHttpStatuses) {
   StartService();
   ProjectionClient client = Client();

@@ -365,7 +365,9 @@ class Recorder : public SaxHandler {
 
   Status StartElement(std::string_view tag,
                       const std::vector<SaxAttribute>&) override {
-    events += "<" + std::string(tag) + ">";
+    events += "<";
+    events += tag;
+    events += ">";
     if (tag == skip_tag_) return SkipSubtree();
     return Status::Ok();
   }

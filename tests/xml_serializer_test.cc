@@ -52,9 +52,13 @@ class TraceHandler : public SaxHandler {
  public:
   Status StartElement(std::string_view tag,
                       const std::vector<SaxAttribute>& attributes) override {
-    trace_ += "<" + std::string(tag);
+    trace_ += "<";
+    trace_ += tag;
     for (const SaxAttribute& a : attributes) {
-      trace_ += " " + std::string(a.name) + "=" + std::string(a.value);
+      trace_ += " ";
+      trace_ += a.name;
+      trace_ += "=";
+      trace_ += a.value;
     }
     trace_ += ">";
     return Status::Ok();
@@ -64,7 +68,9 @@ class TraceHandler : public SaxHandler {
     return Status::Ok();
   }
   Status Characters(std::string_view text) override {
-    trace_ += "[" + std::string(text) + "]";
+    trace_ += "[";
+    trace_ += text;
+    trace_ += "]";
     return Status::Ok();
   }
   const std::string& trace() const { return trace_; }
