@@ -1,7 +1,7 @@
 #include "dtd/content_model.h"
 
 #include <algorithm>
-#include <cassert>
+#include <map>
 
 namespace xmlproj {
 
@@ -168,174 +168,194 @@ std::string ContentModel::ToString(
   return out;
 }
 
-ContentMatcher::BuildResult ContentMatcher::Build(const ContentModel& model,
-                                                  int32_t index) {
-  const RegexNode& n = model.node(index);
-  BuildResult r;
-  switch (n.kind) {
-    case RegexKind::kEpsilon:
-      r.nullable = true;
-      break;
-    case RegexKind::kName:
-    case RegexKind::kAny: {
-      int32_t pos = static_cast<int32_t>(positions_.size());
-      positions_.push_back(
-          Position{n.kind == RegexKind::kAny ? kNoName : n.name});
-      follow_.emplace_back();
-      r.nullable = false;
-      r.first = {pos};
-      r.last = {pos};
-      if (n.kind == RegexKind::kAny) {
-        // ANY repeats: position follows itself.
-        follow_[static_cast<size_t>(pos)].push_back(pos);
-        r.nullable = true;
-      }
-      break;
-    }
-    case RegexKind::kSeq: {
-      r.nullable = true;
-      for (int32_t c : n.children) {
-        BuildResult cr = Build(model, c);
-        // follow(last of prefix) += first(cr)
-        for (int32_t l : r.last) {
-          auto& f = follow_[static_cast<size_t>(l)];
-          f.insert(f.end(), cr.first.begin(), cr.first.end());
-        }
-        if (r.nullable) {
-          r.first.insert(r.first.end(), cr.first.begin(), cr.first.end());
-        }
-        if (cr.nullable) {
-          r.last.insert(r.last.end(), cr.last.begin(), cr.last.end());
-        } else {
-          r.last = std::move(cr.last);
-        }
-        r.nullable = r.nullable && cr.nullable;
-      }
-      break;
-    }
-    case RegexKind::kChoice: {
-      r.nullable = false;
-      for (int32_t c : n.children) {
-        BuildResult cr = Build(model, c);
-        r.nullable = r.nullable || cr.nullable;
-        r.first.insert(r.first.end(), cr.first.begin(), cr.first.end());
-        r.last.insert(r.last.end(), cr.last.begin(), cr.last.end());
-      }
-      break;
-    }
-    case RegexKind::kStar:
-    case RegexKind::kPlus:
-    case RegexKind::kOpt: {
-      BuildResult cr = Build(model, n.children[0]);
-      if (n.kind != RegexKind::kOpt) {
-        for (int32_t l : cr.last) {
-          auto& f = follow_[static_cast<size_t>(l)];
-          f.insert(f.end(), cr.first.begin(), cr.first.end());
-        }
-      }
-      r.nullable = cr.nullable || n.kind != RegexKind::kPlus;
-      r.first = std::move(cr.first);
-      r.last = std::move(cr.last);
-      break;
-    }
-  }
-  return r;
-}
+// Builds one automaton into a ContentMatcher: Glushkov's construction
+// with state 0 as the start and one state per name occurrence, then the
+// merge that makes it deterministic.
+struct ContentMatcher::Builder {
+  std::vector<std::vector<Edge>>& follow;
+  std::vector<uint8_t>& accepting;
+  size_t* budget;
+  bool over_budget = false;
 
-ContentMatcher::ContentMatcher(const ContentModel& model,
-                               size_t universe_size)
-    : universe_size_(universe_size) {
-  if (model.empty_model()) {
-    nullable_ = true;
-    return;
+  void Run(const ContentModel& model) {
+    follow.reserve(model.node_count() + 1);  // a state per name at most
+    accepting.reserve(model.node_count() + 1);
+    follow.emplace_back();
+    accepting.push_back(1);  // EMPTY accepts only the empty sequence
+    if (model.empty_model()) return;
+    Sets r = Glushkov(model, model.root());
+    if (Charge(r.first.size())) follow[kStart] = std::move(r.first);
+    accepting[kStart] = r.nullable;
+    for (MatchState p : r.last) accepting[static_cast<size_t>(p)] = 1;
+    Determinize();
   }
-  BuildResult r = Build(model, model.root());
-  nullable_ = r.nullable;
-  first_ = std::move(r.first);
-  accepting_ = std::move(r.last);
-  // Deduplicate follow sets (insertions may repeat positions).
-  for (auto& f : follow_) {
-    std::sort(f.begin(), f.end());
-    f.erase(std::unique(f.begin(), f.end()), f.end());
-  }
-  std::sort(first_.begin(), first_.end());
-  first_.erase(std::unique(first_.begin(), first_.end()), first_.end());
-  std::sort(accepting_.begin(), accepting_.end());
-  accepting_.erase(std::unique(accepting_.begin(), accepting_.end()),
-                   accepting_.end());
-}
 
-ContentMatcher::MatchState ContentMatcher::StartState() const {
-  MatchState state;
-  state.positions.assign(positions_.size(), false);
-  return state;
-}
-
-void ContentMatcher::Advance(MatchState* state, NameId child) const {
-  if (state->dead) return;
-  std::vector<bool> next(positions_.size(), false);
-  bool any = false;
-  auto try_enter = [this, child, &next, &any](int32_t p) {
-    const Position& pos = positions_[static_cast<size_t>(p)];
-    if (pos.name == kNoName || pos.name == child) {
-      next[static_cast<size_t>(p)] = true;
-      any = true;
-    }
+  struct Sets {
+    bool nullable = true;
+    std::vector<Edge> first;
+    std::vector<MatchState> last;
   };
-  if (state->at_start) {
-    for (int32_t p : first_) try_enter(p);
-    state->at_start = false;
-  } else {
-    for (size_t p = 0; p < state->positions.size(); ++p) {
-      if (!state->positions[p]) continue;
-      for (int32_t q : follow_[p]) try_enter(q);
+
+  bool Charge(size_t entries) {
+    if (budget == nullptr) return true;
+    over_budget = over_budget || entries >= *budget;
+    *budget = over_budget ? 0 : *budget - entries;
+    return !over_budget;
+  }
+
+  // Every state in `from` may be followed by every edge in `to`.
+  void Link(const std::vector<MatchState>& from,
+            const std::vector<Edge>& to) {
+    for (MatchState p : from) {
+      if (!Charge(to.size())) return;
+      std::vector<Edge>& f = follow[static_cast<size_t>(p)];
+      f.insert(f.end(), to.begin(), to.end());
     }
   }
-  state->positions = std::move(next);
-  if (!any) state->dead = true;
-}
 
-bool ContentMatcher::Accepts(const MatchState& state) const {
-  if (state.dead) return false;
-  if (state.at_start) return nullable_;
-  for (int32_t p : accepting_) {
-    if (state.positions[static_cast<size_t>(p)]) return true;
-  }
-  return false;
-}
-
-bool ContentMatcher::Matches(std::span<const NameId> children) const {
-  if (children.empty()) return nullable_;
-  // Subset simulation over positions.
-  std::vector<bool> current(positions_.size(), false);
-  bool any_current = false;
-  for (int32_t p : first_) {
-    const Position& pos = positions_[static_cast<size_t>(p)];
-    if (pos.name == kNoName || pos.name == children[0]) {
-      current[static_cast<size_t>(p)] = true;
-      any_current = true;
-    }
-  }
-  for (size_t i = 1; i < children.size(); ++i) {
-    if (!any_current) return false;
-    std::vector<bool> next(positions_.size(), false);
-    any_current = false;
-    for (size_t p = 0; p < current.size(); ++p) {
-      if (!current[p]) continue;
-      for (int32_t q : follow_[p]) {
-        const Position& pos = positions_[static_cast<size_t>(q)];
-        if (pos.name == kNoName || pos.name == children[i]) {
-          next[static_cast<size_t>(q)] = true;
-          any_current = true;
+  Sets Glushkov(const ContentModel& model, int32_t index) {
+    const RegexNode& n = model.node(index);
+    Sets r;
+    if (over_budget) return r;
+    switch (n.kind) {
+      case RegexKind::kEpsilon:
+        break;
+      case RegexKind::kName:
+      case RegexKind::kAny: {
+        MatchState pos = static_cast<MatchState>(follow.size());
+        follow.emplace_back();
+        accepting.push_back(0);
+        bool any = n.kind == RegexKind::kAny;
+        r.nullable = any;
+        r.first = {Edge{any ? kNoName : n.name, pos}};
+        r.last = {pos};
+        if (any) Link(r.last, r.first);  // ANY repeats
+        break;
+      }
+      case RegexKind::kSeq:
+        for (int32_t c : n.children) {
+          Sets cr = Glushkov(model, c);
+          Link(r.last, cr.first);
+          if (r.nullable) {
+            r.first.insert(r.first.end(), cr.first.begin(), cr.first.end());
+          }
+          if (cr.nullable) {
+            r.last.insert(r.last.end(), cr.last.begin(), cr.last.end());
+          } else {
+            r.last = std::move(cr.last);
+          }
+          r.nullable = r.nullable && cr.nullable;
         }
+        break;
+      case RegexKind::kChoice:
+        r.nullable = false;
+        for (int32_t c : n.children) {
+          Sets cr = Glushkov(model, c);
+          r.nullable = r.nullable || cr.nullable;
+          r.first.insert(r.first.end(), cr.first.begin(), cr.first.end());
+          r.last.insert(r.last.end(), cr.last.begin(), cr.last.end());
+        }
+        break;
+      case RegexKind::kStar:
+      case RegexKind::kPlus:
+      case RegexKind::kOpt: {
+        r = Glushkov(model, n.children[0]);
+        if (n.kind != RegexKind::kOpt) Link(r.last, r.first);
+        r.nullable = r.nullable || n.kind != RegexKind::kPlus;
+        break;
       }
     }
-    current = std::move(next);
+    return r;
   }
-  for (int32_t p : accepting_) {
-    if (current[static_cast<size_t>(p)]) return true;
+
+  // Rewrites each follow list, in state order, so that no name occurs in
+  // it twice: the states one name reaches become one merged state, whose
+  // list is the union of theirs and which is accepting if any of them is.
+  // An any-name edge (kNoName sorts first) joins every named group. A
+  // merged state is interned by its set of Glushkov states, so merging a
+  // merged state with its own members reuses it; the loop rewrites its
+  // list in turn. A list that needs merging is rewritten from a copy, and
+  // a merge reads its members' lists by index: adding a state grows
+  // `follow`, and a member may be the list being rewritten.
+  void Determinize() {
+    const MatchState glushkov = static_cast<MatchState>(follow.size());
+    std::map<std::vector<MatchState>, MatchState> merged;
+    std::vector<std::vector<MatchState>> members;  // of state glushkov + i
+    std::vector<Edge> list;
+    std::vector<Edge> out;
+    std::vector<MatchState> set;
+    auto add_members = [&](MatchState s) {
+      if (s < glushkov) {
+        set.push_back(s);
+      } else {
+        const auto& m = members[static_cast<size_t>(s - glushkov)];
+        set.insert(set.end(), m.begin(), m.end());
+      }
+    };
+    auto same_name = [](const Edge& a, const Edge& b) {
+      return a.name == b.name;
+    };
+    for (size_t s = 0; s < follow.size() && !over_budget; ++s) {
+      std::vector<Edge>& edges = follow[s];
+      std::sort(edges.begin(), edges.end());
+      edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+      size_t any_end = 0;
+      while (any_end < edges.size() && edges[any_end].name == kNoName) {
+        ++any_end;
+      }
+      if ((any_end == 0 || edges.size() == 1) &&
+          std::adjacent_find(edges.begin(), edges.end(), same_name) ==
+              edges.end()) {
+        continue;  // already deterministic
+      }
+      list = edges;
+      out.clear();
+      for (size_t i = 0, j = 0; i < list.size(); i = j) {
+        while (j < list.size() && list[j].name == list[i].name) ++j;
+        size_t with_any = i < any_end ? 0 : any_end;
+        if (j - i + with_any == 1) {
+          out.push_back(list[i]);
+          continue;
+        }
+        set.clear();
+        for (size_t k = i; k < j; ++k) add_members(list[k].to);
+        for (size_t k = 0; k < with_any; ++k) add_members(list[k].to);
+        std::sort(set.begin(), set.end());
+        set.erase(std::unique(set.begin(), set.end()), set.end());
+        auto [it, inserted] =
+            merged.emplace(set, static_cast<MatchState>(follow.size()));
+        if (inserted) {
+          members.push_back(set);
+          follow.emplace_back();
+          accepting.push_back(0);
+          for (MatchState m : set) {
+            const std::vector<Edge>& f = follow[static_cast<size_t>(m)];
+            if (!Charge(f.size())) return;
+            follow.back().insert(follow.back().end(), f.begin(), f.end());
+            accepting.back() |= accepting[static_cast<size_t>(m)];
+          }
+        }
+        out.push_back(Edge{list[i].name, it->second});
+      }
+      follow[s] = std::vector<Edge>(out);  // drops the merged-away capacity
+    }
   }
-  return false;
+};
+
+ContentMatcher::ContentMatcher(const ContentModel& model, size_t* budget) {
+  Builder{follow_, accepting_, budget}.Run(model);
+}
+
+ContentMatcher::MatchState ContentMatcher::Advance(MatchState state,
+                                                   NameId child) const {
+  if (state == kDead) return kDead;
+  const std::vector<Edge>& edges = follow_[static_cast<size_t>(state)];
+  auto it = std::lower_bound(
+      edges.begin(), edges.end(), child,
+      [](const Edge& e, NameId name) { return e.name < name; });
+  if (it != edges.end() && it->name == child) return it->to;
+  bool any = !edges.empty() && edges.front().name == kNoName;
+  return any ? edges.front().to : kDead;
 }
 
 }  // namespace xmlproj

@@ -2,12 +2,13 @@
 //
 // Each production X -> a[r] carries one ContentModel describing r. The
 // model is an arena of RegexNode records; matching of a child-name sequence
-// uses a Glushkov (position) automaton compiled once per production, which
-// is the standard construction for DTD content models.
+// uses a deterministic automaton compiled once per production.
 
 #ifndef XMLPROJ_DTD_CONTENT_MODEL_H_
 #define XMLPROJ_DTD_CONTENT_MODEL_H_
 
+#include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -80,54 +81,50 @@ class ContentModel {
   int32_t root_ = -1;
 };
 
-// Glushkov automaton for one content model; answers "does this sequence of
-// child names match r?".
+// Deterministic automaton for one content model; answers "does this
+// sequence of child names match r?" one child at a time. Built once per
+// production: Glushkov's position automaton, with the positions one
+// state can reach on the same name merged into one state (DESIGN.md
+// "Content-model automata").
 class ContentMatcher {
  public:
-  // `universe_size` is the number of names in the DTD; kAny nodes accept
-  // any name.
-  ContentMatcher(const ContentModel& model, size_t universe_size);
+  // State after a prefix of a child sequence: one int however many
+  // children were fed, which lets validation run in the bufferless pass
+  // that prunes (§6). kDead means no continuation can match.
+  using MatchState = int32_t;
+  static constexpr MatchState kStart = 0;
+  static constexpr MatchState kDead = -1;
 
-  bool Matches(std::span<const NameId> children) const;
+  // With a `budget`, every follow-list entry the build makes is deducted
+  // from *budget; a model that needs all that is left stops the build
+  // and sets *budget to 0, leaving a matcher that must not be used.
+  explicit ContentMatcher(const ContentModel& model,
+                          size_t* budget = nullptr);
 
-  // True if the empty sequence matches.
-  bool AcceptsEmpty() const { return nullable_; }
-
-  // --- Incremental matching (streaming validation) ----------------------
-  // State after consuming a (possibly empty) prefix of a child sequence.
-  // Memory is O(positions), independent of how many children were fed:
-  // this is what lets validation run in one bufferless pass alongside
-  // pruning (§6).
-  struct MatchState {
-    std::vector<bool> positions;
-    bool at_start = true;
-    bool dead = false;  // no continuation can ever match
-  };
-
-  MatchState StartState() const;
   // Consumes one child name.
-  void Advance(MatchState* state, NameId child) const;
+  MatchState Advance(MatchState state, NameId child) const;
   // True if the sequence consumed so far is a complete match.
-  bool Accepts(const MatchState& state) const;
+  bool Accepts(MatchState state) const {
+    return state != kDead && accepting_[static_cast<size_t>(state)] != 0;
+  }
+  bool Matches(std::span<const NameId> children) const {
+    MatchState state = kStart;
+    for (NameId child : children) state = Advance(state, child);
+    return Accepts(state);
+  }
 
  private:
-  struct Position {
-    NameId name;   // kNoName means "any name" (from kAny)
+  struct Edge {
+    NameId name;  // kNoName means "any name" (from kAny)
+    MatchState to;
+    auto operator<=>(const Edge&) const = default;
   };
-  struct BuildResult {
-    bool nullable;
-    std::vector<int32_t> first;
-    std::vector<int32_t> last;
-  };
+  struct Builder;
 
-  BuildResult Build(const ContentModel& model, int32_t index);
-
-  std::vector<Position> positions_;
-  std::vector<std::vector<int32_t>> follow_;
-  std::vector<int32_t> first_;
-  bool nullable_ = true;
-  std::vector<int32_t> accepting_;  // positions that can end a match
-  size_t universe_size_ = 0;
+  // follow_[s]: the edges out of state s, sorted by name, one per name;
+  // an any-name edge sorts first.
+  std::vector<std::vector<Edge>> follow_;
+  std::vector<uint8_t> accepting_;
 };
 
 }  // namespace xmlproj

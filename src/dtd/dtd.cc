@@ -151,6 +151,7 @@ Status Dtd::Finalize() {
     }
   }
 
+  size_t automaton_budget = kMaxDtdAutomatonEntries;
   for (NameId i = 0; i < static_cast<NameId>(n); ++i) {
     Production& p = productions_[static_cast<size_t>(i)];
     if (p.is_string) continue;
@@ -163,7 +164,13 @@ Status Dtd::Finalize() {
     child_[static_cast<size_t>(i)] =
         p.content.CollectNames(n, &any_names);
     matchers_[static_cast<size_t>(i)] =
-        std::make_unique<ContentMatcher>(p.content, n);
+        std::make_unique<ContentMatcher>(p.content, &automaton_budget);
+    if (automaton_budget == 0) {
+      return InvalidError(StringPrintf(
+          "content model of element '%s' takes the DTD's automata past "
+          "%zu entries",
+          p.name.c_str(), kMaxDtdAutomatonEntries));
+    }
   }
 
   for (NameId i = 0; i < static_cast<NameId>(n); ++i) {

@@ -27,6 +27,12 @@
 
 namespace xmlproj {
 
+// Most follow-list entries the content-model automata of one DTD may make
+// while they are built (ContentMatcher counts them). A DTD that needs
+// more fails to load: at 8 bytes an entry the automata stay under 16 MB
+// whatever the DTD text says. XMark's content models make 283.
+inline constexpr size_t kMaxDtdAutomatonEntries = size_t{1} << 21;
+
 // Declared attribute (from ATTLIST). Only the pieces relevant to
 // validation are kept.
 struct AttributeDecl {

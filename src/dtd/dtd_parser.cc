@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "common/nesting.h"
 #include "common/strings.h"
 
 namespace xmlproj {
@@ -71,6 +72,7 @@ class DtdParser {
 
   std::string_view input_;
   size_t pos_ = 0;
+  int depth_ = 0;  // groups open in the current content model
 };
 
 int32_t DtdParser::ApplyOccurrence(ContentModel* model, int32_t node) {
@@ -107,6 +109,11 @@ Status DtdParser::ParseCp(DtdBuilder* builder, NameId owner,
 
 Status DtdParser::ParseGroup(DtdBuilder* builder, NameId owner,
                              ContentModel* model, int32_t* out) {
+  NestingGuard nesting(&depth_);
+  if (!nesting.Enter()) {
+    return Error(StringPrintf("content model nests deeper than %d groups",
+                              kMaxParseDepth));
+  }
   XMLPROJ_RETURN_IF_ERROR(Expect('('));
   SkipSpace();
   // Mixed content starts with #PCDATA.

@@ -61,7 +61,6 @@ Result<Interpretation> Interpret(const Document& doc, const Dtd& dtd) {
 Result<Interpretation> Validate(const Document& doc, const Dtd& dtd) {
   Result<Interpretation> interp = Interpret(doc, dtd);
   if (!interp.ok()) return interp;
-  std::vector<NameId> child_names;  // reused per element
   const NodeId total = static_cast<NodeId>(doc.size());
   for (NodeId id = 1; id < total; ++id) {
     const Node& n = doc.node(id);
@@ -74,12 +73,13 @@ Result<Interpretation> Validate(const Document& doc, const Dtd& dtd) {
                             decl.name + "'");
       }
     }
-    child_names.clear();
+    const ContentMatcher& matcher = dtd.MatcherOf(name);
+    ContentMatcher::MatchState state = ContentMatcher::kStart;
     for (NodeId c = n.first_child; c != kNullNode;
          c = doc.node(c).next_sibling) {
-      child_names.push_back((*interp)[c]);
+      state = matcher.Advance(state, (*interp)[c]);
     }
-    if (!dtd.MatcherOf(name).Matches(child_names)) {
+    if (!matcher.Accepts(state)) {
       return InvalidError(StringPrintf(
           "children of element '%s' (node %u) do not match its content "
           "model %s",

@@ -155,8 +155,8 @@ Status ValidatingPruner::StartElement(
     // The child participates in the parent's content model whether or not
     // it survives projection: validation is of the *input*.
     OpenElement& parent = open_.back();
-    dtd_.MatcherOf(parent.name).Advance(&parent.state, name);
-    if (parent.state.dead) {
+    parent.state = dtd_.MatcherOf(parent.name).Advance(parent.state, name);
+    if (parent.state == ContentMatcher::kDead) {
       return InvalidError(
           "children of element '" + dtd_.production(parent.name).tag +
           "' do not match its content model (at child '" +
@@ -179,13 +179,9 @@ Status ValidatingPruner::StartElement(
     }
   }
 
-  OpenElement open;
-  open.name = name;
-  open.state = dtd_.MatcherOf(name).StartState();
-  open.kept = projector_.Contains(name) &&
-              (open_.empty() || open_.back().kept);
-  open_.push_back(std::move(open));
-  if (open_.back().kept) {
+  bool kept = projector_.Contains(name) && (open_.empty() || open_.back().kept);
+  open_.push_back(OpenElement{name, ContentMatcher::kStart, kept});
+  if (kept) {
     ++stats_.kept_nodes;
     return downstream_->StartElement(tag, attributes);
   }
@@ -218,8 +214,8 @@ Status ValidatingPruner::Characters(std::string_view text) {
     return InvalidError("text content not allowed inside element '" +
                         dtd_.production(parent.name).tag + "'");
   }
-  dtd_.MatcherOf(parent.name).Advance(&parent.state, string_name);
-  if (parent.state.dead) {
+  parent.state = dtd_.MatcherOf(parent.name).Advance(parent.state, string_name);
+  if (parent.state == ContentMatcher::kDead) {
     return InvalidError("text content violates the content model of '" +
                         dtd_.production(parent.name).tag + "'");
   }

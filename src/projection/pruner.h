@@ -110,7 +110,7 @@ class StreamingPruner : public SaxHandler {
 // Prune-while-validating (§6: "an optional validation option, that makes
 // it possible to prune the document while validating it"): one streaming
 // pass that checks the *input* document against the DTD — content models
-// via incremental Glushkov states, required attributes, root element —
+// one automaton state per open element, required attributes, root element —
 // while forwarding the projected events downstream. O(depth) state.
 class ValidatingPruner : public SaxHandler {
  public:

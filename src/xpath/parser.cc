@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/nesting.h"
 #include "common/strings.h"
 
 namespace xmlproj {
@@ -304,10 +305,19 @@ class XPathParser {
     return ParseError(StringPrintf("XPath at offset %zu: %s",
                                    Peek().offset, message.c_str()));
   }
+  // Every parenthesis, predicate, function argument, unary minus and
+  // binary operator deepens the expression tree by one level.
+  Status TooDeep() const {
+    return Error(StringPrintf("expression nests deeper than %d levels",
+                              kMaxParseDepth));
+  }
 
   Result<ExprPtr> ParseOr() {
+    NestingGuard nesting(&depth_);
+    if (!nesting.Enter()) return TooDeep();
     XMLPROJ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (EatKeyword("or")) {
+      if (!nesting.Enter()) return TooDeep();
       XMLPROJ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
       lhs = MakeBinary(BinaryOp::kOr, std::move(lhs), std::move(rhs));
     }
@@ -315,8 +325,10 @@ class XPathParser {
   }
 
   Result<ExprPtr> ParseAnd() {
+    NestingGuard nesting(&depth_);
     XMLPROJ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseEquality());
     while (EatKeyword("and")) {
+      if (!nesting.Enter()) return TooDeep();
       XMLPROJ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseEquality());
       lhs = MakeBinary(BinaryOp::kAnd, std::move(lhs), std::move(rhs));
     }
@@ -324,6 +336,7 @@ class XPathParser {
   }
 
   Result<ExprPtr> ParseEquality() {
+    NestingGuard nesting(&depth_);
     XMLPROJ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseRelational());
     while (true) {
       BinaryOp op;
@@ -334,12 +347,14 @@ class XPathParser {
       } else {
         return lhs;
       }
+      if (!nesting.Enter()) return TooDeep();
       XMLPROJ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseRelational());
       lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
     }
   }
 
   Result<ExprPtr> ParseRelational() {
+    NestingGuard nesting(&depth_);
     XMLPROJ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
     while (true) {
       BinaryOp op;
@@ -354,12 +369,14 @@ class XPathParser {
       } else {
         return lhs;
       }
+      if (!nesting.Enter()) return TooDeep();
       XMLPROJ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
       lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
     }
   }
 
   Result<ExprPtr> ParseAdditive() {
+    NestingGuard nesting(&depth_);
     XMLPROJ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
     while (true) {
       BinaryOp op;
@@ -370,12 +387,14 @@ class XPathParser {
       } else {
         return lhs;
       }
+      if (!nesting.Enter()) return TooDeep();
       XMLPROJ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
       lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
     }
   }
 
   Result<ExprPtr> ParseMultiplicative() {
+    NestingGuard nesting(&depth_);
     XMLPROJ_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
     while (true) {
       BinaryOp op;
@@ -388,6 +407,7 @@ class XPathParser {
       } else {
         return lhs;
       }
+      if (!nesting.Enter()) return TooDeep();
       XMLPROJ_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
       lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
     }
@@ -395,6 +415,8 @@ class XPathParser {
 
   Result<ExprPtr> ParseUnary() {
     if (Eat(TokKind::kMinus)) {
+      NestingGuard nesting(&depth_);
+      if (!nesting.Enter()) return TooDeep();
       XMLPROJ_ASSIGN_OR_RETURN(ExprPtr inner, ParseUnary());
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::kNegate;
@@ -405,8 +427,10 @@ class XPathParser {
   }
 
   Result<ExprPtr> ParseUnion() {
+    NestingGuard nesting(&depth_);
     XMLPROJ_ASSIGN_OR_RETURN(ExprPtr lhs, ParsePathExpr());
     while (Eat(TokKind::kPipe)) {
+      if (!nesting.Enter()) return TooDeep();
       XMLPROJ_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePathExpr());
       lhs = MakeBinary(BinaryOp::kUnion, std::move(lhs), std::move(rhs));
     }
@@ -608,6 +632,7 @@ class XPathParser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

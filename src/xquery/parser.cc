@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/nesting.h"
 #include "common/strings.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
@@ -48,6 +49,13 @@ class XQueryParser {
     }
     return ParseError(
         StringPrintf("XQuery line %zu: %s", line, message.c_str()));
+  }
+
+  // Every nested query, element constructor and FLWR clause deepens the
+  // query tree by one level.
+  Status TooDeep() const {
+    return Error(
+        StringPrintf("query nests deeper than %d levels", kMaxParseDepth));
   }
 
   bool AtEnd() const { return pos_ >= input_.size(); }
@@ -227,6 +235,8 @@ class XQueryParser {
   }
 
   Result<XQueryPtr> ParseQuerySingle() {
+    NestingGuard nesting(&depth_);
+    if (!nesting.Enter()) return TooDeep();
     SkipSpace();
     if (AtEnd()) return Error("expected a query expression");
     std::string_view word = PeekWord();
@@ -268,9 +278,11 @@ class XQueryParser {
       XQueryPtr binding;
     };
     std::vector<Clause> clauses;
+    NestingGuard nesting(&depth_);
     while (true) {
       if (EatKeyword("for")) {
         while (true) {
+          if (!nesting.Enter()) return TooDeep();
           Clause c;
           c.is_for = true;
           XMLPROJ_ASSIGN_OR_RETURN(c.variable, ParseVariableName());
@@ -287,6 +299,7 @@ class XQueryParser {
         continue;
       }
       if (EatKeyword("let")) {
+        if (!nesting.Enter()) return TooDeep();
         Clause c;
         c.is_for = false;
         XMLPROJ_ASSIGN_OR_RETURN(c.variable, ParseVariableName());
@@ -404,6 +417,8 @@ class XQueryParser {
   }
 
   Result<XQueryPtr> ParseConstructor() {
+    NestingGuard nesting(&depth_);
+    if (!nesting.Enter()) return TooDeep();
     // pos_ is at '<'.
     ++pos_;
     size_t tag_start = pos_;
@@ -547,6 +562,7 @@ class XQueryParser {
 
   std::string_view input_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -29,7 +29,7 @@ TEST(ContentModel, ToString) {
 
 TEST(ContentMatcher, MatchesSequences) {
   ContentModel m = SampleModel();
-  ContentMatcher matcher(m, 4);
+  ContentMatcher matcher(m);
   EXPECT_TRUE(matcher.Matches(std::vector<NameId>{0}));
   EXPECT_TRUE(matcher.Matches(std::vector<NameId>{0, 1, 2, 1}));
   EXPECT_TRUE(matcher.Matches(std::vector<NameId>{0, 3}));
@@ -42,16 +42,15 @@ TEST(ContentMatcher, MatchesSequences) {
 
 TEST(ContentMatcher, EmptyModelAcceptsOnlyEmpty) {
   ContentModel m;  // EMPTY content
-  ContentMatcher matcher(m, 4);
+  ContentMatcher matcher(m);
   EXPECT_TRUE(matcher.Matches(std::vector<NameId>{}));
-  EXPECT_TRUE(matcher.AcceptsEmpty());
   EXPECT_FALSE(matcher.Matches(std::vector<NameId>{0}));
 }
 
 TEST(ContentMatcher, PlusRequiresOne) {
   ContentModel m;
   m.set_root(m.Plus(m.Name(0)));
-  ContentMatcher matcher(m, 2);
+  ContentMatcher matcher(m);
   EXPECT_FALSE(matcher.Matches(std::vector<NameId>{}));
   EXPECT_TRUE(matcher.Matches(std::vector<NameId>{0}));
   EXPECT_TRUE(matcher.Matches(std::vector<NameId>{0, 0, 0}));
@@ -63,7 +62,7 @@ TEST(ContentMatcher, NestedGroups) {
   ContentModel m;
   int32_t ab = m.Seq({m.Name(0), m.Name(1)});
   m.set_root(m.Plus(m.Choice({ab, m.Name(2)})));
-  ContentMatcher matcher(m, 3);
+  ContentMatcher matcher(m);
   EXPECT_TRUE(matcher.Matches(std::vector<NameId>{0, 1}));
   EXPECT_TRUE(matcher.Matches(std::vector<NameId>{2, 0, 1, 2}));
   EXPECT_FALSE(matcher.Matches(std::vector<NameId>{0}));
@@ -73,9 +72,67 @@ TEST(ContentMatcher, NestedGroups) {
 TEST(ContentMatcher, AnyAcceptsEverything) {
   ContentModel m;
   m.set_root(m.Any());
-  ContentMatcher matcher(m, 5);
+  ContentMatcher matcher(m);
   EXPECT_TRUE(matcher.Matches(std::vector<NameId>{}));
   EXPECT_TRUE(matcher.Matches(std::vector<NameId>{4, 0, 2, 2}));
+}
+
+// XML 1.0 asks for deterministic content models, but a DTD may still
+// declare (a?, a): both a's can take the first child. Such models load,
+// and match the language their regular expression denotes.
+TEST(ContentMatcher, NonDeterministicOptionalBeforeRequired) {
+  ContentModel m;  // (a?, a)
+  m.set_root(m.Seq({m.Opt(m.Name(0)), m.Name(0)}));
+  ContentMatcher matcher(m);
+  EXPECT_FALSE(matcher.Matches(std::vector<NameId>{}));
+  EXPECT_TRUE(matcher.Matches(std::vector<NameId>{0}));
+  EXPECT_TRUE(matcher.Matches(std::vector<NameId>{0, 0}));
+  EXPECT_FALSE(matcher.Matches(std::vector<NameId>{0, 0, 0}));
+  EXPECT_FALSE(matcher.Matches(std::vector<NameId>{1}));
+}
+
+TEST(ContentMatcher, NonDeterministicSharedPrefix) {
+  ContentModel m;  // ((a, b) | (a, c))
+  m.set_root(m.Choice({m.Seq({m.Name(0), m.Name(1)}),
+                       m.Seq({m.Name(0), m.Name(2)})}));
+  ContentMatcher matcher(m);
+  EXPECT_TRUE(matcher.Matches(std::vector<NameId>{0, 1}));
+  EXPECT_TRUE(matcher.Matches(std::vector<NameId>{0, 2}));
+  EXPECT_FALSE(matcher.Matches(std::vector<NameId>{0}));
+  EXPECT_FALSE(matcher.Matches(std::vector<NameId>{0, 1, 2}));
+  EXPECT_FALSE(matcher.Matches(std::vector<NameId>{1}));
+  // The walk the streaming validator takes: one state per step, and a
+  // dead state as soon as no continuation can match.
+  ContentMatcher::MatchState state = ContentMatcher::kStart;
+  state = matcher.Advance(state, 0);
+  EXPECT_NE(ContentMatcher::kDead, state);
+  EXPECT_FALSE(matcher.Accepts(state));
+  EXPECT_EQ(ContentMatcher::kDead, matcher.Advance(state, 0));
+  state = matcher.Advance(state, 2);
+  EXPECT_TRUE(matcher.Accepts(state));
+  state = matcher.Advance(state, 1);
+  EXPECT_EQ(ContentMatcher::kDead, state);
+  EXPECT_EQ(ContentMatcher::kDead, matcher.Advance(state, 1));
+  EXPECT_FALSE(matcher.Accepts(state));
+}
+
+TEST(ContentMatcher, AnyAroundNames) {
+  ContentModel m;  // (ANY, a): any sequence that ends in a
+  m.set_root(m.Seq({m.Any(), m.Name(0)}));
+  ContentMatcher matcher(m);
+  EXPECT_FALSE(matcher.Matches(std::vector<NameId>{}));
+  EXPECT_TRUE(matcher.Matches(std::vector<NameId>{0}));
+  EXPECT_TRUE(matcher.Matches(std::vector<NameId>{3, 0, 0}));
+  EXPECT_FALSE(matcher.Matches(std::vector<NameId>{0, 3}));
+}
+
+TEST(ContentMatcher, MixedContent) {
+  ContentModel m;  // (#PCDATA | a)* with the text name 1
+  m.set_root(m.Star(m.Choice({m.Name(1), m.Name(0)})));
+  ContentMatcher matcher(m);
+  EXPECT_TRUE(matcher.Matches(std::vector<NameId>{}));
+  EXPECT_TRUE(matcher.Matches(std::vector<NameId>{1, 0, 1, 0, 0}));
+  EXPECT_FALSE(matcher.Matches(std::vector<NameId>{1, 2}));
 }
 
 TEST(ContentModel, StarGuardedness) {

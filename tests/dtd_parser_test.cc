@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/nesting.h"
+
 namespace xmlproj {
 namespace {
 
@@ -206,6 +211,80 @@ TEST(DtdParser, StructuralProperties) {
   )",
                         "a");
   EXPECT_TRUE(unamb.IsParentUnambiguous());
+}
+
+// `depth` nested groups around one name: <!ELEMENT a ((((b))))>.
+std::string NestedGroups(int depth) {
+  return "<!ELEMENT a " + std::string(static_cast<size_t>(depth), '(') +
+         "b" + std::string(static_cast<size_t>(depth), ')') +
+         ">\n<!ELEMENT b EMPTY>";
+}
+
+TEST(DtdParser, NestingPastTheLimitIsAnError) {
+  // Each group costs the parser stack frames: unbounded, 100,000 of them
+  // overflow its stack.
+  auto deep = ParseDtd(NestedGroups(100000), "a");
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(StatusCode::kParseError, deep.status().code());
+  EXPECT_NE(deep.status().message().find("nests deeper than 256 groups"),
+            std::string::npos)
+      << deep.status().ToString();
+
+  Dtd dtd = MustParse(NestedGroups(kMaxParseDepth), "a");
+  EXPECT_TRUE(dtd.MatcherOf(dtd.root()).Matches(
+      std::vector<NameId>{dtd.NameOfTag("b")}));
+}
+
+// ((a|b)*, a, (a|b), ..., (a|b)) with k trailing (a|b): "the (k+1)-th
+// child from the end is an a". Its deterministic automaton must remember
+// the last k+1 children, so it has 2^(k+1) states.
+std::string SubsetBlowUp(int k) {
+  std::string text = "<!ELEMENT r ((a|b)*, a";
+  for (int i = 0; i < k; ++i) text += ", (a|b)";
+  return text + ")>\n<!ELEMENT a EMPTY>\n<!ELEMENT b EMPTY>";
+}
+
+TEST(DtdParser, AutomatonBudgetRejectsBlowUps) {
+  Dtd small = MustParse(SubsetBlowUp(3), "r");
+  NameId a = small.NameOfTag("a");
+  NameId b = small.NameOfTag("b");
+  const ContentMatcher& m = small.MatcherOf(small.root());
+  EXPECT_TRUE(m.Matches(std::vector<NameId>{a, b, b, b}));
+  EXPECT_TRUE(m.Matches(std::vector<NameId>{b, b, a, a, a, b}));
+  EXPECT_FALSE(m.Matches(std::vector<NameId>{b, b, b, b}));
+  EXPECT_FALSE(m.Matches(std::vector<NameId>{a, a, a}));
+
+  // (b|b|...|b)* makes every position follow every other: 4,000
+  // alternatives would take 16M entries.
+  std::string wide = "<!ELEMENT a (b";
+  for (int i = 1; i < 4000; ++i) wide += "|b";
+  wide += ")*>\n<!ELEMENT b EMPTY>";
+
+  for (const auto& [text, root] :
+       {std::pair<std::string, const char*>{SubsetBlowUp(20), "r"},
+        std::pair<std::string, const char*>{wide, "a"}}) {
+    auto result = ParseDtd(text, root);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(StatusCode::kInvalid, result.status().code());
+    EXPECT_NE(result.status().message().find(
+                  "content model of element '" + std::string(root) + "'"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+}
+
+// The budget bounds entries, not states: a long deterministic model
+// costs one entry per name and loads.
+TEST(DtdParser, LongDeterministicModelLoads) {
+  const int length = 200000;
+  std::string text = "<!ELEMENT a (b";
+  for (int i = 1; i < length; ++i) text += ",b";
+  Dtd dtd = MustParse(text + ")>\n<!ELEMENT b EMPTY>", "a");
+  std::vector<NameId> children(length, dtd.NameOfTag("b"));
+  const ContentMatcher& m = dtd.MatcherOf(dtd.root());
+  EXPECT_TRUE(m.Matches(children));
+  children.pop_back();
+  EXPECT_FALSE(m.Matches(children));
 }
 
 TEST(DtdParser, ParameterEntitiesRejected) {

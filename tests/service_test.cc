@@ -501,6 +501,59 @@ TEST_F(ServiceTest, HostileBudgetParamsAre400AndLeaveTheBreakerClosed) {
   EXPECT_EQ(honest.status, 200) << honest.body;
 }
 
+// Hostile registrations get a 4xx and the daemon serves on. A content
+// model 100,000 groups deep and a query 100,000 parentheses deep are past
+// the nesting bound (unbounded, either overflows a worker's stack); a
+// choice of 4,000 alternatives and a model whose deterministic automaton
+// has 2^21 states are past the automaton budget.
+TEST_F(ServiceTest, HostileRegistrationsAre4xxAndTheDaemonServesOn) {
+  StartService();
+  ProjectionClient client = Client();
+  auto registration =
+      client.RegisterWorkload(SpecFor({XMarkDashboardWorkload()[1]}));
+  ASSERT_TRUE(registration.ok()) << registration.status().ToString();
+  XMarkCorpusOptions corpus_options;
+  corpus_options.documents = 1;
+  corpus_options.scale = 0.001;
+  const std::string doc = GenerateXMarkCorpus(corpus_options)[0];
+  auto before = client.Prune(registration->id, doc);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  const size_t n = 100000;
+  std::string wide = "<!ELEMENT a (b";
+  for (int i = 1; i < 4000; ++i) wide += "|b";
+  std::string blow_up = "<!ELEMENT a ((b|c)*, b";
+  for (int i = 0; i < 20; ++i) blow_up += ", (b|c)";
+  const std::vector<std::string> hostile_dtds = {
+      "<!ELEMENT a " + std::string(n, '(') + "b" + std::string(n, ')') +
+          ">\n<!ELEMENT b EMPTY>",
+      wide + ")*>\n<!ELEMENT b EMPTY>",
+      blow_up + ")>\n<!ELEMENT b EMPTY>\n<!ELEMENT c EMPTY>",
+  };
+  for (const std::string& dtd : hostile_dtds) {
+    HttpClientResult raw;
+    ASSERT_TRUE(HttpCall(service_.port(), "POST", "/dtds?name=h&root=a", dtd,
+                         "text/plain", &raw));
+    EXPECT_EQ(400, raw.status) << raw.body;
+  }
+  HttpClientResult raw;
+  ASSERT_TRUE(HttpCall(service_.port(), "POST", "/workloads?dtd=xmark",
+                       "xpath\t/site[" + std::string(n, '(') + "1" +
+                           std::string(n, ')') + "]\n",
+                       "text/plain", &raw));
+  EXPECT_EQ(422, raw.status) << raw.body;
+
+  ASSERT_TRUE(HttpCall(service_.port(), "GET", "/healthz", {}, {}, &raw));
+  EXPECT_EQ(200, raw.status) << raw.body;
+  ASSERT_TRUE(HttpCall(service_.port(), "POST", "/dtds?name=ok&root=a",
+                       "<!ELEMENT a (b*)>\n<!ELEMENT b EMPTY>", "text/plain",
+                       &raw));
+  EXPECT_EQ(201, raw.status) << raw.body;
+  auto after = client.Prune(registration->id, doc);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(before->output, after->output);
+}
+
 TEST_F(ServiceTest, JournalStagesMatchThePipelineMapping) {
   std::string dir = ::testing::TempDir() + "/service_stage_journal_test";
   std::remove(RunJournal::PathFor(dir).c_str());  // stale prior-run journal

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/nesting.h"
+
 namespace xmlproj {
 namespace {
 
@@ -115,6 +120,38 @@ TEST(XPathParser, AbsolutePathAlone) {
 TEST(XPathParser, ParseXPathRequiresPath) {
   EXPECT_TRUE(ParseXPath("/a/b").ok());
   EXPECT_FALSE(ParseXPath("1 + 2").ok());
+}
+
+// `n` copies of `piece` after `head`.
+std::string Repeat(std::string head, const std::string& piece, int n) {
+  for (int i = 0; i < n; ++i) head += piece;
+  return head;
+}
+
+TEST(XPathParser, NestingPastTheLimitIsAnError) {
+  // Parentheses cost the parser stack frames, and operator chains build
+  // trees that analysis and evaluation walk recursively: unbounded,
+  // 100,000 of either overflow a thread's stack.
+  const int n = 100000;
+  std::vector<std::string> hostile = {
+      "/site[" + std::string(n, '(') + "1" + std::string(n, ')') + "]",
+      Repeat("/site[1", "+1", n) + "]",
+      Repeat("/site[1", " or 1", n) + "]",
+      Repeat("/site", "|/site", n),
+      "/site[" + std::string(n, '-') + "1]",
+  };
+  for (const std::string& text : hostile) {
+    auto result = ParseXPathExpr(text);
+    ASSERT_FALSE(result.ok()) << text.substr(0, 40);
+    EXPECT_NE(result.status().message().find("nests deeper than 256 levels"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+  const int ok = kMaxParseDepth - 8;
+  EXPECT_TRUE(ParseXPathExpr("/site[" + std::string(ok, '(') + "1" +
+                             std::string(ok, ')') + "]")
+                  .ok());
+  EXPECT_TRUE(ParseXPathExpr(Repeat("/site[1", "+1", ok) + "]").ok());
 }
 
 struct BadQuery {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/nesting.h"
+
 namespace xmlproj {
 namespace {
 
@@ -150,6 +155,37 @@ TEST(XQueryParser, LetWithWhereFoldsToIf) {
       "let $x := /a/b where count($x) > 2 return $x");
   ASSERT_EQ(XQueryKind::kLet, q->kind);
   EXPECT_EQ(XQueryKind::kIf, q->body->kind);
+}
+
+// `n` copies of `piece` after `head`.
+std::string Repeat(std::string head, const std::string& piece, int n) {
+  for (int i = 0; i < n; ++i) head += piece;
+  return head;
+}
+
+TEST(XQueryParser, NestingPastTheLimitIsAnError) {
+  // Each level costs the parser stack frames and deepens the tree later
+  // walked recursively: unbounded, 100,000 of them overflow a thread's
+  // stack.
+  const int n = 100000;
+  std::vector<std::string> hostile = {
+      "for $x in /site return " + std::string(n, '(') + "$x" +
+          std::string(n, ')'),
+      Repeat("", "<a>", n) + Repeat("", "</a>", n),
+      Repeat("", "let $x := 1 ", n) + "return $x",
+      Repeat("", "if (1) then ", n) + "1" + Repeat("", " else 2", n),
+  };
+  for (const std::string& text : hostile) {
+    auto result = ParseXQuery(text);
+    ASSERT_FALSE(result.ok()) << text.substr(0, 40);
+    EXPECT_NE(result.status().message().find("nests deeper than 256 levels"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+  const int ok = kMaxParseDepth - 8;
+  EXPECT_TRUE(ParseXQuery(Repeat("", "<a>", ok) + Repeat("", "</a>", ok))
+                  .ok());
+  EXPECT_TRUE(ParseXQuery(Repeat("", "let $x := 1 ", ok) + "return $x").ok());
 }
 
 struct BadQuery {
