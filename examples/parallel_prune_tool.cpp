@@ -4,7 +4,7 @@
 // Usage:
 //   parallel_prune_tool [--docs=N] [--scale=S] [--threads=T] [--validate]
 //                       [--per-query] [--sweep] [--input=PATH ...]
-//                       [--policy=failfast|isolate|retry] [--retries=N]
+//                       [--policy=failfast|isolate]
 //                       [--max-bytes=N] [--deadline-ms=N] [--degrade]
 //                       [--failpoints=SPEC] [--failures-out=PATH]
 //                       [--metrics-out=PATH] [--trace-out=PATH]
@@ -30,8 +30,7 @@
 //
 // Fault tolerance (README "Fault tolerance"): --policy selects the error
 // policy (failfast is the default; isolate quarantines failing documents
-// and prints a TaskFailure report; retry adds bounded retries for
-// transient faults, --retries attempts per task). --max-bytes and
+// and prints a TaskFailure report). --max-bytes and
 // --deadline-ms set the per-task resource budget, --degrade enables the
 // identity-pass fallback for off-grammar documents, and --failpoints arms
 // the deterministic fault injector (same spec syntax as the
@@ -65,7 +64,7 @@
 // the p99 of prior runs' peak memory unless --max-bytes was given
 // explicitly. Journal runs meter per-task memory even without a budget,
 // so history accumulates.
-// Under isolate/retry policies an open breaker fast-fails admission and
+// Under the isolate policy an open breaker fast-fails admission and
 // is reported truthfully (incl. HTTP 503) by /healthz.
 //
 // Checkpoint & resume (README "Checkpoint & resume"): --checkpoint=DIR
@@ -155,8 +154,7 @@ void PrintUsage() {
       "usage: parallel_prune_tool [--docs=N] [--scale=S] [--threads=T]\n"
       "                           [--validate] [--per-query] [--sweep]\n"
       "                           [--input=PATH ...]\n"
-      "                           [--policy=failfast|isolate|retry]\n"
-      "                           [--retries=N] [--max-bytes=N]\n"
+      "                           [--policy=failfast|isolate] [--max-bytes=N]\n"
       "                           [--deadline-ms=N] [--degrade]\n"
       "                           [--failpoints=SPEC] [--failures-out=PATH]\n"
       "                           [--metrics-out=PATH] [--trace-out=PATH]\n"
@@ -207,7 +205,6 @@ std::string FailureReportJson(const PipelineRun& run) {
   std::string json = "{\n";
   json += "  \"failed\": " + std::to_string(run.summary.failed) + ",\n";
   json += "  \"degraded\": " + std::to_string(run.summary.degraded) + ",\n";
-  json += "  \"retries\": " + std::to_string(run.summary.retries) + ",\n";
   json += "  \"failures\": [";
   for (size_t i = 0; i < run.failures.size(); ++i) {
     const TaskFailure& f = run.failures[i];
@@ -215,8 +212,7 @@ std::string FailureReportJson(const PipelineRun& run) {
     json += "    {\"task\": " + std::to_string(f.task) + ", \"stage\": ";
     AppendJsonString(f.stage, &json);
     json += ", \"code\": \"" + std::string(StatusCodeName(f.status.code())) +
-            "\", \"attempts\": " + std::to_string(f.attempts) +
-            ", \"peak_bytes\": " + std::to_string(f.peak_bytes) +
+            "\", \"peak_bytes\": " + std::to_string(f.peak_bytes) +
             ", \"message\": ";
     AppendJsonString(f.status.message(), &json);
     json += "}";
@@ -230,9 +226,8 @@ void PrintFailureReport(const PipelineRun& run) {
   if (run.failures.empty()) return;
   std::printf("\nquarantined tasks (%zu):\n", run.failures.size());
   for (const TaskFailure& f : run.failures) {
-    std::printf("  task %-4zu stage=%-9s attempts=%d%s%s  %s\n", f.task,
-                f.stage.c_str(), f.attempts,
-                f.peak_bytes != 0 ? " peak_bytes=" : "",
+    std::printf("  task %-4zu stage=%-9s%s%s  %s\n", f.task,
+                f.stage.c_str(), f.peak_bytes != 0 ? " peak_bytes=" : "",
                 f.peak_bytes != 0 ? std::to_string(f.peak_bytes).c_str() : "",
                 f.status.ToString().c_str());
   }
@@ -257,10 +252,9 @@ double RunOnce(const std::vector<std::string>& corpus, const Dtd& dtd,
 void PrintSummary(const PipelineSummary& s) {
   std::printf("\ncorpus pruning summary (Table 1 quantities):\n");
   std::printf("  tasks completed      %zu\n", s.tasks);
-  if (s.failed != 0 || s.degraded != 0 || s.retries != 0) {
+  if (s.failed != 0 || s.degraded != 0) {
     std::printf("  quarantined          %zu\n", s.failed);
     std::printf("  degraded (identity)  %zu\n", s.degraded);
-    std::printf("  retries              %zu\n", s.retries);
   }
   std::printf("  input bytes          %zu (%.2f MB)\n", s.input_bytes,
               s.input_bytes / (1024.0 * 1024.0));
@@ -324,7 +318,6 @@ int main(int argc, char** argv) {
   bool sweep = false;
   std::vector<std::string> input_paths;
   ErrorPolicy policy = ErrorPolicy::kFailFast;
-  long retries = 3;
   long max_bytes = 0;
   long deadline_ms = 0;
   bool degrade = false;
@@ -379,15 +372,8 @@ int main(int argc, char** argv) {
         policy = ErrorPolicy::kFailFast;
       } else if (std::strcmp(value, "isolate") == 0) {
         policy = ErrorPolicy::kIsolate;
-      } else if (std::strcmp(value, "retry") == 0) {
-        policy = ErrorPolicy::kRetry;
       } else {
-        return BadFlag("--policy", value,
-                       "expected failfast, isolate, or retry");
-      }
-    } else if (std::strncmp(arg, "--retries=", 10) == 0) {
-      if (!ParseLong(arg + 10, &retries) || retries < 1) {
-        return BadFlag("--retries", arg + 10, "expected an integer >= 1");
+        return BadFlag("--policy", value, "expected failfast or isolate");
       }
     } else if (std::strncmp(arg, "--max-bytes=", 12) == 0) {
       if (!ParseLong(arg + 12, &max_bytes) || max_bytes < 0) {
@@ -585,7 +571,6 @@ int main(int argc, char** argv) {
   PipelineOptions options;
   options.validate = validate;
   options.policy = policy;
-  options.retry.max_attempts = static_cast<int>(retries);
   options.budget.max_bytes = static_cast<size_t>(max_bytes);
   options.budget.deadline_ms = static_cast<uint64_t>(deadline_ms);
   options.degrade_on_invalid = degrade;
@@ -847,7 +832,6 @@ int main(int argc, char** argv) {
     record.tasks = run.summary.tasks;
     record.failed = run.summary.failed;
     record.degraded = run.summary.degraded;
-    record.retries = run.summary.retries;
     record.input_bytes = run.summary.input_bytes;
     record.output_bytes = run.summary.output_bytes;
     record.peak_memory_bytes = run.summary.max_task_peak_bytes;

@@ -10,8 +10,8 @@
 //     └──────────────────────────────────────────────── HALF-OPEN
 //                         any probe fails ───> back to OPEN
 //
-// While OPEN the pipeline fast-fails admission (kIsolate / kRetry modes
-// only — kFailFast already stops at the first failure): tasks are
+// While OPEN the pipeline fast-fails admission (kIsolate only —
+// kFailFast already stops at the first failure): tasks are
 // quarantined immediately with stage "circuit" instead of burning a
 // worker on a corpus that is currently failing. HALF-OPEN admits a
 // bounded number of probe tasks; their outcomes decide between re-close

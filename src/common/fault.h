@@ -4,8 +4,8 @@
 // A *failpoint* is a named checkpoint compiled into production code
 // (parser, pruner, pipeline). Disarmed — the universal
 // default — a checkpoint costs one null-pointer compare; armed, it can
-// return an injected Status (parse errors, allocation failures, transient
-// I/O faults, …) and/or sleep to simulate a slow task. Firing is driven
+// return an injected Status (parse errors, allocation failures, I/O
+// faults, …) and/or sleep to simulate a slow task. Firing is driven
 // by the repo's SplitMix64 RNG (common/rng.h), seeded per failpoint from
 // the injector seed and the failpoint name, so a chaos run replays
 // identically for a fixed seed and arm configuration.
@@ -18,7 +18,7 @@
 //                    element)
 //   pool.task      — projection/pipeline.cc, once per task a worker claims,
 //                    before it runs (every thread count)
-//   pipeline.task  — projection/pipeline.cc, at the start of each attempt
+//   pipeline.task  — projection/pipeline.cc, at the start of each pass
 //   pipeline.commit — projection/pipeline.cc, before the atomic output
 //                     commit of a checkpointed task
 //   checkpoint.append — projection/pipeline.cc, before the completed-task

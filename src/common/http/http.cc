@@ -468,6 +468,7 @@ const char* HttpStatusReason(int status) {
     case 501: return "Not Implemented";
     case 503: return "Service Unavailable";
     case 504: return "Gateway Timeout";
+    case 507: return "Insufficient Storage";
     default: return "Status";
   }
 }

@@ -35,8 +35,8 @@ enum class StatusCode {
   kResourceExhausted,
   // A per-task wall-clock deadline passed before the operation finished.
   kDeadlineExceeded,
-  // A transient failure (e.g. an I/O hiccup): retrying the same operation
-  // may succeed. The pipeline's kRetry policy retries exactly this code.
+  // A failure outside the operation's input (e.g. an I/O error, or an open
+  // circuit breaker): the same operation may succeed later.
   kUnavailable,
   kInternal,
   // Not an error: a SAX handler's verdict that the element whose

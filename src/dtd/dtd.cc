@@ -133,6 +133,10 @@ std::vector<std::string> Dtd::NameStrings() const {
 
 Status Dtd::Finalize() {
   const size_t n = productions_.size();
+  if (n > kMaxDtdNames) {
+    return InvalidError(StringPrintf("DTD has %zu grammar names, more than %zu",
+                                     n, kMaxDtdNames));
+  }
   string_names_ = NameSet(n);
   child_.assign(n, NameSet(n));
   parent_.assign(n, NameSet(n));
@@ -155,6 +159,9 @@ Status Dtd::Finalize() {
   for (NameId i = 0; i < static_cast<NameId>(n); ++i) {
     Production& p = productions_[static_cast<size_t>(i)];
     if (p.is_string) continue;
+    for (const AttributeDecl& decl : p.attributes) {
+      if (decl.required) p.required_attributes.push_back(decl.name);
+    }
     // ANY content ranges over all element names plus this element's own
     // String name (text is allowed anywhere under ANY).
     NameSet any_names = element_names;

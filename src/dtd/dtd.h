@@ -33,6 +33,10 @@ namespace xmlproj {
 // whatever the DTD text says. XMark's content models make 283.
 inline constexpr size_t kMaxDtdAutomatonEntries = size_t{1} << 21;
 
+// Most grammar names (element, text, document) one DTD may have: its four
+// axis relations are dense bitsets, n^2/2 bytes, 8 MB at 4,096 names.
+inline constexpr size_t kMaxDtdNames = size_t{1} << 12;
+
 // Declared attribute (from ATTLIST). Only the pieces relevant to
 // validation are kept.
 struct AttributeDecl {
@@ -51,6 +55,8 @@ struct Production {
   bool is_document = false;
   ContentModel content;               // element and document names
   std::vector<AttributeDecl> attributes;  // element names only
+  // Names of the #REQUIRED attributes, listed once by Dtd::Finalize.
+  std::vector<std::string> required_attributes;
 };
 
 class Dtd {

@@ -66,11 +66,12 @@ Result<Interpretation> Validate(const Document& doc, const Dtd& dtd) {
     const Node& n = doc.node(id);
     if (n.kind != NodeKind::kElement) continue;
     NameId name = (*interp)[id];
-    for (const AttributeDecl& decl : dtd.production(name).attributes) {
-      if (decl.required && doc.FindAttribute(id, decl.name) == nullptr) {
+    const Production& production = dtd.production(name);
+    for (const std::string& required : production.required_attributes) {
+      if (doc.FindAttribute(id, required) == nullptr) {
         return InvalidError("element '" + doc.tag_name(id) +
-                            "' is missing required attribute '" +
-                            decl.name + "'");
+                            "' is missing required attribute '" + required +
+                            "'");
       }
     }
     const ContentMatcher& matcher = dtd.MatcherOf(name);
@@ -84,8 +85,7 @@ Result<Interpretation> Validate(const Document& doc, const Dtd& dtd) {
           "children of element '%s' (node %u) do not match its content "
           "model %s",
           doc.tag_name(id).c_str(), id,
-          dtd.production(name).content.ToString(dtd.NameStrings())
-              .c_str()));
+          production.content.ToString(dtd.NameStrings()).c_str()));
     }
   }
   return interp;

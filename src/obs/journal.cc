@@ -26,7 +26,6 @@ constexpr std::pair<const char*, uint64_t RunRecord::*> kU64Fields[] = {
     {"tasks", &RunRecord::tasks},
     {"failed", &RunRecord::failed},
     {"degraded", &RunRecord::degraded},
-    {"retries", &RunRecord::retries},
     {"input_bytes", &RunRecord::input_bytes},
     {"output_bytes", &RunRecord::output_bytes},
     {"peak_memory_bytes", &RunRecord::peak_memory_bytes},

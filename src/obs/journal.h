@@ -48,7 +48,6 @@ struct RunRecord {
   uint64_t tasks = 0;
   uint64_t failed = 0;
   uint64_t degraded = 0;
-  uint64_t retries = 0;
   uint64_t input_bytes = 0;
   uint64_t output_bytes = 0;
 

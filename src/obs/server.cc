@@ -75,8 +75,6 @@ void AppendHealthz(const MetricsRegistry& registry, uint64_t uptime_ns,
   AppendU64(snap.CounterOr0("xmlproj_pipeline_errors_total"), out);
   out->append(",\"isolated\":");
   AppendU64(isolated, out);
-  out->append(",\"retries\":");
-  AppendU64(snap.CounterOr0("xmlproj_pipeline_retries_total"), out);
   out->append(",\"degraded\":");
   AppendU64(degraded, out);
   out->append(",\"deadline_exceeded\":");

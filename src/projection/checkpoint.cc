@@ -335,11 +335,6 @@ std::string RunCheckpoint::FormatRecord(const CheckpointTaskRecord& record) {
     AppendKeyString("stage", record.stage, &out);
     out.push_back(',');
     AppendKeyString("code", record.code, &out);
-    out.push_back(',');
-    AppendKeyU64("attempts",
-                 static_cast<uint64_t>(record.attempts < 1 ? 1
-                                                           : record.attempts),
-                 &out);
   }
   out.push_back('}');
   return out;
@@ -381,7 +376,6 @@ bool RunCheckpoint::ParseRecord(std::string_view line,
   std::string outcome;
   bool saw_task = false;
   uint64_t degraded = 0;
-  uint64_t attempts = 1;
   bool ok = r.ReadObject([&](const std::string& key) {
     if (key == "type") return r.ReadString(&type);
     if (key == "task") {
@@ -400,12 +394,10 @@ bool RunCheckpoint::ParseRecord(std::string_view line,
     if (key == "kept_text_bytes") return r.ReadU64(&record.kept_text_bytes);
     if (key == "stage") return r.ReadString(&record.stage);
     if (key == "code") return r.ReadString(&record.code);
-    if (key == "attempts") return r.ReadU64(&attempts);
     return r.SkipScalar();
   });
   if (!ok || !r.AtEnd() || type != "task" || !saw_task) return false;
   record.degraded = degraded != 0;
-  record.attempts = static_cast<int>(attempts);
   if (outcome == "completed") {
     record.completed = true;
     if (record.output_path.empty()) return false;
@@ -475,7 +467,7 @@ ResumePlan PlanResume(const std::string& dir,
 
   // Last record per task wins: a watchdog quarantine written while the
   // task was still wedged is superseded if the task later completed, and
-  // a retried task's final outcome supersedes its earlier failures.
+  // a re-admitted task's new outcome supersedes its earlier one.
   std::unordered_map<uint64_t, const CheckpointTaskRecord*> last;
   for (const CheckpointTaskRecord& record : records) {
     if (record.task >= binding.tasks) {
@@ -501,7 +493,6 @@ ResumePlan PlanResume(const std::string& dir,
                                   header.run_id + " (stage " + record->stage +
                                   "), not re-admitted; use "
                                   "--resume-retry-quarantined to re-run");
-      failure.attempts = record->attempts;
       plan.prior_failures.push_back(std::move(failure));
       continue;
     }

@@ -19,7 +19,7 @@
 //   completed    output path + byte count + FNV-1a content hash (+ the
 //                task's PruneStats, so resumed summaries fold exactly),
 //                with a `degraded` flag for identity-pass fallbacks
-//   quarantined  stage + status code + attempts, mirroring TaskFailure
+//   quarantined  stage + status code, mirroring TaskFailure
 //
 // Appends are journal-style: one line, fflush + fsync, written under a
 // mutex (pipeline workers and the watchdog thread both append). A crash can
@@ -101,7 +101,6 @@ struct CheckpointTaskRecord {
   // Quarantined tasks.
   std::string stage;  // TaskFailure::stage ("parse", "watchdog", ...)
   std::string code;   // StatusCodeName of the terminal status
-  int attempts = 1;
 };
 
 // Header line: the binding plus run identity.

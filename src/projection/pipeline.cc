@@ -49,7 +49,6 @@ struct PipelineMetrics {
   Counter* kept_text_bytes_total = nullptr;
   Counter* skipped_bytes_total = nullptr;
   // Fault-tolerance counters (README "Fault tolerance").
-  Counter* retries_total = nullptr;
   Counter* isolated_total = nullptr;
   Counter* degraded_total = nullptr;
   Counter* deadline_exceeded_total = nullptr;
@@ -98,7 +97,6 @@ struct PipelineMetrics {
         registry->GetCounter("xmlproj_pipeline_kept_text_bytes_total");
     m.skipped_bytes_total =
         registry->GetCounter("xmlproj_pipeline_skipped_bytes_total");
-    m.retries_total = registry->GetCounter("xmlproj_pipeline_retries_total");
     m.isolated_total =
         registry->GetCounter("xmlproj_pipeline_isolated_total");
     m.degraded_total =
@@ -173,18 +171,16 @@ struct PipelineMetrics {
 //    on each Poll (only when a deadline is configured), converting a
 //    stalled pass into kDeadlineExceeded at event granularity, or every
 //    kSkipPollBytes inside a skipped element;
-//  - byte cap: after each event, the sink's produced bytes plus the
-//    guard's own open-element charge are compared with the cap; crossing
-//    it aborts with kResourceExhausted within one event of the cap (the
-//    overshoot is bounded by a single event's output). A skip produces
-//    no output, so the cap is checked again at the next event.
-//
-// The pruner's skip verdict passes through StartElement unchanged, before
-// the element is charged; no EndElement follows it, so the charge stays
-// balanced.
+//  - byte cap: after each event (a skip verdict included) and on each
+//    Poll, the sink's produced bytes plus the parser's open-element
+//    charge (SaxLocator::open_bytes) are compared with the cap; crossing
+//    it aborts with kResourceExhausted. At an event the overshoot is
+//    bounded by that event's output; inside a skip, which has none, the
+//    parser polls at each kSkipPollBytes line the charge crosses, so the
+//    charge passes the cap by less than kSkipPollBytes.
 //
 // The guard only enforces. The task's memory peak is read after the pass
-// from the sink and the parser (RunAttempt), budget or not.
+// from the sink and the parser (RunPass), budget or not.
 class BudgetGuard : public SaxHandler {
  public:
   // `cancel` (nullable) is the watchdog's kill switch: once it flips, the
@@ -204,6 +200,7 @@ class BudgetGuard : public SaxHandler {
   }
 
   void SetLocator(const SaxLocator* locator) override {
+    locator_ = locator;
     downstream_->SetLocator(locator);
   }
 
@@ -220,14 +217,16 @@ class BudgetGuard : public SaxHandler {
   Status StartElement(std::string_view tag,
                       const std::vector<SaxAttribute>& attributes) override {
     XMLPROJ_RETURN_IF_ERROR(CheckDeadline());
-    XMLPROJ_RETURN_IF_ERROR(downstream_->StartElement(tag, attributes));
-    open_bytes_ += tag.size() + kOpenElementBytes;
-    return CheckBytes();
+    Status verdict = downstream_->StartElement(tag, attributes);
+    if (!verdict.ok() && verdict.code() != StatusCode::kSkipSubtree) {
+      return verdict;
+    }
+    XMLPROJ_RETURN_IF_ERROR(CheckBytes());
+    return verdict;
   }
   Status EndElement(std::string_view tag) override {
     XMLPROJ_RETURN_IF_ERROR(CheckDeadline());
     XMLPROJ_RETURN_IF_ERROR(downstream_->EndElement(tag));
-    open_bytes_ -= tag.size() + kOpenElementBytes;
     return CheckBytes();
   }
   Status Characters(std::string_view text) override {
@@ -241,7 +240,10 @@ class BudgetGuard : public SaxHandler {
     XMLPROJ_RETURN_IF_ERROR(downstream_->Doctype(name, internal_subset));
     return CheckBytes();
   }
-  Status Poll() override { return CheckDeadline(); }
+  Status Poll() override {
+    XMLPROJ_RETURN_IF_ERROR(CheckDeadline());
+    return CheckBytes();
+  }
 
  private:
   Status CheckDeadline() {
@@ -262,7 +264,7 @@ class BudgetGuard : public SaxHandler {
     if (max_bytes_ == 0) return Status::Ok();
     // produced_bytes() includes the sink's deferred splice span, so a
     // long kept run cannot hide output growth from the cap until flush.
-    const size_t metered = sink_->produced_bytes() + open_bytes_;
+    const size_t metered = sink_->produced_bytes() + locator_->open_bytes();
     if (metered > max_bytes_) {
       return ResourceExhaustedError(StringPrintf(
           "task memory budget exhausted: %zu bytes metered, cap %zu",
@@ -273,11 +275,12 @@ class BudgetGuard : public SaxHandler {
 
   SaxHandler* downstream_;
   const SplicingSerializingHandler* sink_;
+  // The parser's, installed before the first event.
+  const SaxLocator* locator_ = nullptr;
   const std::atomic<bool>* cancel_;
   const size_t max_bytes_;
   const uint64_t deadline_ms_;
   uint64_t deadline_ns_ = 0;
-  size_t open_bytes_ = 0;
 };
 
 // Stat-counting passthrough for the degraded identity pass: every node is
@@ -400,7 +403,6 @@ class TaskWatchdog {
           record.completed = false;
           record.stage = "watchdog";
           record.code = StatusCodeName(StatusCode::kDeadlineExceeded);
-          record.attempts = 1;
           // Best effort: the task itself still reports its outcome.
           (void)checkpoint_->AppendTask(record);
         }
@@ -428,7 +430,6 @@ struct TaskEnv {
   const Dtd* dtd = nullptr;
   bool validate = false;
   ErrorPolicy policy = ErrorPolicy::kFailFast;
-  RetryOptions retry;
   TaskBudget budget;
   bool degrade = false;
   FaultInjector* fault = nullptr;
@@ -456,7 +457,6 @@ enum class TaskExit : uint8_t {
 struct TaskOutcome {
   TaskExit exit = TaskExit::kFinished;
   Status status;
-  int attempts = 1;
   size_t peak_bytes = 0;
   // Quarantine stage when the status code alone would misattribute the
   // failure: "circuit" (denied at admission by an open breaker; never
@@ -473,18 +473,18 @@ const char* FailureStage(const TaskOutcome& outcome, bool validate) {
              : StageForStatus(outcome.status.code(), validate);
 }
 
-// One attempt of the fused per-document pass: SAX events from the parser
-// flow through the budget guard (only when a budget is active) and the
-// pruner straight into the serializer — no DOM, O(depth) state, exactly
-// the paper's one-pass deployment. `identity` replaces the pruner with a
-// counting passthrough (the degraded no-prune fallback). The chain is the
-// same whether or not telemetry is attached: ExecuteTask times the task
-// from outside. `*peak_bytes` receives the pass's memory peak, failed or
-// not: the sink's produced bytes plus the parser's open-element
-// high-water mark.
-Status RunAttempt(const TaskEnv& env, const PipelineTask& task, bool identity,
-                  const std::atomic<bool>* cancel, PipelineResult* out,
-                  size_t* peak_bytes) {
+// One fused per-document pass: SAX events from the parser flow through
+// the budget guard (only when a budget is active) and the pruner straight
+// into the serializer — no DOM, O(depth) state, exactly the paper's
+// one-pass deployment. `identity` replaces the pruner with a counting
+// passthrough (the degraded no-prune fallback). The chain is the same
+// whether or not telemetry is attached: ExecuteTask times the task from
+// outside. `*peak_bytes` receives the pass's memory peak, failed or not:
+// the sink's produced bytes plus the parser's open-element high-water
+// mark.
+Status RunPass(const TaskEnv& env, const PipelineTask& task, bool identity,
+               const std::atomic<bool>* cancel, PipelineResult* out,
+               size_t* peak_bytes) {
   *peak_bytes = 0;
   XMLPROJ_RETURN_IF_ERROR(XMLPROJ_FAULT_HIT(env.fault, "pipeline.task"));
 
@@ -535,11 +535,11 @@ Status RunAttempt(const TaskEnv& env, const PipelineTask& task, bool identity,
   return status;
 }
 
-// Runs one task to its final outcome: the retry loop (kRetry only), the
-// degraded identity fallback, and the per-task metric publication. On a
-// non-OK outcome `out` is left cleared. `ready_ns` (0: not measured) is
-// when the task became ready to run; its queue wait ends at the start of
-// the task's clock.
+// Runs one task to its final outcome: its pass, the degraded identity
+// fallback, and the per-task metric publication. On a non-OK outcome
+// `out` is left cleared. `ready_ns` (0: not measured) is when the task
+// became ready to run; its queue wait ends at the start of the task's
+// clock.
 TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
                         size_t index, uint64_t ready_ns,
                         PipelineResult* out) {
@@ -557,37 +557,17 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     return outcome;
   }
   GaugeAdd(env.metrics.progress_inflight, 1);
-  // Watchdog coverage spans the whole outcome (all attempts plus the
-  // degrade fallback): the grace limit bounds the *task*, not one pass.
+  // Watchdog coverage spans the whole outcome (the pass plus the degrade
+  // fallback): the grace limit bounds the *task*, not one pass.
   std::atomic<bool> watchdog_cancel{false};
   if (env.watchdog != nullptr) env.watchdog->Watch(index, &watchdog_cancel);
   const std::atomic<bool>* cancel =
       env.watchdog != nullptr ? &watchdog_cancel : nullptr;
-  // One clock pair per task, around every attempt and the degraded
-  // fallback; the durable commit below is not part of the fused pass.
+  // One clock pair per task, around the pass and the degraded fallback;
+  // the durable commit below is not part of the fused pass.
   const uint64_t start_ns = env.instrumented ? MonotonicNowNs() : 0;
-  const int max_attempts = env.policy == ErrorPolicy::kRetry
-                               ? std::max(1, env.retry.max_attempts)
-                               : 1;
-  uint64_t backoff_ms = kRetryBackoffMs;
-  // The task's peak is the largest over all of its passes: every retry
-  // and the degraded fallback.
-  size_t pass_peak = 0;
-  for (int attempt = 1;; ++attempt) {
-    outcome.status =
-        RunAttempt(env, task, /*identity=*/false, cancel, out, &pass_peak);
-    outcome.peak_bytes = std::max(outcome.peak_bytes, pass_peak);
-    outcome.attempts = attempt;
-    // Only kUnavailable is transient: a parse error or budget blowout
-    // will fail identically on every attempt.
-    if (outcome.status.ok() || attempt >= max_attempts ||
-        outcome.status.code() != StatusCode::kUnavailable) {
-      break;
-    }
-    CounterAdd(env.metrics.retries_total);
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-    backoff_ms *= 2;
-  }
+  outcome.status = RunPass(env, task, /*identity=*/false, cancel, out,
+                           &outcome.peak_bytes);
 
   if (!outcome.status.ok() && env.degrade &&
       (outcome.status.code() == StatusCode::kInvalid ||
@@ -596,9 +576,10 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     // inapplicable — but the document itself may be fine. Identity pass:
     // the query still answers, just without the memory savings.
     PipelineResult fallback;
-    Status fallback_status = RunAttempt(env, task, /*identity=*/true, cancel,
-                                        &fallback, &pass_peak);
-    outcome.peak_bytes = std::max(outcome.peak_bytes, pass_peak);
+    size_t fallback_peak = 0;
+    Status fallback_status = RunPass(env, task, /*identity=*/true, cancel,
+                                     &fallback, &fallback_peak);
+    outcome.peak_bytes = std::max(outcome.peak_bytes, fallback_peak);
     if (fallback_status.ok()) {
       *out = std::move(fallback);
       out->degraded = true;
@@ -731,7 +712,6 @@ TaskOutcome ExecuteTask(const TaskEnv& env, const PipelineTask& task,
     record.completed = false;
     record.stage = failure_stage;
     record.code = StatusCodeName(outcome.status.code());
-    record.attempts = outcome.attempts;
     if (env.checkpoint->AppendTask(record).ok()) {
       CounterAdd(env.metrics.checkpoint_appends);
     }
@@ -872,7 +852,6 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
   env.dtd = &dtd;
   env.validate = options.validate;
   env.policy = options.policy;
-  env.retry = options.retry;
   env.budget = options.budget;
   env.degrade = options.degrade_on_invalid;
   env.fault = options.fault;
@@ -1018,7 +997,6 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
       ++run.summary.drained;
       continue;
     }
-    run.summary.retries += static_cast<size_t>(outcome.attempts - 1);
     if (outcome.status.ok()) {
       run.summary.AddTask(tasks[i].xml_text->size(), run.results[i]);
       if (run.results[i].degraded) ++run.summary.degraded;
@@ -1028,13 +1006,12 @@ Result<PipelineRun> RunPruningPipeline(std::span<const PipelineTask> tasks,
                           : first_error;
       if (first.ok()) first = AnnotateTaskError(i, outcome.status);
     } else {
-      // kIsolate / kRetry: quarantine into a structured report; the run
-      // itself succeeds with the surviving results.
+      // kIsolate: quarantine into a structured report; the run itself
+      // succeeds with the surviving results.
       TaskFailure failure;
       failure.task = i;
       failure.stage = FailureStage(outcome, options.validate);
       failure.status = outcome.status;
-      failure.attempts = outcome.attempts;
       failure.peak_bytes = outcome.peak_bytes;
       run.failures.push_back(std::move(failure));
     }

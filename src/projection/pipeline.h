@@ -31,10 +31,8 @@
 //     PipelineRun::failures, and the rest of the corpus proceeds
 //     untouched (surviving outputs are byte-identical to a fault-free
 //     sequential run over the survivors; see tests/chaos_test.cc).
-//   kRetry — transient failures (kUnavailable: I/O hiccups, injected
-//     worker faults) are retried with bounded deterministic backoff;
-//     tasks that still fail — or fail non-transiently — are quarantined
-//     as under kIsolate, with the attempt count in the report.
+// A task runs one pass: the same bytes and projector give the same
+// verdict, so a failed task is not run again.
 //
 // Memory peak: every task reports one number, the bytes its fused pass
 // materializes — the serialized output plus the open-element charge
@@ -42,8 +40,8 @@
 // does not include the input document, nor the service's request body
 // and response copy. Output only grows, so a pass's peak is read after
 // the pass: the sink's produced bytes plus the parser's open-element
-// high-water mark. A task's peak is the largest over all of its passes
-// (retries and the degraded fallback), budgeted or not, failed or not.
+// high-water mark. A task's peak is the larger of its pass and the
+// degraded fallback, budgeted or not, failed or not.
 //
 // Resource budgets (PipelineOptions::budget) bound each task: a byte cap
 // on that same quantity and a wall-clock deadline, both checked at
@@ -98,20 +96,11 @@ class RunCheckpoint;   // projection/checkpoint.h
 struct ResumePlan;     // projection/checkpoint.h
 struct RunRecord;      // obs/journal.h
 
-// How the pipeline reacts to a failing task (see file comment).
+// How the pipeline reacts to a failing task (see file comment). Checkpoint
+// bindings hash the values, so they stay fixed.
 enum class ErrorPolicy {
-  kFailFast,  // first error cancels the run (the PR 1 behavior)
-  kIsolate,   // quarantine the failing document, continue the corpus
-  kRetry,     // bounded retries for transient faults, then isolate
-};
-
-// Bounded deterministic backoff for ErrorPolicy::kRetry: the sleep before
-// the second attempt, doubling before each later one (1, 2, 4, ... ms).
-// No jitter, so a chaos run replays identically.
-inline constexpr uint64_t kRetryBackoffMs = 1;
-
-struct RetryOptions {
-  int max_attempts = 3;  // total attempts per task (>= 1)
+  kFailFast = 0,  // first error cancels the run
+  kIsolate = 1,   // quarantine the failing document, continue the corpus
 };
 
 // Per-task resource budget. Zero fields are unlimited; with both zero the
@@ -119,19 +108,20 @@ struct RetryOptions {
 // no clock reads).
 struct TaskBudget {
   // Cap on the task's memory peak (see file comment: serialized output
-  // plus the open-element charge), checked after every SAX event.
-  // Exceeding it aborts the task with kResourceExhausted within one SAX
-  // event of the cap.
+  // plus the open-element charge), checked after every SAX event and on
+  // every poll inside a skipped subtree. Exceeding it aborts the task
+  // with kResourceExhausted within one SAX event of the cap, or inside a
+  // skip less than kSkipPollBytes past it (xml/parser.h).
   size_t max_bytes = 0;
-  // Per-task (per-attempt) wall-clock deadline, checked before every SAX
-  // event; a stalled pass aborts with kDeadlineExceeded. A deadline too
-  // large to represent in nanoseconds means no deadline.
+  // Per-pass wall-clock deadline, checked before every SAX event; a
+  // stalled pass aborts with kDeadlineExceeded. A deadline too large to
+  // represent in nanoseconds means no deadline.
   uint64_t deadline_ms = 0;
 
   bool active() const { return max_bytes != 0 || deadline_ms != 0; }
 };
 
-// Structured report for one quarantined task (kIsolate / kRetry).
+// Structured report for one quarantined task (kIsolate).
 struct TaskFailure {
   size_t task = 0;    // index into the submitted tasks
   // Stage attribution (PolicyForStage lists them): StageForStatus, or
@@ -139,7 +129,6 @@ struct TaskFailure {
   // circuit breaker (PipelineOptions::breaker) and never executed.
   std::string stage;
   Status status;
-  int attempts = 1;      // attempts consumed (> 1 only under kRetry)
   // The task's memory peak over all its passes (see file comment): output
   // plus open-element charge, up to the failure. 0 when no pass ran.
   size_t peak_bytes = 0;
@@ -166,7 +155,6 @@ struct PipelineOptions {
   TraceCollector* trace = nullptr;
   // Fault tolerance (see file comment and README "Fault tolerance").
   ErrorPolicy policy = ErrorPolicy::kFailFast;
-  RetryOptions retry;
   TaskBudget budget;
   // Fall back to an identity (no-prune) pass when pruning fails because
   // the document does not fit the DTD (kInvalid / kNotFound), so the
@@ -187,7 +175,7 @@ struct PipelineOptions {
   // *task* — nothing on the per-event hot path.
   std::string corpus_label;
   // Optional circuit breaker (common/circuit.h), consulted at task
-  // admission under kIsolate / kRetry: while the breaker is open, tasks
+  // admission under kIsolate: while the breaker is open, tasks
   // are quarantined immediately with stage "circuit" instead of running
   // against a corpus that is currently failing; every executed task
   // reports its outcome (RecordBreakerOutcome). Ignored under kFailFast
@@ -269,9 +257,8 @@ struct PipelineSummary {
   // Fault-tolerance accounting. `tasks` and the byte/node totals above
   // cover *completed* tasks only (including degraded ones); quarantined
   // failures are counted here and detailed in PipelineRun::failures.
-  size_t failed = 0;    // tasks quarantined under kIsolate / kRetry
+  size_t failed = 0;    // tasks quarantined under kIsolate
   size_t degraded = 0;  // tasks that fell back to the identity pass
-  size_t retries = 0;   // extra attempts under kRetry, every executed task
   // Checkpoint/resume and drain accounting. Skipped tasks *are* counted
   // in `tasks` and the byte/node totals (their recorded stats fold in),
   // so a resumed run's summary matches an uninterrupted one; drained
@@ -300,9 +287,9 @@ struct PipelineSummary {
 
 // A pipeline run: per-task results (aligned with the submitted tasks
 // regardless of scheduling) plus the corpus-level summary, so callers no
-// longer fold per-task stats themselves. Under kIsolate / kRetry a
-// returned-OK run can still carry quarantined failures: results[f.task]
-// is empty for each f in `failures` (sorted by task index).
+// longer fold per-task stats themselves. Under kIsolate a returned-OK
+// run can still carry quarantined failures: results[f.task] is empty for
+// each f in `failures` (sorted by task index).
 struct PipelineRun {
   std::vector<PipelineResult> results;
   PipelineSummary summary;

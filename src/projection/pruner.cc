@@ -163,18 +163,18 @@ Status ValidatingPruner::StartElement(
           std::string(tag) + "')");
     }
   }
-  for (const AttributeDecl& decl : dtd_.production(name).attributes) {
-    if (!decl.required) continue;
+  for (const std::string& required :
+       dtd_.production(name).required_attributes) {
     bool present = false;
     for (const SaxAttribute& a : attributes) {
-      if (a.name == decl.name) {
+      if (a.name == required) {
         present = true;
         break;
       }
     }
     if (!present) {
       return InvalidError("element '" + std::string(tag) +
-                          "' is missing required attribute '" + decl.name +
+                          "' is missing required attribute '" + required +
                           "'");
     }
   }

@@ -32,6 +32,7 @@ Status StatusFromHttp(int status, const std::string& body) {
     case 422:
       return InvalidError(std::move(message));
     case 413:
+    case 507:
       return ResourceExhaustedError(std::move(message));
     case 503:
       return UnavailableError(std::move(message));

@@ -9,7 +9,7 @@
 // with a wall-clock timeout and a response-size cap — a wedged or
 // misbehaving daemon surfaces as a clean error, never a hang or an OOM.
 // Non-2xx responses map back onto Status codes (503 → kUnavailable with
-// the Retry-After hint in the message, 404 → kNotFound, 413 →
+// the Retry-After hint in the message, 404 → kNotFound, 413 and 507 →
 // kResourceExhausted, ...), so callers branch on code, not HTTP.
 
 #ifndef XMLPROJ_SERVICE_CLIENT_H_

@@ -230,7 +230,16 @@ bool ProjectionService::RegisterDtd(const std::string& name,
   entry->hash = hash;
   entry->dtd = std::move(*parsed);
   std::lock_guard<std::mutex> lock(mu_);
+  if (dtds_.count(name) == 0 &&
+      dtd_text_bytes_ + dtd_text.size() > kServiceMaxDtdTextBytes) {
+    if (error != nullptr) {
+      *error = StringPrintf("DTD registry full: %zu of %zu bytes of text held",
+                            dtd_text_bytes_, kServiceMaxDtdTextBytes);
+    }
+    return false;
+  }
   auto [it, inserted] = dtds_.emplace(name, std::move(entry));
+  if (inserted) dtd_text_bytes_ += dtd_text.size();
   if (!inserted && it->second->hash != hash) {
     // Lost a race to a different registration of the same name.
     if (error != nullptr) {
@@ -271,9 +280,9 @@ HttpResponse ProjectionService::HandleRegisterDtd(const HttpRequest& request) {
   }
   std::string error;
   if (!RegisterDtd(name, request.body, root, &error)) {
-    int status = error.find("already registered") != std::string::npos
-                     ? 409
-                     : 400;
+    int status = 400;
+    if (error.find("already registered") != std::string::npos) status = 409;
+    if (error.starts_with("DTD registry full")) status = 507;
     return ErrorJson(status, error);
   }
   std::shared_ptr<const DtdEntry> entry = FindDtd(name);
@@ -337,6 +346,13 @@ HttpResponse ProjectionService::HandleRegisterWorkload(
     if (it != workloads_.end()) {
       entry = it->second;  // idempotent re-registration keeps the stats
     } else {
+      if (workload_spec_bytes_ + request.body.size() >
+          kServiceMaxWorkloadSpecBytes) {
+        return ErrorJson(507, StringPrintf(
+            "workload registry full: %zu of %zu bytes of text held",
+            workload_spec_bytes_, kServiceMaxWorkloadSpecBytes));
+      }
+      workload_spec_bytes_ += request.body.size();
       entry = std::make_shared<WorkloadEntry>();
       entry->id = id;
       entry->dtd = dtd;

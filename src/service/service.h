@@ -93,6 +93,11 @@ Result<NameSet> CompileWorkloadProjector(
 
 // Cap on a POST /workloads or /dtds body (413 beyond it).
 inline constexpr size_t kServiceMaxSpecBytes = 1u << 20;
+// Caps on the text the registries keep for the daemon's lifetime (XMark's
+// DTD counts); past one a new registration gets 507. DESIGN.md
+// "Projection as a service" gives the resident memory at the caps.
+inline constexpr size_t kServiceMaxDtdTextBytes = 4u << 20;
+inline constexpr size_t kServiceMaxWorkloadSpecBytes = 4u << 20;
 // Per-connection read deadline (header + body), milliseconds: the HTTP
 // server's 2 s default is raised for large documents.
 inline constexpr int kServiceConnectionDeadlineMs = 10000;
@@ -160,7 +165,8 @@ class ProjectionService {
   // Programmatic DTD registration (what the daemon uses for the builtin
   // "xmark" DTD); POST /dtds is the remote equivalent. Re-registering a
   // name with identical text is idempotent; with different text it
-  // fails. May be called before or after Start.
+  // fails, and so does a new name past kServiceMaxDtdTextBytes. May be
+  // called before or after Start.
   bool RegisterDtd(const std::string& name, std::string_view dtd_text,
                    const std::string& root_tag, std::string* error);
 
@@ -218,9 +224,11 @@ class ProjectionService {
   bool mounted_ = false;
   std::unique_ptr<ProjectorCache> cache_;
 
-  mutable std::mutex mu_;  // guards dtds_ and workloads_ maps
+  mutable std::mutex mu_;  // guards the registries and their byte counts
   std::map<std::string, std::shared_ptr<const DtdEntry>> dtds_;
   std::map<std::string, std::shared_ptr<WorkloadEntry>> workloads_;
+  size_t dtd_text_bytes_ = 0;       // against kServiceMaxDtdTextBytes
+  size_t workload_spec_bytes_ = 0;  // against kServiceMaxWorkloadSpecBytes
 
   std::mutex journal_mu_;
   std::unique_ptr<RunJournal> journal_;

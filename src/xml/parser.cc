@@ -137,17 +137,28 @@ class Parser {
   size_t open_bytes_peak() const { return open_bytes_peak_; }
 
  private:
-  // Byte spans and skip counts handed to the handler through
-  // SaxHandler::SetLocator.
+  // One open element: its tag and the open-element charge while it is
+  // open (tag bytes + kOpenElementBytes for it and each ancestor).
+  struct OpenTag {
+    std::string_view tag;
+    size_t open_bytes;
+  };
+  // Byte spans, skip counts and the open-element charge handed to the
+  // handler through SaxHandler::SetLocator.
   struct Locator : SaxLocator {
+    explicit Locator(const std::vector<OpenTag>* tags) : open_tags(tags) {}
     size_t begin = 0;
     size_t end = 0;
     size_t elements_skipped = 0;
     size_t bytes_skipped = 0;
+    const std::vector<OpenTag>* open_tags;
     size_t event_begin() const override { return begin; }
     size_t event_end() const override { return end; }
     size_t skipped_elements() const override { return elements_skipped; }
     size_t skipped_bytes() const override { return bytes_skipped; }
+    size_t open_bytes() const override {
+      return open_tags->empty() ? 0 : open_tags->back().open_bytes;
+    }
   };
 
   // Publishes the current event's [begin,end) span (input_-relative).
@@ -194,6 +205,9 @@ class Parser {
   // '>' outside quoted values. Pushes it on open_tags_ unless it is
   // self-closing.
   Status SkipStartTag();
+  // Polls with a self-closing element open; out of line because pushing
+  // every one in the skip loop cost QM06 7-8% (in-process A/B).
+  [[gnu::noinline]] Status PollSelfClosing(const OpenTag& element);
   Status ParseName(std::string_view* name);
   Status ParseAttributes();
   Status SkipComment();
@@ -219,7 +233,7 @@ class Parser {
   std::string_view input_;
   SaxHandler* handler_;
   XmlParseOptions options_;
-  Locator locator_;
+  Locator locator_{&open_tags_};
   size_t pos_ = 0;
   // Pending character data: at most one of these is non-empty. The common
   // case (one uninterrupted run, no references, no CDATA) never copies.
@@ -227,12 +241,8 @@ class Parser {
   std::string pending_text_;
   bool pending_text_nonempty_ = false;
   size_t pending_text_begin_ = 0;  // offset of the first pending byte
-  // One open element: its tag and the open-element charge while it is
-  // open (tag bytes + kOpenElementBytes for it and each ancestor).
-  struct OpenTag {
-    std::string_view tag;
-    size_t open_bytes;
-  };
+  // The elements open now; an element is pushed before its StartElement,
+  // so the locator's charge includes it there.
   std::vector<OpenTag> open_tags_;
   // High-water mark of the open-element charge: the pass's O(depth)
   // working state, read by the pipeline's per-task memory peak.
@@ -455,20 +465,17 @@ Status Parser::ParseStartTag() {
   // report it.
   SetSpan(tag_begin, pos_);
   const size_t open_bytes =
-      (open_tags_.empty() ? 0 : open_tags_.back().open_bytes) + tag.size() +
-      kOpenElementBytes;
+      locator_.open_bytes() + tag.size() + kOpenElementBytes;
   if (open_bytes > open_bytes_peak_) open_bytes_peak_ = open_bytes;
+  open_tags_.push_back(OpenTag{tag, open_bytes});
   Status verdict = handler_->StartElement(tag, attributes_);
+  if (self_closing) open_tags_.pop_back();
   if (!verdict.ok()) {
     if (verdict.code() != StatusCode::kSkipSubtree) return verdict;
     // Skipped: no EndElement, and no event for anything inside.
-    if (self_closing) return Status::Ok();
-    open_tags_.push_back(OpenTag{tag, open_bytes});
-    return SkipContent();
+    return self_closing ? Status::Ok() : SkipContent();
   }
-  if (self_closing) return handler_->EndElement(tag);
-  open_tags_.push_back(OpenTag{tag, open_bytes});
-  return Status::Ok();
+  return self_closing ? handler_->EndElement(tag) : Status::Ok();
 }
 
 Status Parser::SkipStartTag() {
@@ -493,13 +500,26 @@ Status Parser::SkipStartTag() {
   ++locator_.elements_skipped;
   // Charged like a parsed element, so the pass's high-water mark does
   // not depend on what was skipped.
-  const size_t open_bytes =
-      open_tags_.back().open_bytes + tag.size() + kOpenElementBytes;
+  const size_t parent_bytes = open_tags_.back().open_bytes;
+  const size_t open_bytes = parent_bytes + tag.size() + kOpenElementBytes;
   if (open_bytes > open_bytes_peak_) open_bytes_peak_ = open_bytes;
   if (!self_closing) open_tags_.push_back(OpenTag{tag, open_bytes});
-  // An armed failpoint can sleep: let the handler look at its clock.
-  if (options_.fault != nullptr) return handler_->Poll();
-  return Status::Ok();
+  // Nesting grows the charge far faster than the input, so a byte cap
+  // polls each time the charge crosses a kSkipPollBytes line; an armed
+  // failpoint can sleep, so a clock polls after every start tag.
+  if (open_bytes / kSkipPollBytes == parent_bytes / kSkipPollBytes &&
+      options_.fault == nullptr) {
+    return Status::Ok();
+  }
+  if (!self_closing) return handler_->Poll();
+  return PollSelfClosing(OpenTag{tag, open_bytes});
+}
+
+Status Parser::PollSelfClosing(const OpenTag& element) {
+  open_tags_.push_back(element);
+  Status status = handler_->Poll();
+  open_tags_.pop_back();
+  return status;
 }
 
 Status Parser::SkipMarkup() {

@@ -23,8 +23,9 @@
 // as a parsed one; the locator counts the skipped elements and bytes.
 // The handler's Poll() runs at least once per kSkipPollBytes of skipped
 // input (a single comment, CDATA section, PI or start tag is never split
-// between polls), and after every skipped start tag while a fault
-// injector is attached. ParseXmlStream never returns kSkipSubtree.
+// between polls), at every skipped start tag whose charge crosses a
+// multiple of kSkipPollBytes, and after every skipped start tag while a
+// fault injector is attached. ParseXmlStream never returns kSkipSubtree.
 
 #ifndef XMLPROJ_XML_PARSER_H_
 #define XMLPROJ_XML_PARSER_H_
@@ -56,7 +57,7 @@ struct XmlParseOptions {
 // elements currently open of (tag bytes + kOpenElementBytes).
 inline constexpr size_t kOpenElementBytes = 64;
 
-// Skipped input between two SaxHandler::Poll calls inside a skip.
+// The poll step inside a skip, in skipped input and in charge growth.
 inline constexpr size_t kSkipPollBytes = size_t{1} << 20;
 
 // Streams SAX events for `input` into `handler`. Stops at the first error.

@@ -57,6 +57,10 @@ class SaxLocator {
   // element's content plus its end tag.
   virtual size_t skipped_elements() const = 0;
   virtual size_t skipped_bytes() const = 0;
+
+  // The open-element charge (xml/parser.h) now: it includes the element
+  // whose StartElement this is and, in a Poll, the skipped ones open.
+  virtual size_t open_bytes() const = 0;
 };
 
 class SaxHandler {
@@ -84,12 +88,13 @@ class SaxHandler {
     return Status::Ok();
   }
   // Called while the parser crosses a skipped element, which delivers no
-  // events: at least once per MiB of skipped input, and after every
-  // skipped start tag while a fault injector is attached (an armed
-  // failpoint can sleep). A non-OK status aborts the parse with it. The
-  // parser polls the handler it was given, the head of the chain; a
-  // filter with a per-event clock (a deadline, a cancel flag) checks it
-  // here too. Default: OK.
+  // events: at least once per MiB of skipped input, each time the
+  // open-element charge crosses a MiB line, and after every skipped start
+  // tag while a fault injector is attached (an armed failpoint can
+  // sleep). A non-OK status aborts the parse with it. The parser polls
+  // the handler it was given, the head of the chain; a filter with a
+  // per-event check (a deadline, a cancel flag, a byte cap) runs it here
+  // too. Default: OK.
   virtual Status Poll() { return Status::Ok(); }
 };
 

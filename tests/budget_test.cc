@@ -1,5 +1,6 @@
 // Resource-budget accounting tests (PipelineOptions::budget): the byte
-// cap trips with bounded overshoot, an inactive budget is free and
+// cap trips with bounded overshoot, also inside skipped subtrees, where
+// the parser emits no events, an inactive budget is free and
 // transparent, a deadline too large to represent means no deadline,
 // kIsolate runs produce byte-identical output for the surviving
 // documents compared to a sequential run without the failing ones, and
@@ -502,6 +503,60 @@ TEST(PeakOracleTest, DegradedIdentityPass) {
   xml.insert(xml.find('>', root) + 1, "<bogus/>");
   ExpectPeakMatchesOracle(xml, XmarkDtd(), XmarkQueryProjector("QM06"),
                           /*validate=*/false, /*degrade=*/true, "degraded");
+}
+
+// --- The byte cap inside skipped subtrees -------------------------------
+//
+// A skip emits no events, so the guard sees the open-element charge of
+// the elements nested there only when the parser polls it: each time the
+// charge crosses a kSkipPollBytes line. The cap then holds to within one
+// poll step, whether the pass fails or completes.
+
+// <site><regions>, `depth` nested <x>, their end tags, and the closing
+// tags; with the projector {site} the pruner skips <regions>.
+std::string NestedInSkippedRegions(size_t depth) {
+  std::string doc = "<site><regions>";
+  doc.reserve(doc.size() + depth * 7 + 17);
+  for (size_t i = 0; i < depth; ++i) doc += "<x>";
+  for (size_t i = 0; i < depth; ++i) doc += "</x>";
+  doc += "</regions></site>";
+  return doc;
+}
+
+Result<PipelineRun> PruneToSite(const std::string& doc, size_t max_bytes) {
+  NameSet site(XmarkDtd().name_count());
+  site.Add(XmarkDtd().root());
+  PipelineOptions options;
+  options.num_threads = 1;
+  options.policy = ErrorPolicy::kIsolate;
+  options.budget.max_bytes = max_bytes;
+  return PruneCorpus(std::span(&doc, 1), XmarkDtd(), site, options);
+}
+
+TEST(BudgetTest, CapHoldsInsideSkippedSubtrees) {
+  const size_t mib = size_t{1} << 20;
+  struct Case {
+    size_t depth;  // charge: 65 bytes per <x>, plus <site> and <regions>
+    size_t cap;
+    bool completes;
+  };
+  for (const Case& c : {
+           Case{1000000, mib, false},        // 7 MB of input, 65 MB charge
+           Case{20000, mib * 3 / 2, true},   // 1.30 MB: under the cap
+           Case{30000, mib * 3 / 2, true},   // 1.95 MB: over it, no line
+           Case{33000, mib * 3 / 2, false},  // 2.15 MB: crosses 2 MiB
+       }) {
+    auto run = PruneToSite(NestedInSkippedRegions(c.depth), c.cap);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->failures.empty(), c.completes) << "depth " << c.depth;
+    for (const TaskFailure& f : run->failures) {
+      EXPECT_EQ(f.status.code(), StatusCode::kResourceExhausted);
+      EXPECT_EQ(f.stage, "budget");
+    }
+    // The summary's peak counts failed tasks too.
+    EXPECT_LT(run->summary.max_task_peak_bytes, c.cap + kSkipPollBytes)
+        << "depth " << c.depth;
+  }
 }
 
 }  // namespace

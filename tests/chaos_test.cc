@@ -9,8 +9,8 @@
 //  - kIsolate quarantines exactly the failing documents into structured
 //    TaskFailure reports while the survivors' outputs stay byte-identical
 //    to a fault-free sequential run;
-//  - kRetry recovers from transient (kUnavailable) faults and quarantines
-//    only after exhausting its attempts;
+//  - a task runs one pass: an injected kUnavailable quarantines it as
+//    "io" and it is not run again;
 //  - degrade_on_invalid answers with the identity (no-prune) pass when
 //    the document does not fit the DTD.
 
@@ -138,7 +138,7 @@ TEST(FaultInjectorTest, ArmFromSpecRejectsMalformedEntries) {
 
 // --- Pipeline chaos ------------------------------------------------------
 
-// Each task is timed once, around all of its attempts and any fallback:
+// Each task is timed once, around its pass and any fallback:
 // the task latency histogram holds one sample per task, both unlabeled
 // and in the run's {corpus="chaos"} slice.
 void ExpectOneTaskSamplePerTask(MetricsRegistry& registry, size_t tasks) {
@@ -276,87 +276,43 @@ TEST_F(PipelineChaosTest, IsolateSurvivorsMatchSequentialUnderHeavyFaults) {
   }
 }
 
-TEST_F(PipelineChaosTest, RetryRecoversFromTransientFaults) {
+TEST_F(PipelineChaosTest, IsolateQuarantinesInjectedUnavailableAsIo) {
   FaultInjector fault;
   FaultSpec spec;
-  spec.code = StatusCode::kUnavailable;
-  spec.max_fires = 2;
-  spec.message = "transient I/O fault";
+  spec.code = StatusCode::kUnavailable;  // e.g. a failing disk
+  spec.max_fires = 3;
   fault.Arm("pipeline.task", spec);
 
   MetricsRegistry registry;
   PipelineOptions options;
   options.num_threads = 4;
-  options.policy = ErrorPolicy::kRetry;
-  options.retry.max_attempts = 3;
+  options.policy = ErrorPolicy::kIsolate;
   options.fault = &fault;
   options.metrics = &registry;
   options.corpus_label = "chaos";
   auto run = PruneCorpus(corpus_, *dtd_, projector_, options);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_TRUE(run->failures.empty());
-  EXPECT_EQ(run->summary.tasks, corpus_.size());
-  EXPECT_EQ(run->summary.retries, 2u);  // one extra attempt per fire
-  for (size_t i = 0; i < corpus_.size(); ++i) {
-    EXPECT_EQ(run->results[i].output, Reference(i)) << "document " << i;
-  }
-  EXPECT_EQ(registry.GetCounter("xmlproj_pipeline_retries_total")->Value(),
-            2u);
-  EXPECT_EQ(registry.GetCounter("xmlproj_pipeline_errors_total")->Value(),
-            0u);
-  // One latency sample per task, however many attempts it took.
-  ExpectOneTaskSamplePerTask(registry, corpus_.size());
-}
-
-TEST_F(PipelineChaosTest, RetryExhaustionQuarantinesWithAttemptCount) {
-  FaultInjector fault;
-  FaultSpec spec;
-  spec.code = StatusCode::kUnavailable;  // permanent "transient" fault
-  fault.Arm("pipeline.task", spec);
-
-  MetricsRegistry registry;
-  PipelineOptions options;
-  options.num_threads = 2;
-  options.policy = ErrorPolicy::kRetry;
-  options.retry.max_attempts = 2;
-  options.fault = &fault;
-  options.metrics = &registry;
-  auto run = PruneCorpus(corpus_, *dtd_, projector_, options);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  ASSERT_EQ(run->failures.size(), corpus_.size());
+  // One pass per task: a hit task is quarantined, never run again.
+  EXPECT_EQ(fault.HitCount("pipeline.task"), corpus_.size());
+  ASSERT_EQ(run->failures.size(), 3u);
+  std::vector<bool> failed(corpus_.size(), false);
   for (const TaskFailure& f : run->failures) {
     EXPECT_EQ(f.status.code(), StatusCode::kUnavailable);
     EXPECT_EQ(f.stage, "io");
-    EXPECT_EQ(f.attempts, 2);
+    failed[f.task] = true;
   }
-  EXPECT_EQ(run->summary.tasks, 0u);
-  EXPECT_EQ(run->summary.failed, corpus_.size());
-  // A quarantined task's retries count like a completed task's: the
-  // summary and the counter agree, one extra attempt per task.
-  EXPECT_EQ(run->summary.retries, corpus_.size());
-  EXPECT_EQ(registry.GetCounter("xmlproj_pipeline_retries_total")->Value(),
-            corpus_.size());
-}
-
-TEST_F(PipelineChaosTest, RetryDoesNotRetryNonTransientFaults) {
-  FaultInjector fault;
-  FaultSpec spec;
-  spec.code = StatusCode::kParseError;
-  spec.max_fires = 1;
-  fault.Arm("xml.parse", spec);
-
-  PipelineOptions options;
-  options.num_threads = 1;
-  options.policy = ErrorPolicy::kRetry;
-  options.retry.max_attempts = 5;
-  options.fault = &fault;
-  auto run = PruneCorpus(corpus_, *dtd_, projector_, options);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  ASSERT_EQ(run->failures.size(), 1u);
-  EXPECT_EQ(run->failures[0].task, 0u);  // sequential: first doc fails
-  EXPECT_EQ(run->failures[0].attempts, 1);  // parse errors are permanent
-  EXPECT_EQ(run->failures[0].stage, "parse");
-  EXPECT_EQ(run->summary.retries, 0u);
+  EXPECT_EQ(run->summary.failed, 3u);
+  EXPECT_EQ(run->summary.tasks, corpus_.size() - 3);
+  for (size_t i = 0; i < corpus_.size(); ++i) {
+    if (failed[i]) {
+      EXPECT_TRUE(run->results[i].output.empty());
+    } else {
+      EXPECT_EQ(run->results[i].output, Reference(i)) << "survivor " << i;
+    }
+  }
+  EXPECT_EQ(registry.GetCounter("xmlproj_pipeline_isolated_total")->Value(),
+            3u);
+  ExpectOneTaskSamplePerTask(registry, corpus_.size());
 }
 
 TEST_F(PipelineChaosTest, DegradesToIdentityPassWhenDocumentOffGrammar) {

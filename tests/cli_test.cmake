@@ -60,6 +60,9 @@ expect_exit(1 --chunk-bytes=4096)
 expect_exit(1 --drain-ms=10000)
 expect_exit(1 --drain-ms=abc)
 expect_exit(1 --drain-ms=-1)
+# The retry policy is gone: a task runs one pass.
+expect_exit(1 --policy=retry)
+expect_exit(1 --retries=3)
 
 # Observability flags are strict too.
 expect_exit(1 --statsd=missing-port)

@@ -273,6 +273,23 @@ TEST(DtdParser, AutomatonBudgetRejectsBlowUps) {
   }
 }
 
+// The axis relations are dense n-by-n bitsets, so the name count is
+// bounded: 4,095 EMPTY elements and the document name load, one more
+// element does not.
+TEST(DtdParser, NamesPastTheLimitAreAnError) {
+  std::string text;
+  for (size_t i = 0; i + 1 < kMaxDtdNames; ++i) {
+    text += "<!ELEMENT e" + std::to_string(i) + " EMPTY>\n";
+  }
+  EXPECT_EQ(kMaxDtdNames, MustParse(text, "e0").name_count());
+  auto result = ParseDtd(text + "<!ELEMENT past EMPTY>", "e0");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(StatusCode::kInvalid, result.status().code());
+  EXPECT_NE(result.status().message().find("grammar names"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
 // The budget bounds entries, not states: a long deterministic model
 // costs one entry per name and loads.
 TEST(DtdParser, LongDeterministicModelLoads) {

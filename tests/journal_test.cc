@@ -36,7 +36,6 @@ RunRecord SampleRecord() {
   r.tasks = 64;
   r.failed = 2;
   r.degraded = 1;
-  r.retries = 3;
   r.input_bytes = 1 << 20;
   r.output_bytes = 1 << 19;
   r.peak_memory_bytes = 123456;
@@ -56,7 +55,6 @@ void ExpectSameRecord(const RunRecord& out, const RunRecord& in) {
   EXPECT_EQ(out.tasks, in.tasks);
   EXPECT_EQ(out.failed, in.failed);
   EXPECT_EQ(out.degraded, in.degraded);
-  EXPECT_EQ(out.retries, in.retries);
   EXPECT_EQ(out.input_bytes, in.input_bytes);
   EXPECT_EQ(out.output_bytes, in.output_bytes);
   EXPECT_EQ(out.peak_memory_bytes, in.peak_memory_bytes);
@@ -78,7 +76,6 @@ TEST(RunRecordTest, FormatParseRoundTrip) {
   EXPECT_EQ(out.tasks, in.tasks);
   EXPECT_EQ(out.failed, in.failed);
   EXPECT_EQ(out.degraded, in.degraded);
-  EXPECT_EQ(out.retries, in.retries);
   EXPECT_EQ(out.input_bytes, in.input_bytes);
   EXPECT_EQ(out.output_bytes, in.output_bytes);
   EXPECT_EQ(out.peak_memory_bytes, in.peak_memory_bytes);
@@ -124,14 +121,15 @@ TEST(RunRecordTest, IntegersRoundTripExactly) {
   EXPECT_EQ(out.peak_memory_bytes, in.peak_memory_bytes);
 }
 
-// One record exactly as earlier builds wrote it: the writer must keep
-// producing these bytes, and the reader must keep loading them, so
-// --auto-budget and breaker seeding survive an upgrade.
+// One record exactly as earlier builds wrote it (less the retry count,
+// which the retry policy added): the writer must keep producing these
+// bytes, and the reader must keep loading them, so --auto-budget and
+// breaker seeding survive an upgrade.
 constexpr char kGoldenRecord[] =
     R"({"run_id":"run-0123456789a-beef","corpus":"xmark \"1%\"\t\\\u0001",)"
     R"("start_unix_ms":1700000000000,"end_unix_ms":1700000000500,)"
     R"("wall_seconds":0.500000,"tasks":64,"failed":2,"degraded":1,)"
-    R"("retries":3,"input_bytes":1048576,"output_bytes":524288,)"
+    R"("input_bytes":1048576,"output_bytes":524288,)"
     R"("peak_memory_bytes":123456,"budget_trips":1,"resume_skipped":40,)"
     R"("resume_rerun":24,"quarantine":{"budget":1,"parse":1}})";
 
@@ -142,6 +140,25 @@ TEST(RunRecordTest, FormatMatchesGoldenLineAndParsesBack) {
   RunRecord out;
   ASSERT_TRUE(RunJournal::ParseRecord(kGoldenRecord, &out));
   ExpectSameRecord(out, in);
+}
+
+// Builds that had a retry policy also wrote a retry count. Such a line
+// still loads; the key is skipped, and rewriting the record drops it.
+TEST(RunRecordTest, RecordWithRetriesStillLoads) {
+  constexpr char kWithRetries[] =
+      R"({"run_id":"run-0123456789a-beef",)"
+      R"("corpus":"xmark \"1%\"\t\\\u0001",)"
+      R"("start_unix_ms":1700000000000,"end_unix_ms":1700000000500,)"
+      R"("wall_seconds":0.500000,"tasks":64,"failed":2,"degraded":1,)"
+      R"("retries":3,"input_bytes":1048576,"output_bytes":524288,)"
+      R"("peak_memory_bytes":123456,"budget_trips":1,"resume_skipped":40,)"
+      R"("resume_rerun":24,"quarantine":{"budget":1,"parse":1}})";
+  RunRecord in = SampleRecord();
+  in.corpus = "xmark \"1%\"\t\\\x01";
+  RunRecord out;
+  ASSERT_TRUE(RunJournal::ParseRecord(kWithRetries, &out));
+  ExpectSameRecord(out, in);
+  EXPECT_EQ(RunJournal::FormatRecord(out), kGoldenRecord);
 }
 
 TEST(RunRecordTest, ParseToleratesUnknownScalarKeys) {

@@ -524,11 +524,16 @@ TEST_F(ServiceTest, HostileRegistrationsAre4xxAndTheDaemonServesOn) {
   for (int i = 1; i < 4000; ++i) wide += "|b";
   std::string blow_up = "<!ELEMENT a ((b|c)*, b";
   for (int i = 0; i < 20; ++i) blow_up += ", (b|c)";
+  std::string many_names = "<!ELEMENT a EMPTY>\n";
+  for (int i = 0; i < 5000; ++i) {
+    many_names += "<!ELEMENT e" + std::to_string(i) + " (#PCDATA)>\n";
+  }
   const std::vector<std::string> hostile_dtds = {
       "<!ELEMENT a " + std::string(n, '(') + "b" + std::string(n, ')') +
           ">\n<!ELEMENT b EMPTY>",
       wide + ")*>\n<!ELEMENT b EMPTY>",
       blow_up + ")>\n<!ELEMENT b EMPTY>\n<!ELEMENT c EMPTY>",
+      many_names,
   };
   for (const std::string& dtd : hostile_dtds) {
     HttpClientResult raw;
@@ -552,6 +557,95 @@ TEST_F(ServiceTest, HostileRegistrationsAre4xxAndTheDaemonServesOn) {
   auto after = client.Prune(registration->id, doc);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(before->output, after->output);
+}
+
+// Each registry keeps at most its cap of text for the daemon's lifetime.
+// A new registration past the cap gets 507 (kResourceExhausted in the
+// client); re-registering stays idempotent, and the daemon serves on.
+TEST_F(ServiceTest, FullRegistriesAnswer507AndTheDaemonServesOn) {
+  StartService();
+  ProjectionClient client = Client();
+  const std::string dashboard = SpecFor(XMarkDashboardWorkload());
+  auto registration = client.RegisterWorkload(dashboard);
+  ASSERT_TRUE(registration.ok()) << registration.status().ToString();
+  XMarkCorpusOptions corpus_options;
+  corpus_options.documents = 1;
+  corpus_options.scale = 0.001;
+  const std::string doc = GenerateXMarkCorpus(corpus_options)[0];
+  auto before = client.Prune(registration->id, doc);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  // DTDs padded to ~1 MB with a comment: the built-in XMark DTD and four
+  // of them stay under 4 MiB, a fifth does not.
+  const std::string padded_dtd = "<!ELEMENT a (b*)>\n<!ELEMENT b EMPTY>\n<!--" +
+                                 std::string(1000000, 'x') + "-->";
+  int dtds = 0;
+  Status full;
+  for (; dtds < 8; ++dtds) {
+    auto added =
+        client.RegisterDtd("d" + std::to_string(dtds), "a", padded_dtd);
+    if (!added.ok()) {
+      full = added.status();
+      break;
+    }
+  }
+  EXPECT_EQ(dtds, 4);
+  EXPECT_EQ(full.code(), StatusCode::kResourceExhausted) << full.ToString();
+  HttpClientResult raw;
+  ASSERT_TRUE(HttpCall(service_.port(), "POST", "/dtds?name=full&root=a",
+                       padded_dtd, "text/plain", &raw));
+  EXPECT_EQ(507, raw.status) << raw.body;
+  EXPECT_NE(raw.body.find("\"error\":\"DTD registry full"), std::string::npos)
+      << raw.body;
+  EXPECT_TRUE(client.RegisterDtd("d0", "a", padded_dtd).ok());
+
+  // Workloads: distinct one-query specs padded to ~1 MB with a comment;
+  // the dashboard spec counts too.
+  const std::string padding = "# " + std::string(1000000, 'x') + "\n";
+  int workloads = 0;
+  for (; workloads < 8; ++workloads) {
+    auto added = client.RegisterWorkload(
+        padding + "xpath\t/site[" + std::to_string(workloads + 1) + "]\n",
+        "xmark");
+    if (!added.ok()) {
+      full = added.status();
+      break;
+    }
+  }
+  EXPECT_EQ(workloads, 4);
+  EXPECT_EQ(full.code(), StatusCode::kResourceExhausted) << full.ToString();
+  auto again = client.RegisterWorkload(dashboard, "xmark");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->id, registration->id);
+
+  ASSERT_TRUE(HttpCall(service_.port(), "GET", "/healthz", {}, {}, &raw));
+  EXPECT_EQ(200, raw.status) << raw.body;
+  auto after = client.Prune(registration->id, doc);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(before->output, after->output);
+}
+
+// The byte cap holds inside subtrees the pruner skips: 1,000,000 nested
+// elements under a skipped <regions> (a 65 MB open-element charge in
+// 7 MB of input) exceed a 1 MiB cap, so the prune answers 413.
+TEST_F(ServiceTest, ByteCapHoldsInsideSkippedSubtrees) {
+  StartService();
+  ProjectionClient client = Client();
+  auto registration =
+      client.RegisterWorkload("xpath\t/site/people/person/name\n");
+  ASSERT_TRUE(registration.ok()) << registration.status().ToString();
+  std::string doc = "<site><regions>";
+  for (int i = 0; i < 1000000; ++i) doc += "<x>";
+  for (int i = 0; i < 1000000; ++i) doc += "</x>";
+  doc += "</regions></site>";
+  HttpClientResult raw;
+  ASSERT_TRUE(HttpCall(service_.port(), "POST",
+                       "/prune?workload=" + registration->id +
+                           "&max_bytes=1048576",
+                       doc, "application/xml", &raw));
+  EXPECT_EQ(413, raw.status) << raw.body;
+  EXPECT_NE(raw.body.find("RESOURCE_EXHAUSTED"), std::string::npos)
+      << raw.body;
 }
 
 TEST_F(ServiceTest, JournalStagesMatchThePipelineMapping) {

@@ -237,8 +237,7 @@ TEST(SpliceIdentityTest, BudgetedPipelineMatrix) {
       expected.push_back(
           WriterPrune(doc, XmarkDtd(), *projector, validate));
     }
-    for (ErrorPolicy policy :
-         {ErrorPolicy::kFailFast, ErrorPolicy::kIsolate, ErrorPolicy::kRetry}) {
+    for (ErrorPolicy policy : {ErrorPolicy::kFailFast, ErrorPolicy::kIsolate}) {
       PipelineOptions options;
       options.num_threads = 2;
       options.validate = validate;
