@@ -174,7 +174,7 @@ std::string ContentModel::ToString(
 struct ContentMatcher::Builder {
   std::vector<std::vector<Edge>>& follow;
   std::vector<uint8_t>& accepting;
-  size_t* budget;
+  Budget* budget;
   bool over_budget = false;
 
   void Run(const ContentModel& model) {
@@ -196,11 +196,18 @@ struct ContentMatcher::Builder {
     std::vector<MatchState> last;
   };
 
-  bool Charge(size_t entries) {
-    if (budget == nullptr) return true;
-    over_budget = over_budget || entries >= *budget;
-    *budget = over_budget ? 0 : *budget - entries;
+  // Deducts `n` from `*left`; false, with `*left` zeroed, when that is
+  // all that was left.
+  bool Charge(size_t n, size_t* left) {
+    over_budget = over_budget || n >= *left;
+    *left = over_budget ? 0 : *left - n;
     return !over_budget;
+  }
+  bool Charge(size_t entries) {
+    return budget == nullptr || Charge(entries, &budget->entries);
+  }
+  bool ChargeMergedState() {
+    return budget == nullptr || Charge(1, &budget->merged_states);
   }
 
   // Every state in `from` may be followed by every edge in `to`.
@@ -325,6 +332,7 @@ struct ContentMatcher::Builder {
         auto [it, inserted] =
             merged.emplace(set, static_cast<MatchState>(follow.size()));
         if (inserted) {
+          if (!ChargeMergedState()) return;
           members.push_back(set);
           follow.emplace_back();
           accepting.push_back(0);
@@ -342,7 +350,7 @@ struct ContentMatcher::Builder {
   }
 };
 
-ContentMatcher::ContentMatcher(const ContentModel& model, size_t* budget) {
+ContentMatcher::ContentMatcher(const ContentModel& model, Budget* budget) {
   Builder{follow_, accepting_, budget}.Run(model);
 }
 

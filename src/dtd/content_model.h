@@ -95,11 +95,17 @@ class ContentMatcher {
   static constexpr MatchState kStart = 0;
   static constexpr MatchState kDead = -1;
 
-  // With a `budget`, every follow-list entry the build makes is deducted
-  // from *budget; a model that needs all that is left stops the build
-  // and sets *budget to 0, leaving a matcher that must not be used.
+  // What the builds of one DTD's automata may still make; each build
+  // deducts what it makes.
+  struct Budget {
+    size_t entries;        // follow-list entries
+    size_t merged_states;  // states the deterministic merge adds
+  };
+  // With a `budget`, a model that needs all that is left of either field
+  // stops the build and sets that field to 0, leaving a matcher that must
+  // not be used.
   explicit ContentMatcher(const ContentModel& model,
-                          size_t* budget = nullptr);
+                          Budget* budget = nullptr);
 
   // Consumes one child name.
   MatchState Advance(MatchState state, NameId child) const;

@@ -155,7 +155,8 @@ Status Dtd::Finalize() {
     }
   }
 
-  size_t automaton_budget = kMaxDtdAutomatonEntries;
+  ContentMatcher::Budget automaton_budget{kMaxDtdAutomatonEntries,
+                                          kMaxDtdMergedStates};
   for (NameId i = 0; i < static_cast<NameId>(n); ++i) {
     Production& p = productions_[static_cast<size_t>(i)];
     if (p.is_string) continue;
@@ -172,11 +173,17 @@ Status Dtd::Finalize() {
         p.content.CollectNames(n, &any_names);
     matchers_[static_cast<size_t>(i)] =
         std::make_unique<ContentMatcher>(p.content, &automaton_budget);
-    if (automaton_budget == 0) {
+    if (automaton_budget.entries == 0) {
       return InvalidError(StringPrintf(
           "content model of element '%s' takes the DTD's automata past "
           "%zu entries",
           p.name.c_str(), kMaxDtdAutomatonEntries));
+    }
+    if (automaton_budget.merged_states == 0) {
+      return InvalidError(StringPrintf(
+          "content model of element '%s' takes the DTD's automata past "
+          "%zu merged states",
+          p.name.c_str(), kMaxDtdMergedStates));
     }
   }
 

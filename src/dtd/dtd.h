@@ -33,6 +33,12 @@ namespace xmlproj {
 // whatever the DTD text says. XMark's content models make 283.
 inline constexpr size_t kMaxDtdAutomatonEntries = size_t{1} << 21;
 
+// Most states the deterministic merge may add to the automata of one DTD
+// (DESIGN.md "Content-model automata"). A deterministic content model
+// adds none; a non-deterministic one can need exponentially many in its
+// length, so this cap refuses it after a few milliseconds of work.
+inline constexpr size_t kMaxDtdMergedStates = size_t{1} << 12;
+
 // Most grammar names (element, text, document) one DTD may have: its four
 // axis relations are dense bitsets, n^2/2 bytes, 8 MB at 4,096 names.
 inline constexpr size_t kMaxDtdNames = size_t{1} << 12;

@@ -206,6 +206,13 @@ bool ProjectionService::RegisterDtd(const std::string& name,
     return false;
   }
   uint64_t hash = Fnv1a64(dtd_text);
+  auto registry_full = [&] {
+    if (error != nullptr) {
+      *error = StringPrintf("DTD registry full: %zu of %zu bytes of text held",
+                            dtd_text_bytes_, kServiceMaxDtdTextBytes);
+    }
+    return false;
+  };
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = dtds_.find(name);
@@ -217,6 +224,10 @@ bool ProjectionService::RegisterDtd(const std::string& name,
         *error = "DTD '" + name + "' already registered with different text";
       }
       return false;
+    }
+    // A new name the cap refuses costs no parse.
+    if (dtd_text_bytes_ + dtd_text.size() > kServiceMaxDtdTextBytes) {
+      return registry_full();
     }
   }
   Result<Dtd> parsed = ParseDtd(dtd_text, root_tag);
@@ -230,13 +241,11 @@ bool ProjectionService::RegisterDtd(const std::string& name,
   entry->hash = hash;
   entry->dtd = std::move(*parsed);
   std::lock_guard<std::mutex> lock(mu_);
+  // Checked again: other registrations may have filled the registry
+  // during the parse.
   if (dtds_.count(name) == 0 &&
       dtd_text_bytes_ + dtd_text.size() > kServiceMaxDtdTextBytes) {
-    if (error != nullptr) {
-      *error = StringPrintf("DTD registry full: %zu of %zu bytes of text held",
-                            dtd_text_bytes_, kServiceMaxDtdTextBytes);
-    }
-    return false;
+    return registry_full();
   }
   auto [it, inserted] = dtds_.emplace(name, std::move(entry));
   if (inserted) dtd_text_bytes_ += dtd_text.size();
@@ -322,6 +331,20 @@ HttpResponse ProjectionService::HandleRegisterWorkload(
   // The workload id covers both halves of the cache key, so the same
   // queries against two DTDs are two workloads.
   std::string id = HexId(Fnv1a64(HexId(fingerprint), dtd->hash));
+  auto registry_full = [this] {
+    return ErrorJson(507, StringPrintf(
+        "workload registry full: %zu of %zu bytes of text held",
+        workload_spec_bytes_, kServiceMaxWorkloadSpecBytes));
+  };
+  {
+    // A new workload the cap refuses costs no compile.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (workloads_.count(id) == 0 &&
+        workload_spec_bytes_ + request.body.size() >
+            kServiceMaxWorkloadSpecBytes) {
+      return registry_full();
+    }
+  }
 
   ProjectorCacheKey key{dtd->hash, fingerprint};
   const Dtd* dtd_ptr = &dtd->dtd;
@@ -346,11 +369,11 @@ HttpResponse ProjectionService::HandleRegisterWorkload(
     if (it != workloads_.end()) {
       entry = it->second;  // idempotent re-registration keeps the stats
     } else {
+      // Checked again: other registrations may have filled the registry
+      // during the compile.
       if (workload_spec_bytes_ + request.body.size() >
           kServiceMaxWorkloadSpecBytes) {
-        return ErrorJson(507, StringPrintf(
-            "workload registry full: %zu of %zu bytes of text held",
-            workload_spec_bytes_, kServiceMaxWorkloadSpecBytes));
+        return registry_full();
       }
       workload_spec_bytes_ += request.body.size();
       entry = std::make_shared<WorkloadEntry>();

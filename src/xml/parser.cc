@@ -147,13 +147,9 @@ class Parser {
   // handler through SaxHandler::SetLocator.
   struct Locator : SaxLocator {
     explicit Locator(const std::vector<OpenTag>* tags) : open_tags(tags) {}
-    size_t begin = 0;
-    size_t end = 0;
     size_t elements_skipped = 0;
     size_t bytes_skipped = 0;
     const std::vector<OpenTag>* open_tags;
-    size_t event_begin() const override { return begin; }
-    size_t event_end() const override { return end; }
     size_t skipped_elements() const override { return elements_skipped; }
     size_t skipped_bytes() const override { return bytes_skipped; }
     size_t open_bytes() const override {
@@ -162,10 +158,7 @@ class Parser {
   };
 
   // Publishes the current event's [begin,end) span (input_-relative).
-  void SetSpan(size_t begin, size_t end) {
-    locator_.begin = begin;
-    locator_.end = end;
-  }
+  void SetSpan(size_t begin, size_t end) { locator_.SetSpan(begin, end); }
   Status Error(const std::string& message) const {
     size_t line = 1;
     for (size_t i = 0; i < pos_ && i < input_.size(); ++i) {

@@ -39,7 +39,10 @@ struct SaxAttribute {
 // SaxHandler::SetLocator before the first event; during each event
 // callback the locator reports the byte span of the markup that produced
 // the event. Handlers that never call it pay nothing; producers without
-// positions (ReplayAsSax) simply never install one.
+// positions (ReplayAsSax) simply never install one. The span is plain
+// data, so a splicing sink reads it with two loads per event and a filter
+// that hands its downstream a locator of its own (the pipeline's
+// projector tee) copies it with two stores.
 class SaxLocator {
  public:
   virtual ~SaxLocator() = default;
@@ -47,9 +50,14 @@ class SaxLocator {
   // Offset of the first byte of the markup behind the current event: the
   // '<' of a start/end tag, the first byte of a text run. Offsets are
   // relative to the buffer the caller handed in.
-  virtual size_t event_begin() const = 0;
+  size_t event_begin() const { return event_begin_; }
   // One past the last byte of that markup.
-  virtual size_t event_end() const = 0;
+  size_t event_end() const { return event_end_; }
+  // Set by the producer before each event it delivers.
+  void SetSpan(size_t begin, size_t end) {
+    event_begin_ = begin;
+    event_end_ = end;
+  }
 
   // What the producer crossed on skip verdicts so far: the start tags it
   // passed inside skipped elements (the skipped element itself reached
@@ -61,6 +69,10 @@ class SaxLocator {
   // The open-element charge (xml/parser.h) now: it includes the element
   // whose StartElement this is and, in a Poll, the skipped ones open.
   virtual size_t open_bytes() const = 0;
+
+ private:
+  size_t event_begin_ = 0;
+  size_t event_end_ = 0;
 };
 
 class SaxHandler {

@@ -474,6 +474,74 @@ TEST(CheckpointResumeTest, KillPointMatrixIsolate) {
   }
 }
 
+// A per-query run claims a document's tasks as one unit. A kill after
+// some of a unit's records leaves it partly settled: the resumed run
+// shares one pass among the unit's unsettled tasks, and the corpus and
+// summary match a clean run.
+TEST(CheckpointResumeTest, PerQueryKillPointInsideAUnit) {
+  std::vector<std::string> corpus = SmallCorpus(3);
+  auto projectors = WorkloadProjectors(XmarkDtd(), XMarkDashboardWorkload());
+  ASSERT_TRUE(projectors.ok()) << projectors.status().ToString();
+  const size_t queries = projectors->size();
+  ASSERT_GT(queries, 2u);
+  PipelineOptions options;
+  options.policy = ErrorPolicy::kIsolate;
+  options.num_threads = 1;  // records land in task order
+  auto reference =
+      PruneCorpusPerQuery(corpus, XmarkDtd(), *projectors, options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  CheckpointHeader header;
+  header.run_id = "run-0123456789a-beef";
+  header.started_unix_ms = 1700000000000ull;
+  header.binding = ComputeCorpusBinding(corpus, *projectors, options,
+                                        "xmark-dashboard-per-query");
+
+  // Inside the first unit, at its end, and inside the second.
+  for (size_t kill_after : {size_t{1}, queries - 1, queries, queries + 2}) {
+    std::string dir = ScratchDir();
+    RunCheckpoint first;
+    ASSERT_TRUE(first.Create(dir, header).ok());
+    {
+      PipelineOptions durable = options;
+      durable.checkpoint = &first;
+      auto run = PruneCorpusPerQuery(corpus, XmarkDtd(), *projectors, durable);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+    }
+    TruncateCheckpoint(dir, kill_after);
+
+    ResumePlan plan = PlanResume(dir, header.binding,
+                                 /*retry_quarantined=*/false);
+    ASSERT_TRUE(plan.resumable) << plan.mismatch;
+    EXPECT_EQ(plan.skipped_completed, kill_after);
+
+    RunCheckpoint resumed;
+    ASSERT_TRUE(resumed.OpenForAppend(dir).ok());
+    PipelineOptions resume_options = options;
+    resume_options.num_threads = 2;
+    resume_options.checkpoint = &resumed;
+    resume_options.resume = &plan;
+    auto result = PruneCorpusPerQuery(corpus, XmarkDtd(), *projectors,
+                                      resume_options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    for (size_t i = 0; i < corpus.size() * queries; ++i) {
+      EXPECT_EQ(ReadFileOrDie(RunCheckpoint::TaskOutputPath(dir, i)),
+                reference->results[i].output)
+          << "task " << i << " after kill at " << kill_after;
+      if (i >= kill_after) {
+        EXPECT_EQ(result->results[i].output, reference->results[i].output);
+        EXPECT_EQ(result->results[i].stats.skipped_bytes,
+                  reference->results[i].stats.skipped_bytes);
+      }
+    }
+    const PipelineSummary& s = result->summary;
+    EXPECT_EQ(s.tasks, reference->summary.tasks);
+    EXPECT_EQ(s.output_bytes, reference->summary.output_bytes);
+    EXPECT_EQ(s.input_nodes, reference->summary.input_nodes);
+    EXPECT_EQ(s.kept_nodes, reference->summary.kept_nodes);
+    EXPECT_EQ(s.resumed_skipped, kill_after);
+  }
+}
+
 TEST(CheckpointResumeTest, TornFinalLineIsToleratedAndRerun) {
   std::vector<std::string> corpus = SmallCorpus(3);
   PipelineOptions options;

@@ -273,6 +273,29 @@ TEST(DtdParser, AutomatonBudgetRejectsBlowUps) {
   }
 }
 
+// Only a non-deterministic model makes merged states, and a DTD's
+// automata may make at most kMaxDtdMergedStates of them, so a subset
+// blow-up is refused after ~2^12 states instead of at the entry budget:
+// k = 11 (2^12 DFA states) loads, k = 12 and k = 16 do not.
+TEST(DtdParser, MergedStateBudgetRejectsSubsetBlowUpsEarly) {
+  Dtd loaded = MustParse(SubsetBlowUp(11), "r");
+  NameId a = loaded.NameOfTag("a");
+  NameId b = loaded.NameOfTag("b");
+  std::vector<NameId> children(12, b);
+  children[0] = a;
+  EXPECT_TRUE(loaded.MatcherOf(loaded.root()).Matches(children));
+  children[0] = b;
+  EXPECT_FALSE(loaded.MatcherOf(loaded.root()).Matches(children));
+  for (int k : {12, 16}) {
+    auto result = ParseDtd(SubsetBlowUp(k), "r");
+    ASSERT_FALSE(result.ok()) << "k = " << k;
+    EXPECT_EQ(StatusCode::kInvalid, result.status().code());
+    EXPECT_NE(result.status().message().find("merged states"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+}
+
 // The axis relations are dense n-by-n bitsets, so the name count is
 // bounded: 4,095 EMPTY elements and the document name load, one more
 // element does not.

@@ -597,6 +597,13 @@ TEST_F(ServiceTest, FullRegistriesAnswer507AndTheDaemonServesOn) {
   EXPECT_EQ(507, raw.status) << raw.body;
   EXPECT_NE(raw.body.find("\"error\":\"DTD registry full"), std::string::npos)
       << raw.body;
+  // The cap comes before the parse: a malformed DTD under a new name is
+  // refused as full, unparsed.
+  ASSERT_TRUE(HttpCall(service_.port(), "POST", "/dtds?name=malformed&root=a",
+                       "<!ELEMENT a (b*>\n<!--" + std::string(1000000, 'x') +
+                           "-->",
+                       "text/plain", &raw));
+  EXPECT_EQ(507, raw.status) << raw.body;
   EXPECT_TRUE(client.RegisterDtd("d0", "a", padded_dtd).ok());
 
   // Workloads: distinct one-query specs padded to ~1 MB with a comment;
@@ -614,6 +621,11 @@ TEST_F(ServiceTest, FullRegistriesAnswer507AndTheDaemonServesOn) {
   }
   EXPECT_EQ(workloads, 4);
   EXPECT_EQ(full.code(), StatusCode::kResourceExhausted) << full.ToString();
+  // The cap comes before the compile: a new spec whose query fails
+  // analysis is refused as full, not compiled.
+  ASSERT_TRUE(HttpCall(service_.port(), "POST", "/workloads?dtd=xmark",
+                       padding + "xpath\t/site/\n", "text/plain", &raw));
+  EXPECT_EQ(507, raw.status) << raw.body;
   auto again = client.RegisterWorkload(dashboard, "xmark");
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->id, registration->id);

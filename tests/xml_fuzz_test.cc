@@ -14,6 +14,7 @@
 #include "dtd/dtd_parser.h"
 #include "dtd/validator.h"
 #include "full_stream.h"
+#include "projection/pipeline.h"
 #include "projection/pruner.h"
 #include "random_xml.h"
 #include "xmark/corpus.h"
@@ -186,6 +187,68 @@ TEST(XmlFuzz, SkipScanMatchesFullParse) {
   });
   thinned.Add(random.root());
   FuzzSkipAgainstFull(SerializeDocument(*doc), random, thinned, 0x5c1c);
+}
+
+// Shared passes under mutation: PruneCorpusPerQuery runs a document's
+// tasks as one parse that skips only what every projector drops, so a
+// defect one projector skips and another parses meets the shared parse.
+// Each task must still end as its own one-task pass does: the same
+// output bytes, or a failure at the same stage with the same code.
+TEST(XmlFuzz, SharedPassMatchesPerTaskOutcomes) {
+  Dtd xmark = std::move(LoadXMarkDtd()).value();
+  std::vector<NameSet> projectors;
+  for (const char* id : {"QM06", "QP13", "QM01"}) {
+    for (const BenchmarkQuery& query : AllBenchmarkQueries()) {
+      if (query.id != id) continue;
+      auto projector = WorkloadProjector(xmark, std::span(&query, 1));
+      ASSERT_TRUE(projector.ok()) << projector.status().ToString();
+      projectors.push_back(std::move(projector).value());
+    }
+  }
+  ASSERT_EQ(projectors.size(), 3u);
+  XMarkOptions options;
+  options.scale = 0.0005;
+  const std::string base = GenerateXMarkText(options);
+  Rng rng(0x5c1d);
+  std::vector<std::string> corpus;
+  for (int i = 0; i < 400; ++i) corpus.push_back(Mutate(base, &rng));
+  for (bool validate : {false, true}) {
+    PipelineOptions pipeline;
+    pipeline.policy = ErrorPolicy::kIsolate;
+    pipeline.validate = validate;
+    pipeline.num_threads = 4;
+    auto shared = PruneCorpusPerQuery(corpus, xmark, projectors, pipeline);
+    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+    std::vector<const TaskFailure*> failures(shared->results.size());
+    for (const TaskFailure& f : shared->failures) failures[f.task] = &f;
+    int mixed = 0;  // documents some projectors prune and others fail
+    for (size_t d = 0; d < corpus.size(); ++d) {
+      int ok = 0;
+      for (size_t q = 0; q < projectors.size(); ++q) {
+        const size_t task = d * projectors.size() + q;
+        pipeline.num_threads = 1;
+        auto alone = PruneCorpus(std::span(&corpus[d], 1), xmark,
+                                 projectors[q], pipeline);
+        ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+        if (alone->failures.empty()) {
+          ++ok;
+          ASSERT_EQ(failures[task], nullptr)
+              << "task " << task << ": " << failures[task]->status.ToString();
+          ASSERT_EQ(shared->results[task].output, alone->results[0].output)
+              << "task " << task;
+        } else {
+          ASSERT_NE(failures[task], nullptr) << "task " << task;
+          EXPECT_EQ(failures[task]->stage, alone->failures[0].stage);
+          EXPECT_EQ(failures[task]->status.code(),
+                    alone->failures[0].status.code());
+        }
+      }
+      if (ok > 0 && ok < static_cast<int>(projectors.size())) ++mixed;
+    }
+    if (!validate) {
+      EXPECT_GT(mixed, 0);
+    }
+  }
 }
 
 }  // namespace
