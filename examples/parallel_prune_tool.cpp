@@ -10,8 +10,7 @@
 //                       [--metrics-out=PATH] [--trace-out=PATH]
 //                       [--prometheus-out=PATH] [--serve-metrics=PORT]
 //                       [--serve-linger-ms=N] [--corpus-label=NAME]
-//                       [--statsd=HOST:PORT] [--push-interval-ms=N]
-//                       [--push-jsonl=PATH] [--journal=DIR] [--auto-budget]
+//                       [--journal=DIR] [--auto-budget]
 //                       [--checkpoint=DIR] [--resume=DIR]
 //                       [--resume-retry-quarantined] [--watchdog-factor=F]
 //
@@ -26,7 +25,8 @@
 // pruning pass.
 //
 // Numeric flags are strict: --threads 0 or negative, and any malformed
-// number, are usage errors (exit 1), never silently clamped.
+// number, are usage errors (exit 1), never silently clamped. So is an
+// empty path (--input=, --metrics-out=, --journal=, ...).
 //
 // Fault tolerance (README "Fault tolerance"): --policy selects the error
 // policy (failfast is the default; isolate quarantines failing documents
@@ -52,11 +52,7 @@
 // with --per-query and a metrics sink attached, per-task counters are
 // additionally published into query_id-labeled series.
 //
-// Push telemetry + persistence (README "Observability"): --statsd pushes
-// statsd/DogStatsD lines over UDP to HOST:PORT on a background flusher
-// (counter deltas; guaranteed final flush at exit), --push-jsonl appends
-// OTLP-shaped JSON lines per flush to PATH, --push-interval-ms sets the
-// flush cadence (default 1000). --journal=DIR appends one JSONL run
+// Persistence (README "Observability"): --journal=DIR appends one JSONL run
 // record (summary, peak memory, quarantine digest) to DIR/journal.jsonl
 // at run end, loads prior records at startup, and seeds the circuit
 // breaker from the server faults of the most recent matching record;
@@ -114,7 +110,6 @@
 #include "obs/journal.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/push.h"
 #include "obs/server.h"
 #include "obs/trace.h"
 #include "projection/checkpoint.h"
@@ -162,9 +157,6 @@ void PrintUsage() {
       "                           [--serve-metrics=PORT]\n"
       "                           [--serve-linger-ms=N]\n"
       "                           [--corpus-label=NAME]\n"
-      "                           [--statsd=HOST:PORT]\n"
-      "                           [--push-interval-ms=N]\n"
-      "                           [--push-jsonl=PATH]\n"
       "                           [--journal=DIR] [--auto-budget]\n"
       "                           [--checkpoint=DIR] [--resume=DIR]\n"
       "                           [--resume-retry-quarantined]\n"
@@ -330,9 +322,6 @@ int main(int argc, char** argv) {
   long serve_port = 0;
   long serve_linger_ms = 0;
   std::string corpus_label;
-  std::string statsd_target;
-  long push_interval_ms = 1000;
-  std::string push_jsonl;
   std::string journal_dir;
   bool auto_budget = false;
   bool max_bytes_explicit = false;
@@ -389,12 +378,24 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--failpoints=", 13) == 0) {
       failpoints = arg + 13;
     } else if (std::strncmp(arg, "--failures-out=", 15) == 0) {
+      if (arg[15] == '\0') {
+        return BadFlag("--failures-out", "", "expected a file path");
+      }
       failures_out = arg + 15;
     } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
+      if (arg[14] == '\0') {
+        return BadFlag("--metrics-out", "", "expected a file path");
+      }
       metrics_out = arg + 14;
     } else if (std::strncmp(arg, "--prometheus-out=", 17) == 0) {
+      if (arg[17] == '\0') {
+        return BadFlag("--prometheus-out", "", "expected a file path");
+      }
       prometheus_out = arg + 17;
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
+      if (arg[12] == '\0') {
+        return BadFlag("--trace-out", "", "expected a file path");
+      }
       trace_out = arg + 12;
     } else if (std::strncmp(arg, "--serve-metrics=", 16) == 0) {
       // 0 = ephemeral port (printed on startup).
@@ -414,25 +415,6 @@ int main(int argc, char** argv) {
         return BadFlag("--corpus-label", "", "expected a label value");
       }
       corpus_label = arg + 15;
-    } else if (std::strncmp(arg, "--statsd=", 9) == 0) {
-      // Shape-checked here (strict flags), resolved when the sink opens.
-      const char* value = arg + 9;
-      const char* colon = std::strrchr(value, ':');
-      if (value[0] == '\0' || colon == nullptr || colon == value ||
-          colon[1] == '\0') {
-        return BadFlag("--statsd", value, "expected HOST:PORT");
-      }
-      statsd_target = value;
-    } else if (std::strncmp(arg, "--push-interval-ms=", 19) == 0) {
-      if (!ParseLong(arg + 19, &push_interval_ms) || push_interval_ms < 1) {
-        return BadFlag("--push-interval-ms", arg + 19,
-                       "expected an integer >= 1");
-      }
-    } else if (std::strncmp(arg, "--push-jsonl=", 13) == 0) {
-      if (arg[13] == '\0') {
-        return BadFlag("--push-jsonl", "", "expected a file path");
-      }
-      push_jsonl = arg + 13;
     } else if (std::strncmp(arg, "--journal=", 10) == 0) {
       if (arg[10] == '\0') {
         return BadFlag("--journal", "", "expected a directory path");
@@ -561,11 +543,9 @@ int main(int argc, char** argv) {
   size_t tasks =
       per_query ? corpus.size() * per_query_projectors->size() : corpus.size();
 
-  const bool push = !statsd_target.empty() || !push_jsonl.empty();
   const bool instrument = !metrics_out.empty() || !prometheus_out.empty() ||
                           !trace_out.empty() || serve ||
-                          !corpus_label.empty() || push ||
-                          !journal_dir.empty();
+                          !corpus_label.empty() || !journal_dir.empty();
   MetricsRegistry registry;
   TraceCollector trace;
   PipelineOptions options;
@@ -710,47 +690,6 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
 
-  // Push sinks: a background flusher snapshots the registry on an
-  // interval and ships counter deltas / gauge levels to statsd and/or a
-  // JSONL file; Stop() guarantees one final flush after the run.
-  StatsdSink statsd_sink;
-  JsonlFileSink jsonl_sink;
-  std::vector<PushSink*> push_sinks;
-  if (!statsd_target.empty()) {
-    std::string error;
-    if (!statsd_sink.Open(statsd_target, &error)) {
-      std::fprintf(stderr, "parallel_prune_tool: --statsd failed: %s\n",
-                   error.c_str());
-      return kExitUsage;
-    }
-    push_sinks.push_back(&statsd_sink);
-  }
-  if (!push_jsonl.empty()) {
-    std::string error;
-    if (!jsonl_sink.Open(push_jsonl, &error)) {
-      std::fprintf(stderr, "parallel_prune_tool: --push-jsonl failed: %s\n",
-                   error.c_str());
-      return kExitTelemetryWrite;
-    }
-    push_sinks.push_back(&jsonl_sink);
-  }
-  PushFlusher flusher;
-  if (!push_sinks.empty()) {
-    PushFlusherOptions flush_options;
-    flush_options.registry = &registry;
-    flush_options.sinks = push_sinks;
-    flush_options.interval_ms = static_cast<uint64_t>(push_interval_ms);
-    std::string error;
-    if (!flusher.Start(flush_options, &error)) {
-      std::fprintf(stderr, "parallel_prune_tool: push flusher failed: %s\n",
-                   error.c_str());
-      return kExitTelemetryWrite;
-    }
-    std::printf("pushing metrics every %ld ms to %zu sink(s)\n",
-                push_interval_ms, push_sinks.size());
-    std::fflush(stdout);
-  }
-
   // Scrape server: started before the run so /metrics, /statusz and
   // /healthz observe the pipeline live, not post-hoc.
   ObsServer server;
@@ -859,15 +798,6 @@ int main(int argc, char** argv) {
       std::printf("journal: appended run %s to %s\n", record.run_id.c_str(),
                   journal.path().c_str());
     }
-  }
-
-  if (!push_sinks.empty()) {
-    flusher.Stop();  // guarantees a final flush of the end-of-run state
-    std::printf("push: %llu flush(es), %llu statsd datagram(s),"
-                " %llu sink error(s)\n",
-                static_cast<unsigned long long>(flusher.flushes()),
-                static_cast<unsigned long long>(statsd_sink.datagrams_sent()),
-                static_cast<unsigned long long>(flusher.sink_errors()));
   }
 
   if (serve) {

@@ -38,7 +38,7 @@
 #include <string>
 
 #include "obs/json.h"
-#include "obs/push.h"
+#include "obs/metrics.h"
 #include "service/client.h"
 #include "xmark/corpus.h"
 #include "xmark/queries.h"

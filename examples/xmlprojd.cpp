@@ -30,8 +30,9 @@
 //                     file path or the literal "stderr": access lines,
 //                     prune errors, breaker transitions
 //   --log-level=L     debug | info (default) | warn | error
-//   --trace-export=F  append OTLP-shaped trace JSON lines to F (one
-//                     resourceSpans document per flush interval)
+//   --trace-export=F  append OTLP-shaped trace JSON lines to F: one
+//                     resourceSpans line each second that has new
+//                     spans, and one more at shutdown
 //   --slo-latency-ms=N  per-workload SLO latency threshold (default
 //                     250 ms); burn-rate gauges + the /statusz "slo"
 //                     block follow from it
@@ -39,28 +40,33 @@
 // Numeric flags are strict: a malformed, negative or out-of-range value
 // (a port above 65535; a zero --workers, --cache-capacity,
 // --breaker-window or --max-document-bytes; a --breaker-threshold
-// outside (0, 1]) exits 1 naming the flag, before anything listens.
+// outside (0, 1]) exits 1 naming the flag, before anything listens. So
+// does an empty --journal=, --log= or --trace-export=.
 //
 // Lifecycle: runs until SIGINT/SIGTERM, then drains in-flight requests,
-// flushes pending journal batches, and exits 0. Exit codes: 0 clean
-// shutdown, 1 bad usage, 2 startup failure (port in use, journal
-// unopenable, DTD registration failure).
+// flushes pending journal batches and the trace export, and exits 0.
+// Exit codes: 0 clean shutdown, 1 bad usage, 2 startup failure (port in
+// use, journal or trace export unopenable, DTD registration failure).
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "common/circuit.h"
 #include "common/http/http.h"
 #include "common/strings.h"
 #include "obs/journal.h"
+#include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/push.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "projection/pipeline.h"
@@ -81,6 +87,13 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
   *value = arg + len + 1;
   return true;
+}
+
+// An empty path would turn its feature off without a word.
+int EmptyPath(const char* flag) {
+  std::fprintf(stderr, "xmlprojd: empty value for %s (expected a path)\n",
+               flag);
+  return 1;
 }
 
 }  // namespace
@@ -146,6 +159,7 @@ int main(int argc, char** argv) {
       }
       uint_flag->set(parsed);
     } else if (ParseFlag(argv[i], "--journal", &value)) {
+      if (value.empty()) return EmptyPath("--journal");
       journal_dir = value;
     } else if (std::strcmp(argv[i], "--breaker") == 0) {
       breaker_enabled = true;
@@ -161,6 +175,7 @@ int main(int argc, char** argv) {
       }
       breaker_options.failure_threshold = threshold;
     } else if (ParseFlag(argv[i], "--log", &value)) {
+      if (value.empty()) return EmptyPath("--log");
       log_dest = value;
     } else if (ParseFlag(argv[i], "--log-level", &value)) {
       if (!ParseLogLevel(value, &log_options.min_level)) {
@@ -170,6 +185,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (ParseFlag(argv[i], "--trace-export", &value)) {
+      if (value.empty()) return EmptyPath("--trace-export");
       trace_export = value;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
@@ -210,23 +226,35 @@ int main(int argc, char** argv) {
     }
   }
 
-  // OTLP trace export: a trace-only flusher draining new request/stage
-  // spans to a JSONL file once a second (and once more on shutdown).
-  JsonlFileSink trace_sink;
-  PushFlusher trace_flusher;
+  // OTLP trace export: the main loop below appends the spans recorded
+  // since its last pass, as one resourceSpans line, once a second and
+  // once more after the drain. The cursor lives on the main thread only.
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> trace_file(nullptr,
+                                                             &std::fclose);
   if (!trace_export.empty()) {
-    if (!trace_sink.Open(trace_export, &error)) {
-      std::fprintf(stderr, "trace export open failed: %s\n", error.c_str());
-      return 2;
-    }
-    PushFlusherOptions flush_options;
-    flush_options.trace = &trace;
-    flush_options.trace_sink = &trace_sink;
-    if (!trace_flusher.Start(flush_options, &error)) {
-      std::fprintf(stderr, "trace export start failed: %s\n", error.c_str());
+    trace_file.reset(std::fopen(trace_export.c_str(), "ae"));
+    if (trace_file == nullptr) {
+      std::fprintf(stderr, "cannot open trace export file \"%s\": %s\n",
+                   trace_export.c_str(), std::strerror(errno));
       return 2;
     }
   }
+  size_t trace_cursor = 0;
+  bool trace_write_failed = false;  // reported once, not every second
+  auto export_spans = [&] {
+    std::string line;
+    if (trace_file == nullptr ||
+        !trace.AppendOtlpSpansJson(&trace_cursor, &line)) {
+      return;
+    }
+    if (!AppendJsonlLine(trace_file.get(), std::move(line),
+                         /*durable=*/false) &&
+        !trace_write_failed) {
+      trace_write_failed = true;
+      std::fprintf(stderr, "xmlprojd: trace export write failed: %s\n",
+                   std::strerror(errno));
+    }
+  };
 
   ProjectionService service;
   if (!service.RegisterDtd("xmark", XMarkDtdText(), "site", &error)) {
@@ -261,13 +289,18 @@ int main(int argc, char** argv) {
                 {"breaker", breaker_enabled ? 1 : 0}});
   }
 
-  while (g_stop == 0) pause();  // signals end the nap
+  // sleep() returns early on a signal, and a signal that lands between
+  // the check and the sleep is seen a second later at most.
+  while (g_stop == 0) {
+    sleep(1);
+    export_spans();
+  }
 
   std::printf("xmlprojd draining (%llu requests served)\n",
               static_cast<unsigned long long>(service.requests_served()));
   std::fflush(stdout);
   service.Stop();
-  trace_flusher.Stop();  // final flush ships the tail spans
+  export_spans();  // the spans of the requests the drain finished
   if (logger.enabled(LogLevel::kInfo)) {
     logger.Log(LogLevel::kInfo, "daemon.stop",
                {{"requests", service.requests_served()}});

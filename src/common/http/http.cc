@@ -627,8 +627,8 @@ void HttpServer::HandleConnection(int fd, uint64_t accepted_ns) {
   // ends. Stop() does not cut it either, so a drain still delivers what
   // the running handlers computed.
   auto write_response = [&](const HttpResponse& response) {
-    SendResponse(fd, response,
-                 SteadyNowMs() + options_.connection_deadline_ms);
+    return SendResponse(fd, response,
+                        SteadyNowMs() + options_.connection_deadline_ms);
   };
 
   // Request head: read until the blank line, bounded in bytes and time.
@@ -663,12 +663,13 @@ void HttpServer::HandleConnection(int fd, uint64_t accepted_ns) {
   StampRequestTrace(&request);
   auto respond = [&](HttpResponse response) {
     EchoTraceHeaders(request, &response);
-    write_response(response);
+    const bool written = write_response(response);
     // The clock stops once the write ended, whole, failed or timed out:
     // a client slow to read its response counts that wait in the
     // request's latency.
     if (observer_) {
-      observer_(request, response, accepted_ns, SteadyNowNs() - accepted_ns);
+      observer_(request, response, accepted_ns, SteadyNowNs() - accepted_ns,
+                written);
     }
   };
 

@@ -147,19 +147,21 @@ using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 // Observation hook called once per parsed request, after the write of
 // its response ended — whole, failed, or cut off at the write deadline
 // by a client that stopped reading: (request, response, start_ns,
-// duration_ns), both times from a monotonic clock. `start_ns` is when
-// the connection was accepted, so the duration runs from there to the
-// end of the write: the wait for a free worker, the body read, the
-// handler and a client slow to read its response all count. Runs on the
-// worker thread that served the request, before the connection is
-// closed, so only a client that reads to the close (as HttpCall does)
-// is ordered after it; one that stops at Content-Length (curl) may
-// return first. Must be thread-safe. Requests that die before parsing
-// (garbage request line, oversized head) are not observed — there is
-// nothing to attribute them to.
+// duration_ns, written), both times from a monotonic clock. `start_ns`
+// is when the connection was accepted, so the duration runs from there
+// to the end of the write: the wait for a free worker, the body read,
+// the handler and a client slow to read its response all count.
+// `written` is false when the write failed or hit its deadline, so the
+// client never got the whole response. Runs on the worker thread that
+// served the request, before the connection is closed, so only a client
+// that reads to the close (as HttpCall does) is ordered after it; one
+// that stops at Content-Length (curl) may return first. Must be
+// thread-safe. Requests that die before parsing (garbage request line,
+// oversized head) are not observed — there is nothing to attribute them
+// to.
 using HttpObserver = std::function<void(
     const HttpRequest&, const HttpResponse&, uint64_t start_ns,
-    uint64_t duration_ns)>;
+    uint64_t duration_ns, bool written)>;
 
 struct HttpServerOptions {
   // TCP port on 127.0.0.1; 0 picks an ephemeral port (read it back from

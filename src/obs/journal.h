@@ -2,12 +2,13 @@
 // run end and loaded at startup.
 //
 // The obs stack so far evaporates with the process: metrics live while
-// something scrapes them (obs/server.h) or pushes them (obs/push.h), but
-// nothing remembers *previous* runs. The journal is that memory — an
-// append-only `journal.jsonl` in an operator-chosen directory, each line
-// a self-contained RunRecord: run identity, wall-times, corpus label,
-// the PipelineSummary fold, peak per-task metered memory, budget trips,
-// and a quarantine digest (failures per stage).
+// something scrapes them (obs/server.h) or until the run's end-of-run
+// files are written (obs/export.h), but nothing remembers *previous*
+// runs. The journal is that memory — an append-only `journal.jsonl` in
+// an operator-chosen directory, each line a self-contained RunRecord:
+// run identity, wall-times, corpus label, the PipelineSummary fold, peak
+// per-task metered memory, budget trips, and a quarantine digest
+// (failures per stage).
 //
 // Two consumers read it back:
 //  - SuggestBudgets(): auto-tunes the per-task byte budget from the p99

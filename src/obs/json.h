@@ -1,6 +1,6 @@
 // The one JSON codec in the tree: every error body, /statusz block,
-// metrics export, trace, log line, push batch, run-journal record and
-// checkpoint line is written and read through this file.
+// metrics export, trace, log line, OTLP span line, run-journal record
+// and checkpoint line is written and read through this file.
 //
 // Writers still spell out their own records — each owner knows the
 // field order its format pins — and call in here for the parts that must

@@ -65,6 +65,49 @@ std::string EncodeMetricLabels(const MetricLabels& labels) {
   return out;
 }
 
+MetricLabels DecodeMetricLabels(std::string_view encoded) {
+  MetricLabels labels;
+  size_t i = 0;
+  while (i < encoded.size()) {
+    // key
+    size_t eq = encoded.find('=', i);
+    if (eq == std::string_view::npos || eq + 1 >= encoded.size() ||
+        encoded[eq + 1] != '"') {
+      break;
+    }
+    MetricLabel label;
+    label.key.assign(encoded.substr(i, eq - i));
+    // value: scan to the closing unescaped quote, unescaping as we go.
+    size_t j = eq + 2;
+    bool closed = false;
+    while (j < encoded.size()) {
+      char c = encoded[j];
+      if (c == '\\' && j + 1 < encoded.size()) {
+        char next = encoded[j + 1];
+        if (next == 'n') {
+          label.value.push_back('\n');
+        } else {
+          label.value.push_back(next);  // \\ and \" (and anything else: keep)
+        }
+        j += 2;
+        continue;
+      }
+      if (c == '"') {
+        closed = true;
+        ++j;
+        break;
+      }
+      label.value.push_back(c);
+      ++j;
+    }
+    if (!closed) break;
+    labels.push_back(std::move(label));
+    if (j < encoded.size() && encoded[j] == ',') ++j;
+    i = j;
+  }
+  return labels;
+}
+
 namespace {
 
 // The collapsed label set past the cardinality bound: same keys, every

@@ -225,6 +225,12 @@ using MetricLabels = std::vector<MetricLabel>;
 // the exact byte sequence exporters splice between `{` and `}`.
 std::string EncodeMetricLabels(const MetricLabels& labels);
 
+// Inverse of EncodeMetricLabels: parses the canonical `k1="v1",k2="v2"`
+// form back into decoded key/value pairs (unescaping `\\`, `\"`, `\n`).
+// Malformed input yields the pairs decoded so far (best effort; the
+// encoder is the only producer, so this is a safety net, not a parser).
+MetricLabels DecodeMetricLabels(std::string_view encoded);
+
 // Escapes one label value (`\` -> `\\`, `"` -> `\"`, newline -> `\n`).
 void AppendEscapedLabelValue(std::string_view value, std::string* out);
 

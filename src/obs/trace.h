@@ -114,8 +114,8 @@ class TraceCollector {
   // events ever appended (start at 0), so eviction never re-sends a span
   // or reads out of range. Returns false — with `*out` untouched — when
   // no new qualifying span exists. Timestamps are unix nanos (the
-  // collector pins a wall-clock epoch at construction). The PushFlusher
-  // drives this onto a JsonlFileSink.
+  // collector pins a wall-clock epoch at construction). xmlprojd's main
+  // loop appends each batch to its --trace-export file.
   bool AppendOtlpSpansJson(size_t* cursor, std::string* out) const;
 
  private:

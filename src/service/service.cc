@@ -591,7 +591,7 @@ HttpResponse ProjectionService::HandleListDtds(const HttpRequest&) {
 void ProjectionService::ObserveRequest(const HttpRequest& request,
                                        const HttpResponse& response,
                                        uint64_t start_ns,
-                                       uint64_t duration_ns) {
+                                       uint64_t duration_ns, bool written) {
   const char* route = RouteLabel(request.path);
   // Workload attribution: only /prune carries a tenant, and an id lands
   // in the label set only when it is actually registered — unknown ids
@@ -618,7 +618,8 @@ void ProjectionService::ObserveRequest(const HttpRequest& request,
         request.method + " " + route, "request", start_ns, duration_ns,
         SpanContext{request.trace.trace_id, request.trace.span_id,
                     request.trace.parent_id, workload},
-        {{"status", static_cast<int64_t>(response.status)}});
+        {{"status", static_cast<int64_t>(response.status)},
+         {"written", written ? 1 : 0}});
   }
   if (options_.logger != nullptr) {
     options_.logger->Log(
@@ -627,6 +628,7 @@ void ProjectionService::ObserveRequest(const HttpRequest& request,
         {{"method", request.method},
          {"path", request.path},
          {"status", response.status},
+         {"written", written ? 1 : 0},
          {"duration_us", duration_ns / 1000},
          {"bytes", static_cast<uint64_t>(response.body.size())},
          {"trace_id", request.trace.trace_id},
@@ -777,8 +779,8 @@ bool ProjectionService::Start(const ProjectionServiceOptions& options,
       "HTTP request duration by workload, route and status code.");
   http_.SetObserver([this](const HttpRequest& request,
                            const HttpResponse& response, uint64_t start_ns,
-                           uint64_t duration_ns) {
-    ObserveRequest(request, response, start_ns, duration_ns);
+                           uint64_t duration_ns, bool written) {
+    ObserveRequest(request, response, start_ns, duration_ns, written);
   });
 
   HttpServerOptions http_options;

@@ -199,10 +199,12 @@ class ProjectionService {
   std::shared_ptr<WorkloadEntry> FindWorkload(const std::string& id) const;
 
   // The HttpServer observer: per-request RED histogram sample, SLO
-  // record (/prune only), request span, and the access-log line.
+  // record (/prune only), request span, and the access-log line. The
+  // span and the log line carry `written`: 0 when the response never
+  // fully reached the client.
   void ObserveRequest(const HttpRequest& request,
                       const HttpResponse& response, uint64_t start_ns,
-                      uint64_t duration_ns);
+                      uint64_t duration_ns, bool written);
 
   HttpResponse HandleRegisterDtd(const HttpRequest& request);
   HttpResponse HandleRegisterWorkload(const HttpRequest& request);

@@ -3,7 +3,8 @@
 #
 # Verifies strict flag handling: --threads 0 / negative and malformed
 # numbers must exit with the usage code (1), never silently clamp; so must
-# a well-formed value for a removed flag, which is never silently ignored.
+# a well-formed value for a removed flag, which is never silently ignored,
+# and an empty path, which would otherwise turn its output off unnoticed.
 
 if(NOT DEFINED TOOL)
   message(FATAL_ERROR "pass -DTOOL=<path to parallel_prune_tool>")
@@ -24,6 +25,27 @@ function(expect_exit expected)
     message(STATUS "  stderr: ${err}")
   else()
     message(STATUS "ok: '${ARGN}' -> ${got}")
+  endif()
+endfunction()
+
+# expect_usage(<flag> <arg>...) — run the tool; want exit 1 and <flag>
+# named on stderr.
+function(expect_usage flag)
+  execute_process(COMMAND "${TOOL}" ${ARGN}
+    RESULT_VARIABLE got
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT got STREQUAL "1")
+    math(EXPR failures "${failures} + 1")
+    set(failures "${failures}" PARENT_SCOPE)
+    message(STATUS "FAIL: '${TOOL} ${ARGN}' exited ${got}, want 1")
+    message(STATUS "  stdout: ${out}")
+  elseif(NOT err MATCHES "${flag}")
+    math(EXPR failures "${failures} + 1")
+    set(failures "${failures}" PARENT_SCOPE)
+    message(STATUS "FAIL: '${ARGN}' stderr does not name ${flag}: ${err}")
+  else()
+    message(STATUS "ok: '${ARGN}' -> 1")
   endif()
 endfunction()
 
@@ -63,14 +85,18 @@ expect_exit(1 --drain-ms=-1)
 # The retry policy is gone: a task runs one pass.
 expect_exit(1 --policy=retry)
 expect_exit(1 --retries=3)
+# The push plane is gone: telemetry leaves by scrape, end-of-run files
+# and the journal.
+expect_usage(--statsd --statsd=127.0.0.1:8125)
+expect_usage(--push-interval-ms --push-interval-ms=100)
+expect_usage(--push-jsonl --push-jsonl=x.jsonl)
 
-# Observability flags are strict too.
-expect_exit(1 --statsd=missing-port)
-expect_exit(1 --statsd=:8125)
-expect_exit(1 --statsd=localhost:)
-expect_exit(1 --push-interval-ms=0)
-expect_exit(1 --push-interval-ms=-5)
+# Observability flags are strict too: an empty path is a usage error.
 expect_exit(1 --journal=)
+expect_usage(--metrics-out --docs=1 --scale=0.001 --metrics-out=)
+expect_usage(--prometheus-out --docs=1 --scale=0.001 --prometheus-out=)
+expect_usage(--trace-out --docs=1 --scale=0.001 --trace-out=)
+expect_usage(--failures-out --docs=1 --scale=0.001 --failures-out=)
 expect_exit(1 --docs=1 --scale=0.001 --auto-budget)  # needs --journal
 
 # Well-formed run: exit 0. Tiny corpus keeps this fast.
@@ -110,11 +136,6 @@ expect_output("tasks completed +0\n"
 expect_output("circuit: seeded open" ${breaker_run})
 expect_output("tasks completed +40\n" ${breaker_run})
 file(REMOVE_RECURSE "${breaker_dir}")
-
-# Push flags accept well-formed values (a dead UDP target is fine by
-# design: fire-and-forget).
-expect_output("pushing metrics every 200 ms to 1 sink"
-  --docs=1 --scale=0.001 --threads=1 --statsd=127.0.0.1:1 --push-interval-ms=200)
 
 # Checkpoint/resume flag contract: strict values and mutual exclusions.
 expect_exit(1 --checkpoint=)

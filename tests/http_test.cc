@@ -577,7 +577,7 @@ TEST_F(HttpTest, ObserverSeesEveryRequestWithItsTrace) {
   std::vector<std::string> seen;  // "path status trace_id"
   server_.SetObserver([&](const HttpRequest& request,
                           const HttpResponse& response, uint64_t start_ns,
-                          uint64_t duration_ns) {
+                          uint64_t duration_ns, bool) {
     EXPECT_GT(start_ns, 0u);
     EXPECT_TRUE(request.trace.valid());
     EXPECT_EQ(request.trace.span_id.size(), 16u);
@@ -615,7 +615,7 @@ TEST_F(HttpTest, ObservedLatencyIncludesTheWaitForAWorker) {
   std::mutex mu;
   std::map<std::string, uint64_t> duration_ns;
   server_.SetObserver([&](const HttpRequest& request, const HttpResponse&,
-                          uint64_t, uint64_t duration) {
+                          uint64_t, uint64_t duration, bool) {
     std::lock_guard<std::mutex> lock(mu);
     duration_ns[request.path] = duration;
   });
@@ -650,10 +650,13 @@ TEST_F(HttpTest, ObservedLatencyIncludesTheResponseWrite) {
   });
   std::mutex mu;
   uint64_t observed_ns = 0;
+  bool observed_written = false;
   server_.SetObserver([&](const HttpRequest& request, const HttpResponse&,
-                          uint64_t, uint64_t duration) {
+                          uint64_t, uint64_t duration, bool written) {
     std::lock_guard<std::mutex> lock(mu);
-    if (request.path == "/big") observed_ns = duration;
+    if (request.path != "/big") return;
+    observed_ns = duration;
+    observed_written = written;
   });
   StartServer();
 
@@ -675,11 +678,13 @@ TEST_F(HttpTest, ObservedLatencyIncludesTheResponseWrite) {
   // The server closes after its observer ran, so the EOF above orders it.
   std::lock_guard<std::mutex> lock(mu);
   EXPECT_GE(observed_ns, uint64_t{250} * 1000 * 1000);
+  EXPECT_TRUE(observed_written);
 }
 
 // The write has a deadline of its own: a client that never reads a
 // response too large for the socket buffers frees the worker once
-// connection_deadline_ms passes, and the request is still observed.
+// connection_deadline_ms passes, and the request is still observed, as
+// a response that was not written.
 TEST_F(HttpTest, ClientThatStopsReadingFreesTheWorkerAtTheWriteDeadline) {
   constexpr size_t kResponseBytes = 32u << 20;
   server_.Handle("GET", "/big", [](const HttpRequest&) {
@@ -689,12 +694,14 @@ TEST_F(HttpTest, ClientThatStopsReadingFreesTheWorkerAtTheWriteDeadline) {
   std::condition_variable observed_cv;
   bool observed = false;
   uint64_t observed_ns = 0;
+  bool observed_written = true;
   server_.SetObserver([&](const HttpRequest& request, const HttpResponse&,
-                          uint64_t, uint64_t duration) {
+                          uint64_t, uint64_t duration, bool written) {
     if (request.path != "/big") return;
     std::lock_guard<std::mutex> lock(mu);
     observed = true;
     observed_ns = duration;
+    observed_written = written;
     observed_cv.notify_all();
   });
   HttpServerOptions options;
@@ -713,6 +720,7 @@ TEST_F(HttpTest, ClientThatStopsReadingFreesTheWorkerAtTheWriteDeadline) {
     EXPECT_TRUE(observed_cv.wait_for(lock, std::chrono::seconds(5),
                                      [&] { return observed; }));
     EXPECT_GE(observed_ns, uint64_t{250} * 1000 * 1000);
+    EXPECT_FALSE(observed_written);
   }
   // The server's one worker is free again.
   HttpClientResult result;

@@ -888,6 +888,8 @@ TEST_F(ServiceTest, TraceparentJoinsSpansExportLogsAndSlo) {
   EXPECT_NE(tracez->find("\"name\":\"POST /prune\""), std::string::npos)
       << *tracez;
   EXPECT_NE(tracez->find("\"name\":\"prune\""), std::string::npos);
+  // The request span says its response reached the client.
+  EXPECT_NE(tracez->find("\"written\":1"), std::string::npos) << *tracez;
   EXPECT_EQ(tracez->find("\"name\":\"parse\""), std::string::npos);
   EXPECT_NE(tracez->find("\"workload\":\"" + registration->id + "\""),
             std::string::npos);
@@ -946,6 +948,7 @@ TEST_F(ServiceTest, TraceparentJoinsSpansExportLogsAndSlo) {
         line.find("\"path\":\"/prune\"") != std::string::npos) {
       joined = true;
       EXPECT_NE(line.find("\"status\":200"), std::string::npos);
+      EXPECT_NE(line.find("\"written\":1"), std::string::npos) << line;
       EXPECT_NE(line.find("\"workload\":\"" + registration->id + "\""),
                 std::string::npos);
       break;

@@ -1,10 +1,11 @@
 # CLI contract tests for xmlprojd, driven via
 #   ctest → cmake -DDAEMON=<path> -P xmlprojd_cli_test.cmake
 #
-# Verifies strict numeric flags: a malformed, negative or out-of-range
-# value exits 1 naming the flag, before the daemon listens. Every run has
-# a timeout, so a value that slips through fails the check within seconds
-# instead of leaving a server running.
+# Verifies strict flags: a malformed, negative or out-of-range number,
+# or an empty path, exits 1 naming the flag, before the daemon listens;
+# an unopenable trace export exits 2 naming it. Every run has a timeout,
+# so a value that slips through fails the check within seconds instead
+# of leaving a server running.
 
 if(NOT DEFINED DAEMON)
   message(FATAL_ERROR "pass -DDAEMON=<path to xmlprojd>")
@@ -63,6 +64,26 @@ expect_usage(--breaker-threshold --breaker-threshold=0.5x)
 expect_usage(--breaker-cooldown-ms --breaker-cooldown-ms=-5)
 expect_usage(--slo-latency-ms --slo-latency-ms=abc)
 expect_usage(--no-such-flag --no-such-flag=1)
+# An empty path would turn its feature off without a word.
+expect_usage(--journal --journal=)
+expect_usage(--log --log=)
+expect_usage(--trace-export --trace-export=)
+
+# A trace export that cannot be opened is a startup failure (exit 2).
+execute_process(COMMAND "${DAEMON}" --port=0
+    --trace-export=/nonexistent/dir/t.jsonl
+  TIMEOUT 10
+  RESULT_VARIABLE got
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT got STREQUAL "2" OR NOT err MATCHES "trace export" OR
+   err MATCHES "push")
+  math(EXPR failures "${failures} + 1")
+  message(STATUS "FAIL: unopenable --trace-export exited ${got}, want 2 "
+    "naming the trace export (and no push sink): ${err}")
+else()
+  message(STATUS "ok: unopenable --trace-export -> 2")
+endif()
 
 # Well-formed values at the edges of their ranges are accepted: the daemon
 # comes up and keeps serving until the timeout kills it.
