@@ -3,7 +3,8 @@
 // The StreamingPruner is a SAX filter with O(depth) state — "a single
 // bufferless one-pass traversal". Composed with the parser it prunes the
 // document as it is read, so the unprojected DOM never exists in memory,
-// and the subtrees it rejects are crossed without being tokenized;
+// and the subtrees it rejects (and the content of the kept elements none
+// of whose children it keeps) are crossed without being tokenized;
 // composed with a serializer it acts as an external pruning tool (file in,
 // smaller file out).
 //
@@ -68,7 +69,7 @@ int main() {
     }
     std::printf(
         "loader pruning: pruned DOM is %.2f KB in memory (%zu nodes); "
-        "%.2f KB of rejected subtrees were crossed without being "
+        "%.2f KB of dropped content was crossed without being "
         "tokenized\n",
         pruned_doc->MemoryBytes() / 1024.0,
         pruned_doc->content_node_count(), stats.skipped_bytes / 1024.0);

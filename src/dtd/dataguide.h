@@ -13,8 +13,10 @@
 // grammar describes the *sample*. Any document whose parent->child tag
 // pairs are covered by the sample (in particular, the sample itself and
 // any document validating against it) is projected soundly; a document
-// with unseen tag nestings must be re-summarized first (StreamingPruner
-// rejects unknown tags rather than mis-pruning them).
+// with unseen tag nestings must be re-summarized first. StreamingPruner
+// rejects the unknown tags it tokenizes, but not those inside elements it
+// skips, and drops a child the grammar never showed under its kept
+// parent when it keeps none of that parent's grammar children.
 
 #ifndef XMLPROJ_DTD_DATAGUIDE_H_
 #define XMLPROJ_DTD_DATAGUIDE_H_

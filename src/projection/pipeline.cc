@@ -136,7 +136,7 @@ struct PipelineMetrics {
                       "Nodes kept by projection (paper Table 1 numerator)");
     registry->SetHelp("xmlproj_pipeline_skipped_bytes_total",
                       "Input bytes the parser crossed untokenized inside "
-                      "elements the pruner rejected");
+                      "elements the pruner rejected or emptied");
     registry->SetHelp("xmlproj_progress_tasks",
                       "Tasks submitted to the current pipeline run");
     registry->SetHelp("xmlproj_progress_completed",

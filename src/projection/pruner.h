@@ -10,7 +10,9 @@
 //    gets the skip verdict (xml/sax.h), so the producer drops its whole
 //    subtree: behind the XML parser the rejected bytes are crossed
 //    without being tokenized, so pruning while parsing costs less than
-//    parsing; behind ReplayAsSax the replay jumps past the subtree.
+//    parsing; behind ReplayAsSax the replay jumps past the subtree. So
+//    does the content of an emptied element, a kept one none of whose
+//    DTD children is in π.
 //
 //  - PruneDocument is the DOM-level equivalent given a validated
 //    document's interpretation ℑ (Def 2.7 verbatim); used by tests to
@@ -36,11 +38,12 @@ namespace xmlproj {
 //  - input_nodes: every element of the input, plus each text node the
 //    pass tokenized. Text inside skipped elements is never tokenized, so
 //    it is not counted; the elements there are, from the parser's
-//    locator at EndDocument.
+//    locator at EndDocument. The content of an emptied element (see
+//    StreamingPruner) is skipped too.
 //  - input_text_bytes: the decoded text the pass tokenized.
 //  - kept_nodes, kept_text_bytes: what went downstream. Exact.
-//  - skipped_bytes: for each skipped element, its content plus its end
-//    tag, as the parser crossed it.
+//  - skipped_bytes: for each skipped element, rejected or emptied, its
+//    content plus its end tag, as the parser crossed it.
 // PruneViaStreaming replays a DOM, which has no locator: it counts only
 // the nodes the pruner examined, and skipped_bytes stays 0. The DOM-level
 // PruneDocument and ValidatingPruner, which skip nothing, count every
@@ -69,6 +72,14 @@ Result<Document> PruneDocument(const Document& doc,
 // with respect to the DTD for type-driven projection to apply). An
 // element whose name is outside π gets the skip verdict: nothing inside
 // it reaches the pruner, so undeclared tags there go unchecked.
+//
+// An element whose name is in π but none of whose DTD children (element
+// names and its text name) is, is *emptied*: on a valid document nothing
+// inside it survives, so the pruner forwards its StartElement and then
+// its EndElement (which carries the start tag's span) and returns the
+// skip verdict for its content. Inside it, too, only what a skip checks
+// is checked; in an invalid document a child the DTD does not allow
+// there is dropped even if its name is in π.
 class StreamingPruner : public SaxHandler {
  public:
   StreamingPruner(const Dtd& dtd, const NameSet& projector,
@@ -102,6 +113,8 @@ class StreamingPruner : public SaxHandler {
   SaxHandler* downstream_;
   const SaxLocator* locator_ = nullptr;
   FaultInjector* fault_ = nullptr;
+  // Names in π none of whose DTD children is in π; built per pass.
+  NameSet emptied_;
   // Names of currently open (kept) elements.
   std::vector<NameId> open_names_;
   PruneStats stats_;

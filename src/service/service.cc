@@ -610,8 +610,11 @@ void ProjectionService::ObserveRequest(const HttpRequest& request,
         {{"workload", workload}, {"route", route}, {"code", code}});
     if (duration != nullptr) duration->Record(duration_ns);
   }
+  // A response the client never got was not available to it, whatever
+  // its status.
   if (options_.slo != nullptr && request.path == "/prune") {
-    options_.slo->Record(workload, duration_ns, response.status >= 500);
+    options_.slo->Record(workload, duration_ns,
+                         response.status >= 500 || !written);
   }
   if (options_.trace != nullptr && request.trace.valid()) {
     options_.trace->AddSpanEvent(

@@ -427,10 +427,12 @@ TEST(SharedPassTest, TightByteCapOneBranchExceeds) {
 }
 
 // <site><regions>, `depth` nested <x>: the {site} projector skips
-// <regions>, the {site, regions} projector keeps it and fails on the
-// undeclared <x>. Alone, the skipper fails a 1 MiB cap at 1,000,000
-// levels and completes 30,000 levels under a 1.5 MiB cap (its skip polls
-// only where the charge crosses a MiB line).
+// <regions>, the {site, regions, africa} projector keeps it and fails on
+// the undeclared <x>, and the {site, regions} projector keeps <regions>
+// but none of its children, so it skips the content like {site} does.
+// Alone, each skipper fails a 1 MiB cap at 1,000,000 levels and
+// completes 30,000 levels under a 1.5 MiB cap (its skip polls only where
+// the charge crosses a MiB line).
 std::string NestedInSkippedRegions(size_t depth) {
   std::string doc = "<site><regions>";
   doc.reserve(doc.size() + depth * 7 + 17);
@@ -446,7 +448,9 @@ TEST(SharedPassTest, NestedSkipCapDocument) {
   site.Add(dtd.root());
   NameSet regions = site;
   regions.Add(dtd.NameOfTag("regions"));
-  const std::vector<NameSet> projectors = {site, regions};
+  NameSet africa = regions;
+  africa.Add(dtd.NameOfTag("africa"));
+  const std::vector<NameSet> projectors = {site, africa, regions};
   const size_t mib = size_t{1} << 20;
   struct Case {
     size_t depth;
@@ -462,9 +466,14 @@ TEST(SharedPassTest, NestedSkipCapDocument) {
     std::vector<Reading> alone =
         ExpectSharedMatchesAlone(corpus, dtd, projectors, options,
                                  "depth " + std::to_string(c.depth));
-    ASSERT_EQ(alone.size(), 2u);
-    EXPECT_EQ(alone[0].status.ok(), c.skipper_completes)
-        << alone[0].status.ToString();
+    ASSERT_EQ(alone.size(), 3u);
+    for (size_t skipper : {0, 2}) {
+      EXPECT_EQ(alone[skipper].status.ok(), c.skipper_completes)
+          << skipper << ": " << alone[skipper].status.ToString();
+      if (!c.skipper_completes) {
+        EXPECT_EQ(alone[skipper].stage, "budget") << skipper;
+      }
+    }
     EXPECT_EQ(alone[1].stage, "prune") << alone[1].status.ToString();
   }
 }
