@@ -11,7 +11,11 @@ operations rises, or when a head output is wrong.
 
 Prints one row per (workload, metric) and writes the same table as JSON to
 --out. A row is `unresolved` when the base's own spread (IQR/median)
-exceeds the bound; a breach still fails it. Exit codes: 0 pass, 1 the head
+exceeds the bound; a breach still fails it. Each row also carries every
+pair's base and head values and `head_wins`, the pairs whose head value is
+better (a tie counts for neither side), so a claimed gain (the head wins 9
+of 10 pairs and its median beats the base's by more than the base's
+q25-q75 spread) reads off the same runs. Exit codes: 0 pass, 1 the head
 fails the gate, 2 a base run was wrong or gave no result, so there is
 nothing to judge against.
 """
@@ -118,13 +122,20 @@ def judge(spec, base, head):
                 base_values, n=4, method="inclusive")
             head_median = statistics.median(head_values)
             change = (head_median - base_median) / base_median
-            worse = -change if metric["better"] == "higher" else change
+            higher = metric["better"] == "higher"
+            worse = -change if higher else change
+            # Run i of each side is pair i: main() appends one run a side
+            # per pair.
+            pairs = list(zip(base_values, head_values))
+            head_wins = sum(1 for b, h in pairs if (h > b if higher else h < b))
             row = {"workload": workload, "metric": name,
                    "unit": metric["unit"], "base_median": base_median,
                    "base_q25": q25, "base_q75": q75,
                    "head_median": head_median, "change": change,
                    "bound": bound, "breach": worse > bound,
-                   "unresolved": (q75 - q25) / base_median > bound}
+                   "unresolved": (q75 - q25) / base_median > bound,
+                   "pairs": [{"base": b, "head": h} for b, h in pairs],
+                   "head_wins": head_wins}
             rows.append(row)
             if row["breach"]:
                 problems.append(f"{workload} {name}: {change:+.1%} is worse "
@@ -145,7 +156,7 @@ def describe(checkout):
 def print_table(report):
     print(f"{'workload':14s} {'metric':13s} {'base median':>12s} "
           f"{'base q25-q75':>21s} {'head median':>12s} {'change':>8s} "
-          f"{'bound':>6s}")
+          f"{'wins':>6s} {'bound':>6s}")
     for row in report["rows"]:
         label = "WORSE" if row["breach"] else ""
         if row["unresolved"]:
@@ -154,6 +165,7 @@ def print_table(report):
               f"{row['base_median']:12.4g} "
               f"{row['base_q25']:10.4g}-{row['base_q75']:<10.4g} "
               f"{row['head_median']:12.4g} {row['change']:+8.1%} "
+              f"{row['head_wins']:>3d}/{len(row['pairs']):<2d} "
               f"{row['bound']:6.0%} {label}")
     for problem in report["problems"]:
         print(f"problem: {problem}")

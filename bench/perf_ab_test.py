@@ -52,6 +52,30 @@ class JudgeTest(unittest.TestCase):
             self.assertFalse(row["breach"], row)
             self.assertFalse(row["unresolved"], row)
             self.assertAlmostEqual(0.0, row["change"])
+            # Ten ties: neither side wins a pair.
+            self.assertEqual(len(JITTER), len(row["pairs"]))
+            self.assertEqual(0, row["head_wins"])
+
+    def test_a_head_that_wins_nine_pairs_reports_nine(self):
+        base, head = side(), side()
+        for pair, result in enumerate(head["doc_selective"]):
+            step = 0.99 if pair == 4 else 1.01
+            result["metrics"]["prune_mb_s"]["value"] *= step
+            result["metrics"]["prune_ms_p50"]["value"] /= step
+        code, report = perf_ab.judge(SPEC, base, head)
+        self.assertEqual(0, code, report["problems"])
+        rows = {(r["workload"], r["metric"]): r for r in report["rows"]}
+        # Higher is better for throughput, lower for latency.
+        for metric in ("prune_mb_s", "prune_ms_p50"):
+            row = rows[("doc_selective", metric)]
+            self.assertEqual(9, row["head_wins"], metric)
+            self.assertEqual(
+                [r["metrics"][metric]["value"] for r in base["doc_selective"]],
+                [p["base"] for p in row["pairs"]])
+            self.assertEqual(
+                [r["metrics"][metric]["value"] for r in head["doc_selective"]],
+                [p["head"] for p in row["pairs"]])
+        self.assertEqual(0, rows[("doc_selective", "setup_s")]["head_wins"])
 
     def test_half_the_throughput_fails(self):
         head = side()

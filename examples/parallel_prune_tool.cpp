@@ -12,7 +12,7 @@
 //                       [--serve-linger-ms=N] [--corpus-label=NAME]
 //                       [--journal=DIR] [--auto-budget]
 //                       [--checkpoint=DIR] [--resume=DIR]
-//                       [--resume-retry-quarantined] [--watchdog-factor=F]
+//                       [--resume-retry-quarantined]
 //
 // Generates a corpus of N XMark documents (xmlgen scale S each) — or, with
 // one or more --input flags, reads the corpus from XML files instead —
@@ -74,11 +74,8 @@
 // output-shaping options changed. Quarantined tasks stay quarantined on
 // resume unless --resume-retry-quarantined re-admits them. SIGINT or
 // SIGTERM triggers a graceful drain: no new tasks start, in-flight tasks
-// finish (bounded only by --deadline-ms and the watchdog), telemetry and
-// the journal still flush, and the process exits 8 (a second signal
-// hard-kills).
-// --watchdog-factor=F (requires --deadline-ms) arms a watchdog that
-// cancels and quarantines tasks wedged past F x the deadline budget.
+// finish (bounded only by --deadline-ms), telemetry and the journal
+// still flush, and the process exits 8 (a second signal hard-kills).
 //
 // Exit codes: 0 success; 1 bad flag or usage; 2 pipeline failure;
 // 3 missing/unreadable input file; 4 empty corpus; 5 setup (DTD or
@@ -159,8 +156,7 @@ void PrintUsage() {
       "                           [--corpus-label=NAME]\n"
       "                           [--journal=DIR] [--auto-budget]\n"
       "                           [--checkpoint=DIR] [--resume=DIR]\n"
-      "                           [--resume-retry-quarantined]\n"
-      "                           [--watchdog-factor=F]\n");
+      "                           [--resume-retry-quarantined]\n");
 }
 
 // Strict numeric flag parsing: the whole value must consume, no silent
@@ -328,7 +324,6 @@ int main(int argc, char** argv) {
   std::string checkpoint_dir;
   std::string resume_dir;
   bool resume_retry_quarantined = false;
-  double watchdog_factor = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--docs=", 7) == 0) {
@@ -434,11 +429,6 @@ int main(int argc, char** argv) {
       resume_dir = arg + 9;
     } else if (std::strcmp(arg, "--resume-retry-quarantined") == 0) {
       resume_retry_quarantined = true;
-    } else if (std::strncmp(arg, "--watchdog-factor=", 18) == 0) {
-      if (!ParseDouble(arg + 18, &watchdog_factor) || watchdog_factor <= 0) {
-        return BadFlag("--watchdog-factor", arg + 18,
-                       "expected a number > 0");
-      }
     } else {
       std::fprintf(stderr, "parallel_prune_tool: unknown flag '%s'\n", arg);
       PrintUsage();
@@ -464,11 +454,6 @@ int main(int argc, char** argv) {
   if (resume_retry_quarantined && resume_dir.empty()) {
     std::fprintf(stderr, "parallel_prune_tool: --resume-retry-quarantined "
                          "requires --resume=DIR\n");
-    return kExitUsage;
-  }
-  if (watchdog_factor > 0 && deadline_ms <= 0) {
-    std::fprintf(stderr, "parallel_prune_tool: --watchdog-factor requires "
-                         "--deadline-ms (the limit is factor x deadline)\n");
     return kExitUsage;
   }
   if (threads <= 0) {
@@ -686,7 +671,6 @@ int main(int argc, char** argv) {
   // Graceful drain: SIGINT/SIGTERM stop task admission; in-flight tasks
   // finish, then telemetry and the journal still flush.
   options.stop = &g_stop;
-  options.watchdog_factor = watchdog_factor;
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
 

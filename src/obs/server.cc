@@ -150,8 +150,6 @@ void AppendStatusz(const MetricsRegistry& registry, uint64_t uptime_ns,
   AppendU64(snap.CounterOr0("xmlproj_checkpoint_resume_total"), out);
   out->append(",\"drained\":");
   AppendU64(snap.CounterOr0("xmlproj_pipeline_drained_total"), out);
-  out->append(",\"watchdog_fired\":");
-  AppendU64(snap.CounterOr0("xmlproj_pipeline_watchdog_total"), out);
   out->append("},\"bytes\":{\"in\":");
   AppendU64(snap.CounterOr0("xmlproj_pipeline_input_bytes_total"), out);
   out->append(",\"out\":");

@@ -465,9 +465,8 @@ ResumePlan PlanResume(const std::string& dir,
   plan.run_id = header.run_id;
   plan.done.assign(binding.tasks, 0);
 
-  // Last record per task wins: a watchdog quarantine written while the
-  // task was still wedged is superseded if the task later completed, and
-  // a re-admitted task's new outcome supersedes its earlier one.
+  // Last record per task wins: a re-admitted task's new outcome
+  // supersedes its earlier one.
   std::unordered_map<uint64_t, const CheckpointTaskRecord*> last;
   for (const CheckpointTaskRecord& record : records) {
     if (record.task >= binding.tasks) {

@@ -22,8 +22,8 @@
 //   quarantined  stage + status code, mirroring TaskFailure
 //
 // Appends are journal-style: one line, fflush + fsync, written under a
-// mutex (pipeline workers and the watchdog thread both append). A crash can
-// at worst tear the final line; LoadCheckpoint() tolerates and counts
+// mutex (pipeline workers append concurrently). A crash can at worst
+// tear the final line; LoadCheckpoint() tolerates and counts
 // torn/corrupt lines, and the resume planner simply re-runs tasks whose
 // record (or committed output) did not survive. Output commits are
 // atomic — write `*.tmp`, fsync, rename — so a file in DIR/out/ is
@@ -99,7 +99,7 @@ struct CheckpointTaskRecord {
   uint64_t input_text_bytes = 0;
   uint64_t kept_text_bytes = 0;
   // Quarantined tasks.
-  std::string stage;  // TaskFailure::stage ("parse", "watchdog", ...)
+  std::string stage;  // TaskFailure::stage ("parse", "deadline", ...)
   std::string code;   // StatusCodeName of the terminal status
 };
 
@@ -111,8 +111,8 @@ struct CheckpointHeader {
 };
 
 // Append side of one checkpoint directory. Thread-safe: AppendTask
-// serializes concurrent workers (and the watchdog) behind a mutex, and
-// every append is fflush+fsync'd before returning.
+// serializes concurrent workers behind a mutex, and every append is
+// fflush+fsync'd before returning.
 class RunCheckpoint {
  public:
   RunCheckpoint() = default;
@@ -201,9 +201,9 @@ struct ResumePlan {
 // binding, re-verifies every completed task's committed output by size +
 // content hash (mismatches are re-run, never trusted), and either
 // carries quarantined tasks forward or — with `retry_quarantined` —
-// re-admits them. The last record per task wins, so a task that was
-// watchdog-quarantined while wedged but then completed counts as
-// completed.
+// re-admits them, whatever their stage: a stage this build no longer
+// assigns carries forward as recorded. The last record per task wins, so
+// a re-admitted task's new outcome supersedes its earlier one.
 ResumePlan PlanResume(const std::string& dir,
                       const CheckpointBinding& binding,
                       bool retry_quarantined);

@@ -10,8 +10,6 @@
 #include "obs/json.h"
 #include "obs/server.h"
 #include "projection/pipeline.h"
-#include "projection/projection.h"
-#include "xquery/parser.h"
 #include "xquery/path_extraction.h"
 
 namespace xmlproj {
@@ -165,30 +163,16 @@ Result<NameSet> CompileWorkloadProjector(
   NameSet merged(dtd.name_count());
   merged.Add(dtd.root());
   for (const WorkloadQuery& query : queries) {
-    if (query.lang == "xpath") {
-      auto analysis =
-          AnalyzeXPathQuery(dtd, query.text, /*materialize_result=*/true);
-      if (!analysis.ok()) {
-        return Status(analysis.status().code(),
-                      "query '" + query.id +
-                          "': " + analysis.status().message());
-      }
-      merged |= analysis->projector;
-    } else {
-      auto parsed = ParseXQuery(query.text);
-      if (!parsed.ok()) {
-        return Status(parsed.status().code(),
-                      "query '" + query.id + "': " +
-                          parsed.status().message());
-      }
-      auto projector = InferProjectorForQuery(dtd, **parsed);
-      if (!projector.ok()) {
-        return Status(projector.status().code(),
-                      "query '" + query.id + "': " +
-                          projector.status().message());
-      }
-      merged |= *projector;
+    auto projector = InferQueryProjector(
+        dtd,
+        query.lang == "xpath" ? QueryLanguage::kXPath : QueryLanguage::kXQuery,
+        query.text);
+    if (!projector.ok()) {
+      return Status(projector.status().code(),
+                    "query '" + query.id + "': " +
+                        projector.status().message());
     }
+    merged |= *projector;
   }
   return merged;
 }

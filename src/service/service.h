@@ -84,10 +84,10 @@ Result<std::vector<WorkloadQuery>> ParseWorkloadSpec(std::string_view spec);
 uint64_t WorkloadFingerprint(const std::vector<WorkloadQuery>& queries);
 
 // Compiles a workload into its merged type projector against `dtd`:
-// per-query inference (XPath via projection/projection.h, XQuery via
-// xquery/path_extraction.h, both materializing results since the service
-// returns serialized bytes), union over the workload (projectors are
-// closed under union, §1.2), plus the document root.
+// per-query inference (InferQueryProjector in xquery/path_extraction.h,
+// which materializes results since the service returns serialized bytes),
+// union over the workload (projectors are closed under union, §1.2), plus
+// the document root.
 Result<NameSet> CompileWorkloadProjector(
     const Dtd& dtd, const std::vector<WorkloadQuery>& queries);
 

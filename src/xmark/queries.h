@@ -15,9 +15,9 @@
 #include <string>
 #include <vector>
 
-namespace xmlproj {
+#include "xquery/path_extraction.h"  // QueryLanguage
 
-enum class QueryLanguage { kXPath, kXQuery };
+namespace xmlproj {
 
 struct BenchmarkQuery {
   std::string id;          // "QM01", "QP13", ...

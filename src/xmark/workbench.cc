@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/memory_meter.h"
-#include "projection/projection.h"
 #include "xml/serializer.h"
 #include "xpath/evaluator.h"
 #include "xpath/parser.h"
@@ -60,14 +59,7 @@ Result<QueryRun> RunBenchmarkQuery(const BenchmarkQuery& query,
 
 Result<NameSet> AnalyzeBenchmarkQuery(const BenchmarkQuery& query,
                                       const Dtd& dtd) {
-  if (query.language == QueryLanguage::kXQuery) {
-    XMLPROJ_ASSIGN_OR_RETURN(XQueryPtr parsed, ParseXQuery(query.text));
-    return InferProjectorForQuery(dtd, *parsed);
-  }
-  XMLPROJ_ASSIGN_OR_RETURN(
-      ProjectionAnalysis analysis,
-      AnalyzeXPathQuery(dtd, query.text, /*materialize_result=*/true));
-  return analysis.projector;
+  return InferQueryProjector(dtd, query.language, query.text);
 }
 
 }  // namespace xmlproj

@@ -5,8 +5,10 @@
 #include <set>
 #include <string>
 
+#include "projection/projection.h"
 #include "projection/projector_inference.h"
 #include "xpath/approximate.h"
+#include "xquery/parser.h"
 
 namespace xmlproj {
 namespace {
@@ -445,6 +447,18 @@ Result<NameSet> InferProjectorForQuery(const Dtd& dtd,
   ProjectorInference inference(dtd);
   return inference.InferForPaths(paths, /*materialize_result=*/false,
                                  /*start_at_document_node=*/true);
+}
+
+Result<NameSet> InferQueryProjector(const Dtd& dtd, QueryLanguage language,
+                                    std::string_view text) {
+  if (language == QueryLanguage::kXQuery) {
+    XMLPROJ_ASSIGN_OR_RETURN(XQueryPtr parsed, ParseXQuery(text));
+    return InferProjectorForQuery(dtd, *parsed);
+  }
+  XMLPROJ_ASSIGN_OR_RETURN(
+      ProjectionAnalysis analysis,
+      AnalyzeXPathQuery(dtd, text, /*materialize_result=*/true));
+  return analysis.projector;
 }
 
 }  // namespace xmlproj

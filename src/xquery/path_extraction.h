@@ -25,6 +25,7 @@
 #ifndef XMLPROJ_XQUERY_PATH_EXTRACTION_H_
 #define XMLPROJ_XQUERY_PATH_EXTRACTION_H_
 
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -51,6 +52,17 @@ Result<std::vector<LPath>> ExtractPaths(const XQueryExpr& query,
 // inserted the descendant-or-self steps).
 Result<NameSet> InferProjectorForQuery(const Dtd& dtd,
                                        const XQueryExpr& query);
+
+enum class QueryLanguage { kXPath, kXQuery };
+
+// The projector of one query over `dtd`, in either language: an XPath
+// query through AnalyzeXPathQuery with its result materialized (a query's
+// answer is serialized), an XQuery query through ParseXQuery and
+// InferProjectorForQuery. The service's workload compiler and the XMark
+// workbench both compile queries through this one function, so xmlprojd
+// and parallel_prune_tool prune a query to the same bytes.
+Result<NameSet> InferQueryProjector(const Dtd& dtd, QueryLanguage language,
+                                    std::string_view text);
 
 }  // namespace xmlproj
 

@@ -802,49 +802,6 @@ TEST_F(PipelineChaosTest, PipelineTaskFireIsItsTasksVerdictInASharedPass) {
   }
 }
 
-// The watchdog watches each task's own pass and nothing else. Each of a
-// document's three tasks stalls 120 ms at its start ("pipeline.task"
-// delay), well inside a 300 ms watch (deadline 200 ms x 1.5), while the
-// document's three stalls together pass both the deadline and the watch.
-// Every task completes, as it does alone, and the watchdog never fires.
-TEST_F(PipelineChaosTest, PerQueryWatchdogWatchesEachTaskAlone) {
-  const std::vector<NameSet> projectors = PerQueryProjectors();
-  const std::span<const std::string> corpus(corpus_.data(), 2);
-  const size_t tasks = corpus.size() * projectors.size();
-  for (int threads : {1, 2}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    FaultInjector fault;
-    FaultSpec stall;
-    stall.code = StatusCode::kOk;
-    stall.delay_ms = 120;
-    fault.Arm("pipeline.task", stall);
-    MetricsRegistry registry;
-    PipelineOptions options;
-    options.num_threads = threads;
-    options.policy = ErrorPolicy::kIsolate;
-    options.budget.deadline_ms = 200;
-    options.watchdog_factor = 1.5;
-    options.fault = &fault;
-    options.metrics = &registry;
-    auto run = PruneCorpusPerQuery(corpus, *dtd_, projectors, options);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    for (const TaskFailure& f : run->failures) {
-      ADD_FAILURE() << "task " << f.task << " " << f.stage << ": "
-                    << f.status.ToString();
-    }
-    EXPECT_EQ(run->summary.tasks, tasks);
-    EXPECT_EQ(fault.HitCount("pipeline.task"), tasks);
-    EXPECT_EQ(
-        registry.GetCounter("xmlproj_pipeline_watchdog_total")->Value(), 0u);
-    for (size_t i = 0; i < tasks; ++i) {
-      EXPECT_EQ(run->results[i].output,
-                Reference(i / projectors.size(),
-                          projectors[i % projectors.size()]))
-          << "task " << i;
-    }
-  }
-}
-
 // A unit's tasks are admitted before its pass and each reports one
 // outcome after it, so a half-open breaker admits only its probes from
 // a unit: here the one probe, the first of the first document's tasks.

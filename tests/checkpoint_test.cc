@@ -5,8 +5,8 @@
 // corpus and the same summary fold as an uninterrupted run. Also
 // covered: quarantine carry-forward vs --resume-retry-quarantined,
 // tampered-output re-verification, graceful drain (drained tasks have
-// no terminal outcome and re-run on resume), the hung-task watchdog,
-// and the checkpoint.append / pipeline.commit failpoints.
+// no terminal outcome and re-run on resume), and the checkpoint.append /
+// pipeline.commit failpoints.
 
 #include "projection/checkpoint.h"
 
@@ -194,7 +194,7 @@ TEST(CheckpointFormatTest, QuarantinedRecordRoundTrips) {
   CheckpointTaskRecord in;
   in.task = 3;
   in.completed = false;
-  in.stage = "watchdog";
+  in.stage = "deadline";
   in.code = "DEADLINE_EXCEEDED";
   CheckpointTaskRecord out;
   ASSERT_TRUE(RunCheckpoint::ParseRecord(RunCheckpoint::FormatRecord(in),
@@ -231,7 +231,7 @@ constexpr char kGoldenCompleted[] =
     R"("degraded":1,"input_bytes":54321,"input_nodes":100,"kept_nodes":42,)"
     R"("input_text_bytes":900,"kept_text_bytes":450})";
 constexpr char kGoldenQuarantined[] =
-    R"({"type":"task","task":3,"outcome":"quarantined","stage":"watchdog",)"
+    R"({"type":"task","task":3,"outcome":"quarantined","stage":"deadline",)"
     R"("code":"DEADLINE_EXCEEDED"})";
 
 TEST(CheckpointFormatTest, HeaderMatchesGoldenLineAndParsesBack) {
@@ -288,7 +288,7 @@ TEST(CheckpointFormatTest, QuarantinedRecordMatchesGoldenLineAndParsesBack) {
   CheckpointTaskRecord in;
   in.task = 3;
   in.completed = false;
-  in.stage = "watchdog";
+  in.stage = "deadline";
   in.code = "DEADLINE_EXCEEDED";
   EXPECT_EQ(RunCheckpoint::FormatRecord(in), kGoldenQuarantined);
   CheckpointTaskRecord out;
@@ -303,13 +303,13 @@ TEST(CheckpointFormatTest, QuarantinedRecordMatchesGoldenLineAndParsesBack) {
 // line still loads; the key is skipped, and rewriting the record drops it.
 TEST(CheckpointFormatTest, QuarantinedRecordWithAttemptsStillLoads) {
   constexpr char kWithAttempts[] =
-      R"({"type":"task","task":3,"outcome":"quarantined","stage":"watchdog",)"
+      R"({"type":"task","task":3,"outcome":"quarantined","stage":"deadline",)"
       R"("code":"DEADLINE_EXCEEDED","attempts":2})";
   CheckpointTaskRecord out;
   ASSERT_TRUE(RunCheckpoint::ParseRecord(kWithAttempts, &out));
   EXPECT_EQ(out.task, 3u);
   EXPECT_FALSE(out.completed);
-  EXPECT_EQ(out.stage, "watchdog");
+  EXPECT_EQ(out.stage, "deadline");
   EXPECT_EQ(out.code, "DEADLINE_EXCEEDED");
   EXPECT_EQ(RunCheckpoint::FormatRecord(out), kGoldenQuarantined);
 }
@@ -630,18 +630,40 @@ TEST(CheckpointResumeTest, QuarantineCarriesForwardUnlessRetryRequested) {
     ASSERT_EQ(run.failures.size(), 1u);
     EXPECT_EQ(run.failures[0].task, 1u);
   }
+  // Builds that had a hung-task watchdog quarantined a task it cancelled
+  // with stage "watchdog". Such a record stands in for task 2's here: it
+  // still loads, and its task carries forward with its stage.
+  {
+    const std::string path = RunCheckpoint::PathFor(dir);
+    std::istringstream lines(ReadFileOrDie(path));
+    std::string kept;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find(R"("task":2,)") == std::string::npos) kept += line + "\n";
+    }
+    kept += R"({"type":"task","task":2,"outcome":"quarantined",)"
+            R"("stage":"watchdog","code":"DEADLINE_EXCEEDED"})"
+            "\n";
+    WriteFileOrDie(path, kept);
+  }
   std::span<const NameSet> projectors(&XmarkProjector(), 1);
   CheckpointBinding binding = ComputeCorpusBinding(
       corpus, projectors, options, "xmark-dashboard-merged");
 
-  // Default: the quarantined task stays settled and its failure is
-  // carried into the resumed run's report with the recorded stage.
+  // Default: the quarantined tasks stay settled and their failures are
+  // carried into the resumed run's report with the recorded stages.
   ResumePlan carry = PlanResume(dir, binding, /*retry_quarantined=*/false);
   ASSERT_TRUE(carry.resumable) << carry.mismatch;
-  EXPECT_EQ(carry.skipped_quarantined, 1u);
+  EXPECT_EQ(carry.torn_lines, 0u);
+  EXPECT_EQ(carry.skipped_completed, 1u);
+  EXPECT_EQ(carry.skipped_quarantined, 2u);
   EXPECT_TRUE(carry.done[1]);
-  ASSERT_EQ(carry.prior_failures.size(), 1u);
+  EXPECT_TRUE(carry.done[2]);
+  ASSERT_EQ(carry.prior_failures.size(), 2u);
   EXPECT_EQ(carry.prior_failures[0].stage, "parse");
+  EXPECT_EQ(carry.prior_failures[1].task, 2u);
+  EXPECT_EQ(carry.prior_failures[1].stage, "watchdog");
+  EXPECT_EQ(carry.prior_failures[1].status.code(),
+            StatusCode::kDeadlineExceeded);
   {
     RunCheckpoint resumed;
     ASSERT_TRUE(resumed.OpenForAppend(dir).ok());
@@ -651,18 +673,21 @@ TEST(CheckpointResumeTest, QuarantineCarriesForwardUnlessRetryRequested) {
     auto result =
         PruneCorpus(corpus, XmarkDtd(), XmarkProjector(), resume_options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_EQ(result->failures.size(), 1u);
+    ASSERT_EQ(result->failures.size(), 2u);
     EXPECT_EQ(result->failures[0].task, 1u);
     EXPECT_EQ(result->failures[0].stage, "parse");
-    EXPECT_EQ(result->summary.failed, 1u);
+    EXPECT_EQ(result->failures[1].task, 2u);
+    EXPECT_EQ(result->failures[1].stage, "watchdog");
+    EXPECT_EQ(result->summary.failed, 2u);
   }
 
-  // With the retry flag the task is re-admitted (and fails again here,
-  // but as a fresh failure from this run, not a carried one).
+  // With the retry flag the tasks are re-admitted (task 1 fails again
+  // here, but as a fresh failure from this run, not a carried one).
   ResumePlan retry = PlanResume(dir, binding, /*retry_quarantined=*/true);
   ASSERT_TRUE(retry.resumable) << retry.mismatch;
-  EXPECT_EQ(retry.retry_quarantined, 1u);
+  EXPECT_EQ(retry.retry_quarantined, 2u);
   EXPECT_FALSE(retry.done[1]);
+  EXPECT_FALSE(retry.done[2]);
   EXPECT_TRUE(retry.prior_failures.empty());
 }
 
@@ -825,47 +850,6 @@ TEST(DrainTest, MidRunStopFinishesInFlightAndDrainsTheRest) {
           << "task " << i;
     }
   }
-}
-
-// --- Watchdog -----------------------------------------------------------
-
-TEST(WatchdogTest, WedgedTaskIsCancelledAndQuarantinedAsWatchdog) {
-  std::vector<std::string> corpus = SmallCorpus(2);
-  std::string dir = ScratchDir();
-  PipelineOptions options;
-  options.policy = ErrorPolicy::kIsolate;
-  options.num_threads = 1;
-  options.budget.deadline_ms = 25;
-  options.watchdog_factor = 2.0;
-  // One long stall inside the prune pass: the deadline check only fires
-  // per SAX event, so the watchdog must cancel from outside.
-  FaultInjector fault;
-  ASSERT_TRUE(fault.ArmFromSpec("prune.element:delay:1:1:400").ok());
-  options.fault = &fault;
-  MetricsRegistry registry;
-  options.metrics = &registry;
-  RunCheckpoint checkpoint;
-  ASSERT_TRUE(checkpoint.Create(dir, SampleHeader(corpus, options)).ok());
-  options.checkpoint = &checkpoint;
-  auto result = PruneCorpus(corpus, XmarkDtd(), XmarkProjector(), options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->failures.size(), 1u);
-  EXPECT_EQ(result->failures[0].stage, "watchdog");
-  EXPECT_EQ(result->failures[0].status.code(),
-            StatusCode::kDeadlineExceeded);
-  EXPECT_GE(registry.GetCounter("xmlproj_pipeline_watchdog_total")->Value(),
-            1u);
-  // The watchdog's provisional quarantine record plus the final one are
-  // both on disk; the final record per task wins at resume time.
-  CheckpointHeader header;
-  std::vector<CheckpointTaskRecord> records;
-  ASSERT_TRUE(RunCheckpoint::LoadCheckpoint(dir, &header, &records, nullptr,
-                                            nullptr));
-  bool saw_watchdog_stage = false;
-  for (const CheckpointTaskRecord& r : records) {
-    if (!r.completed && r.stage == "watchdog") saw_watchdog_stage = true;
-  }
-  EXPECT_TRUE(saw_watchdog_stage);
 }
 
 // --- Durability failpoints ----------------------------------------------

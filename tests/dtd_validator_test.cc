@@ -98,6 +98,27 @@ TEST(Validator, RequiredAttributeMissing) {
   EXPECT_NE(result.status().message().find("isbn"), std::string::npos);
 }
 
+// An attribute's first declaration binds; later ones are ignored (XML 1.0
+// §3.3): `a` is optional and `b` required, whatever the second ATTLIST of
+// each says.
+TEST(Validator, FirstAttributeDeclarationBinds) {
+  auto dtd = ParseDtd(R"(
+    <!ELEMENT root (e*)>
+    <!ELEMENT e EMPTY>
+    <!ATTLIST e a CDATA #IMPLIED b CDATA #REQUIRED>
+    <!ATTLIST e a CDATA #REQUIRED b CDATA #IMPLIED>
+  )", "root");
+  ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+  EXPECT_EQ(dtd->production(dtd->NameOfTag("e")).required_attributes,
+            std::vector<std::string>{"b"});
+  auto valid = Validate(Parse("<root><e b='1'/></root>"), *dtd);
+  EXPECT_TRUE(valid.ok()) << valid.status().ToString();
+  auto missing = Validate(Parse("<root><e a='1'/></root>"), *dtd);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().message(),
+            "element 'e' is missing required attribute 'b'");
+}
+
 TEST(Validator, InterpretSkipsContentChecks) {
   Dtd dtd = BookDtd();
   // Invalid order, but Interpret only maps names.

@@ -309,16 +309,18 @@ TEST_F(ServiceTest, JournalSeedingCountsOnlyServerFaults) {
 
   // The last record whose corpus matches seeds; "" matches any record.
   std::vector<RunRecord> history(2);
+  // "watchdog" is a stage only earlier builds recorded; the table lacks
+  // it, so its "task" row seeds it as a server fault.
   history[0].corpus = "melting";
-  history[0].failed = 8;
-  history[0].quarantine = {{"deadline", 8}};
+  history[0].failed = 12;
+  history[0].quarantine = {{"deadline", 8}, {"watchdog", 4}};
   history[1].corpus = "locked-out";
   history[1].failed = 32;
   history[1].quarantine = {{"circuit", 32}};
   CircuitBreaker melting;
   seed = SeedBreakerFromJournal(history, "melting", &melting);
   EXPECT_EQ(seed.record, &history[0]);
-  EXPECT_EQ(seed.failures, 8u);
+  EXPECT_EQ(seed.failures, 12u);
   EXPECT_EQ(melting.state(), CircuitState::kOpen);
   CircuitBreaker locked_out;
   seed = SeedBreakerFromJournal(history, "", &locked_out);
@@ -362,9 +364,8 @@ TEST(StagePolicyTest, EveryPassStatusKeepsItsPruneStatusAndStage) {
     EXPECT_EQ(policy.http_status, row.http_status) << stage;
     EXPECT_EQ(policy.fault, row.fault) << stage;
   }
-  // Stages only the batch pipeline assigns, the breaker's own answer,
-  // and a stage the table lacks.
-  EXPECT_EQ(PolicyForStage("watchdog").http_status, 504);
+  // Stages only the batch pipeline assigns, one only earlier builds
+  // recorded, the breaker's own answer, and a stage the table lacks.
   for (const char* stage : {"watchdog", "commit", "checkpoint"}) {
     EXPECT_EQ(PolicyForStage(stage).fault, StageFault::kServer) << stage;
   }
