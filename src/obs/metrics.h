@@ -48,12 +48,12 @@ inline uint64_t MonotonicNowNs() {
           .count());
 }
 
-// `now_ns` plus `count` units of `unit_ns` (default: milliseconds),
-// saturating: an instant past UINT64_MAX ns means "never", not "soon".
-inline uint64_t SaturatingDeadlineNs(uint64_t now_ns, uint64_t count,
-                                     uint64_t unit_ns = 1000000) {
-  if (count > (UINT64_MAX - now_ns) / unit_ns) return UINT64_MAX;
-  return now_ns + count * unit_ns;
+// `now_ns` plus `ms` milliseconds, saturating: an instant past
+// UINT64_MAX ns means "never", not "soon".
+inline uint64_t SaturatingDeadlineNs(uint64_t now_ns, uint64_t ms) {
+  constexpr uint64_t kNsPerMs = 1000000;
+  if (ms > (UINT64_MAX - now_ns) / kNsPerMs) return UINT64_MAX;
+  return now_ns + ms * kNsPerMs;
 }
 
 // Wall-clock milliseconds since the Unix epoch (system_clock), for
