@@ -158,6 +158,7 @@ class ValidatingPruner : public SaxHandler {
   SaxHandler* downstream_;
   FaultInjector* fault_ = nullptr;
   std::vector<OpenElement> open_;
+  std::vector<bool> required_seen_;  // CheckRequiredAttributes' scratch
   bool saw_root_ = false;
   PruneStats stats_;
 };
